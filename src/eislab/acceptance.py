@@ -45,14 +45,13 @@ def _result(number, name, passed, detail, t0):
     return CriterionResult(number, name, bool(passed), detail, time.time() - t0)
 
 
-def criterion_1(threads: int = 1) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     """Critical-line truncated second moment: quadrature vs the exact limit."""
     t0 = time.time()
     worst = 0.0
     details = []
     for (T, A) in [(5.0, 1.5), (10.0, 2.0), (20.0, 2.0)]:
-        res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf,
-                                    threads=threads)
+        res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf)
         closed = moments.maass_selberg_limit(T, A)
         rel = abs(res.second_moment - closed) / abs(closed)
         worst = max(worst, rel)
@@ -61,17 +60,17 @@ def criterion_1(threads: int = 1) -> CriterionResult:
                    "; ".join(details) + " (gate 1e-5)", t0)
 
 
-def criterion_2(threads: int = 1) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Two-parameter identity at real s: closed form vs quadrature."""
     t0 = time.time()
     closed = moments.maass_selberg(2.0, 3.0, 2.0)
-    quad, _ = moments.real_s_pair_quadrature(2.0, 3.0, 2.0, threads=threads)
+    quad, _ = moments.real_s_pair_quadrature(2.0, 3.0, 2.0)
     rel = abs(quad - closed) / abs(closed)
     return _result(2, "real-s pair identity", rel <= 1e-6,
                    f"rel={rel:.2e} (gate 1e-6)", t0)
 
 
-def criterion_3(threads: int = 1) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """Second-moment asymptotic trend against 2 phi log T."""
     t0 = time.time()
     devs = {}
@@ -86,7 +85,7 @@ def criterion_3(threads: int = 1) -> CriterionResult:
                        "(gate: <=0.15 at 200 and improving)", t0)
 
 
-def criterion_4(threads: int = 1) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     """Fourth-moment sweep: p=2 closed-form agreement, p=4 ratio table."""
     t0 = time.time()
     ratios = {}
@@ -94,8 +93,7 @@ def criterion_4(threads: int = 1) -> CriterionResult:
     finite = True
     for T in (10.0, 25.0, 50.0):
         for A in (1.5, 2.0, 3.0):
-            res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf,
-                                        threads=threads)
+            res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf)
             closed = moments.maass_selberg_limit(T, A)
             worst_p2 = max(worst_p2, abs(abs(res.second_moment) - abs(closed)) / abs(closed))
             r = res.report.ratio
@@ -177,7 +175,7 @@ def weights_audit_checks():
     return checks
 
 
-def criterion_5(threads: int = 1) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """Weight-function suite: invariance, supports, envelopes, leading terms."""
     t0 = time.time()
     checks = weights_audit_checks()
@@ -187,7 +185,7 @@ def criterion_5(threads: int = 1) -> CriterionResult:
                    ("; ".join(bad) + " | " if bad else "") + good, t0)
 
 
-def criterion_6(threads: int = 1) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """Mellin pair g/G at (T,t) = (3,5), s = 1; Mellin-Barnes spot check."""
     t0 = time.time()
     gn = weights.g_mellin_numeric(1.0, 3.0, 5.0)
@@ -202,7 +200,7 @@ def criterion_6(threads: int = 1) -> CriterionResult:
                    f"Mellin-Barnes abs={rel_mb:.2e} (gate 1e-8)", t0)
 
 
-def criterion_7(threads: int = 1) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """Diagonal constants: bracket factor and the rational ledger."""
     t0 = time.time()
     devs = {}
@@ -221,26 +219,42 @@ def criterion_7(threads: int = 1) -> CriterionResult:
                    t0)
 
 
-def criterion_8(threads: int = 1) -> CriterionResult:
-    """Kuznetsov diagnostic: monotone tails, sign agreement, closure bound."""
+def kuznetsov_gates(reports) -> dict:
+    """Criterion 8's gates on the n = m reports of a c_max sweep, in order.
+
+    The tail estimate must not grow with c_max, the two sides of the last
+    report must agree in sign, and, because a partial basis can only
+    undercount the spectral side when n = m, its geometric side may fall
+    short of the spectral side by at most the tail: geometric - spectral
+    >= -tail.
+    """
+    tails = [r.tail_estimate for r in reports]
+    r = reports[-1]
+    return {
+        "monotone": all(a >= b for a, b in zip(tails, tails[1:])),
+        "signs": math.copysign(1, r.spectral_side) == math.copysign(1, r.geometric_side),
+        "one_sided": r.geometric_side - r.spectral_side >= -r.tail_estimate,
+    }
+
+
+def criterion_8() -> CriterionResult:
+    """Kuznetsov diagnostic: monotone tails, sign agreement, one-sided closure."""
     t0 = time.time()
     forms = spectral.ingest_forms(str(DATA_DIR / "maass_forms.csv"))
     phi = spectral.TestFunction(kind="gaussian", width=8.0)
-    reports = {c: spectral.kuznetsov_two_sides(1, 1, phi, forms, c_max=c)
-               for c in (50, 100, 200)}
-    tails = [reports[c].tail_estimate for c in (50, 100, 200)]
-    monotone = tails[0] >= tails[1] >= tails[2]
-    r = reports[200]
-    signs = math.copysign(1, r.spectral_side) == math.copysign(1, r.geometric_side)
-    within = abs(r.spectral_side - r.geometric_side) <= abs(r.basis_gap) + r.tail_estimate + 1e-12
-    ok = monotone and signs and within
+    reports = [spectral.kuznetsov_two_sides(1, 1, phi, forms, c_max=c)
+               for c in (50, 100, 200)]
+    tails = [r.tail_estimate for r in reports]
+    r = reports[-1]
+    ok = all(kuznetsov_gates(reports).values())
     return _result(8, "Kuznetsov diagnostic", ok,
                    f"tails {tails[0]:.3e} >= {tails[1]:.3e} >= {tails[2]:.3e}; "
                    f"spectral={r.spectral_side:.5f} geometric={r.geometric_side:.5f} "
-                   f"closure={r.closure:.2e} (reported; basis-limited)", t0)
+                   f"closure={r.closure:.2e} (reported; basis-limited); "
+                   f"geometric-spectral={r.basis_gap:.3e} >= -tail={-r.tail_estimate:.3e}", t0)
 
 
-def criterion_9(threads: int = 1) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """Bessel-transform lemma: fitted constant at x = T^2; smallness at x = T.
 
     The x = T^2 clause runs at T = 40 as stated.  The x = T clause needs the
@@ -263,7 +277,7 @@ def criterion_9(threads: int = 1) -> CriterionResult:
                    t0)
 
 
-def criterion_10(threads: int = 1) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     """Special-function substrate: symmetry, unimodularity, reference values."""
     t0 = time.time()
     rng = np.random.default_rng(20250810)
@@ -302,13 +316,13 @@ ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 QUICK_SUBSET = {2, 3, 7, 10}
 
 
-def run_all(quick: bool = False, threads: int = 1, emit=print):
+def run_all(quick: bool = False, emit=print):
     results = []
     for fn in ALL_CRITERIA:
         number = int(fn.__name__.split("_")[1])
         if quick and number not in QUICK_SUBSET:
             continue
-        res = fn(threads=threads)
+        res = fn()
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
         emit(f"[{status}] criterion {res.number:2d} ({res.name}) "

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from eislab.errors import DomainError, MissingEigenvalueError
+from eislab.errors import DomainError, InvariantError, MissingEigenvalueError
 from eislab.specfun import zeta
 
 
@@ -84,7 +84,8 @@ def tau_gen(m: int, gamma: float) -> float:
         raise DomainError(f"tau_gen needs m >= 1, got {m}")
     a = np.array(divisors(m), dtype=float)
     val = np.exp(-1j * gamma * math.log(m)) * np.sum(np.exp(2j * gamma * np.log(a)))
-    assert abs(val.imag) < 1e-12 * max(1.0, abs(val.real)), "tau_gen must be real"
+    if not abs(val.imag) < 1e-12 * max(1.0, abs(val.real)):
+        raise InvariantError(f"tau_gen({m}, {gamma}) is not real: {val}")
     return float(val.real)
 
 
@@ -96,7 +97,8 @@ def tau_gen_many(n_max: int, gamma: float) -> np.ndarray:
     n = np.arange(0, n_max + 1, dtype=float)
     n[0] = 1.0
     out *= np.exp(-1j * gamma * np.log(n))
-    assert np.max(np.abs(out.imag[1:])) < 1e-9, "tau_gen_many must be real"
+    if not np.max(np.abs(out.imag[1:])) < 1e-9:
+        raise InvariantError(f"tau_gen_many({n_max}, {gamma}) is not real")
     return out.real[:]
 
 
@@ -111,8 +113,9 @@ def sigma_complex(m: int, a: complex) -> complex:
 def kloosterman(n: int, m: int, c: int) -> float:
     """Kloosterman sum S(n, m; c) over invertible residues mod c.
 
-    Asserts the imaginary part is negligible and the Weil bound
-    |S| <= d(c) sqrt(gcd(n, m, c)) sqrt(c) holds, then returns the real part.
+    Checks that the imaginary part is negligible and that the Weil bound
+    |S| <= d(c) sqrt(gcd(n, m, c)) sqrt(c) holds (raising InvariantError
+    otherwise), then returns the real part.
     """
     if c < 1:
         raise DomainError(f"kloosterman needs c >= 1, got {c}")
@@ -127,10 +130,12 @@ def kloosterman(n: int, m: int, c: int) -> float:
     xinvs = np.array(xinvs, dtype=float)
     angles = 2.0 * np.pi * ((n * xs + m * xinvs) % c) / c
     val = np.sum(np.cos(angles)) + 1j * np.sum(np.sin(angles))
-    assert abs(val.imag) < 1e-9 * max(1.0, len(xs)), "S(n,m;c) must be real"
+    if not abs(val.imag) < 1e-9 * max(1.0, len(xs)):
+        raise InvariantError(f"S({n},{m};{c}) is not real: {val}")
     s = float(val.real)
     weil = len(divisors(c)) * math.sqrt(math.gcd(n, math.gcd(m, c)) * c)
-    assert abs(s) <= weil + 1e-6, f"Weil bound violated: |S|={abs(s)} > {weil}"
+    if not abs(s) <= weil + 1e-6:
+        raise InvariantError(f"Weil bound violated: |S({n},{m};{c})|={abs(s)} > {weil}")
     return s
 
 

@@ -3,10 +3,9 @@ and the acceptance-suite runner.
 
 Configuration is plain key=value text (no structured-markup dependency) plus
 command-line overrides; every CSV opens with a ``#`` comment carrying an
-ISO-8601 timestamp.  Identical configuration and thread count reproduce
-byte-identical CSVs when SOURCE_DATE_EPOCH is set (the conventional override
-for embedded timestamps); grid cells may be computed in parallel but rows are
-always emitted in sorted key order.
+ISO-8601 timestamp.  Identical configuration reproduces byte-identical CSVs
+when SOURCE_DATE_EPOCH is set (the conventional override for embedded
+timestamps); grid cells are computed and emitted in sorted key order.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,7 +33,6 @@ class RunConfig:
     alpha: float = 0.009
     B: float = 2.0
     tol: float = 1e-5
-    threads: int = 1
     out: str = "-"
     forms: str = str(_DEFAULT_FORMS)
     quick: bool = False
@@ -51,8 +48,6 @@ class RunConfig:
             raise ValueError("B must exceed 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         return self
 
 
@@ -81,8 +76,6 @@ def build_config(args) -> RunConfig:
                 setattr(cfg, key, _parse_float_list(val))
             elif key in ("alpha", "B", "tol"):
                 setattr(cfg, key, float(val))
-            elif key == "threads":
-                cfg.threads = int(val)
             elif key in ("out", "forms"):
                 setattr(cfg, key, val)
             elif key == "quick":
@@ -92,7 +85,7 @@ def build_config(args) -> RunConfig:
     for key in ("T", "A"):
         if getattr(args, key, None) is not None:
             setattr(cfg, key, _parse_float_list(getattr(args, key)))
-    for key in ("alpha", "B", "tol", "threads", "out", "forms"):
+    for key in ("alpha", "B", "tol", "out", "forms"):
         if getattr(args, key, None) is not None:
             setattr(cfg, key, getattr(args, key))
     if getattr(args, "quick", False):
@@ -134,17 +127,13 @@ def _require_grid(cfg: RunConfig):
 
 
 def cmd_maass_selberg(cfg: RunConfig) -> int:
-    cells = _require_grid(cfg)
-
-    def work(cell):
-        T, A = cell
+    results = []
+    for T, A in _require_grid(cfg):
         closed = moments.maass_selberg_limit(T, A)
         res = moments.fourth_moment(SpectralSetup(T=T, A=A, B=cfg.B, alpha=cfg.alpha),
-                                    tol=math.inf, threads=1)
+                                    tol=math.inf)
         rel = abs(res.second_moment - closed) / abs(closed)
-        return (T, A, closed, res.second_moment, rel)
-
-    results = _run_cells(work, cells, cfg.threads)
+        results.append((T, A, closed, res.second_moment, rel))
     rows = [f"{T!r},{A!r},{_fmt(c)},{_fmt(q)},{rel!r}" for (T, A, c, q, rel) in results]
     _emit_csv(cfg.out, "T,A,closed,quadrature,rel_err", rows)
     worst = max(r[4] for r in results)
@@ -156,18 +145,11 @@ def cmd_maass_selberg(cfg: RunConfig) -> int:
 
 
 def cmd_moment_sweep(cfg: RunConfig) -> int:
-    cells = _require_grid(cfg)
-
-    def work(cell):
-        T, A = cell
-        res = moments.fourth_moment(SpectralSetup(T=T, A=A, B=cfg.B, alpha=cfg.alpha),
-                                    tol=math.inf, threads=1)
-        return (T, A, res)
-
-    results = _run_cells(work, cells, cfg.threads)
     rows = []
     hard_error = 0
-    for (T, A, res) in results:
+    for T, A in _require_grid(cfg):
+        res = moments.fourth_moment(SpectralSetup(T=T, A=A, B=cfg.B, alpha=cfg.alpha),
+                                    tol=math.inf)
         closed = moments.maass_selberg_limit(T, A)
         rel2 = abs(res.second_report.value - abs(closed)) / abs(closed)
         if rel2 > 1e-4:
@@ -232,20 +214,13 @@ def cmd_kuznetsov(cfg: RunConfig) -> int:
 
 
 def cmd_acceptance(cfg: RunConfig) -> int:
-    results = run_all(quick=cfg.quick, threads=cfg.threads)
+    results = run_all(quick=cfg.quick)
     failed = [r for r in results if not r.passed]
     if failed:
         for r in failed:
             print(f"acceptance: criterion {r.number} failed", file=sys.stderr)
         return 1
     return 0
-
-
-def _run_cells(work, cells, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(work, cells))
-    return [work(c) for c in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +234,6 @@ def _add_common(sub):
     sub.add_argument("--alpha", type=float, help="smoothing exponent in (0, 1/100)")
     sub.add_argument("--B", type=float, help="bump center height")
     sub.add_argument("--tol", type=float, help="tolerance gate")
-    sub.add_argument("--threads", type=int, help="worker threads over grid cells")
     sub.add_argument("--out", help="output CSV path ('-' for stdout)")
     sub.add_argument("--forms", help="Maass-form CSV path")
     sub.add_argument("--quick", action="store_true", help="sub-minute subset")

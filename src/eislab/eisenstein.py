@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import kv as _kv_real
 
 from eislab.arith import sigma_complex, tau_gen_many
-from eislab.errors import DomainError
+from eislab.errors import ConvergenceError, DomainError
 from eislab.specfun import (
     DEFAULT_POLICY,
     PrecisionPolicy,
@@ -102,8 +102,9 @@ def reduce(z: Point):
         else:
             break
     else:
-        raise RuntimeError("fundamental-domain reduction did not terminate")
-    assert abs(x) <= 0.5 + 1e-12 and x * x + y * y >= 1.0 - 1e-12
+        raise ConvergenceError("fundamental-domain reduction did not terminate")
+    if not (abs(x) <= 0.5 + 1e-12 and x * x + y * y >= 1.0 - 1e-12):
+        raise ConvergenceError(f"reduction stopped outside the fundamental domain at {x} + {y}i")
     return Point(x, y), ((a, b), (c, d))
 
 
@@ -115,18 +116,19 @@ def apply_matrix(mat, z: Point) -> Point:
 
 
 class EisensteinEvaluator:
-    """Critical-line Eisenstein series for one (T, A); caches built eagerly.
+    """Critical-line Eisenstein series for one (T, A).
 
-    Immutable after construction; evaluation is pure and safe to call from
-    concurrent workers.
+    Evaluation mutates the object: the divisor table ``_tau`` is resized when
+    a row needs more modes, and ``_bessel_cache`` memoises mode coefficients
+    per height.  Concurrent callers must not share one evaluator unlocked.
     """
 
     def __init__(self, setup: SpectralSetup, policy: PrecisionPolicy = DEFAULT_POLICY):
         self.setup = setup
         self.policy = policy
         T = setup.T
-        self.log_xi_norm = xi_log(1 + 2j * T, policy)
-        lc = xi_log(1 - 2j * T, policy) - self.log_xi_norm
+        self.log_xi_norm = xi_log(1 + 2j * T)
+        lc = xi_log(1 - 2j * T) - self.log_xi_norm
         self.scattering_c = complex(np.exp(1j * lc.imag) * np.exp(lc.real))
         # 2 e^{-pi T/2} / xi(1+2iT), the O(1) prefactor of the scaled modes
         self.mode_prefactor = complex(2.0 * np.exp(-np.pi * T / 2 - self.log_xi_norm))
@@ -191,19 +193,15 @@ class EisensteinEvaluator:
     def eval_E_trunc(self, z: Point) -> complex:
         """Truncated Eisenstein series at a (reduced) point."""
         zr, _ = reduce(z)
-        val = complex(self.eval_row(zr.y, [zr.x])[0])
-        if zr.y > self.setup.A:
-            val -= self.constant_term(zr.y)
-        return val
+        return complex(self.eval_row_trunc(zr.y, [zr.x])[0])
 
     def eval_H_A(self, z: Point) -> complex:
-        """Cuspidal window: 0 below A, else 2 e(y) E_A(z)."""
+        """Cuspidal window at a (reduced) point; see ``eval_row_H_A``."""
         zr, _ = reduce(z)
-        if zr.y <= self.setup.A:
-            return 0.0 + 0.0j
-        return 2.0 * self.constant_term(zr.y) * self.eval_E_trunc(zr)
+        return complex(self.eval_row_H_A(zr.y, [zr.x])[0])
 
     def eval_row_H_A(self, y: float, xs) -> np.ndarray:
+        """Cuspidal window: 0 below A, else 2 e(y) E_A(x + iy)."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if y <= self.setup.A:
             return np.zeros(len(xs), dtype=complex)
@@ -213,13 +211,12 @@ class EisensteinEvaluator:
 class RealSEvaluator:
     """E(z, s) for real s in (1, 4] from the sigma-coefficient expansion."""
 
-    def __init__(self, s: float, policy: PrecisionPolicy = DEFAULT_POLICY):
+    def __init__(self, s: float):
         if not 1.0 < s <= 4.0:
             raise DomainError("RealSEvaluator supports real s in (1, 4]")
         self.s = float(s)
-        self.policy = policy
-        self.log_xi_2s = xi_log(2.0 * s, policy)
-        lp = phi_log(complex(s), policy)
+        self.log_xi_2s = xi_log(2.0 * s)
+        lp = phi_log(complex(s))
         self.phi_s = complex(np.exp(lp))
         self.pref = complex(4.0 * np.exp(-self.log_xi_2s))
 

@@ -36,3 +36,8 @@ class MissingEigenvalueError(KeyError):
 
 class ConvergenceError(RuntimeError):
     """A truncated series or contour integral did not converge as required."""
+
+
+class InvariantError(RuntimeError):
+    """An identity the mathematics guarantees (a realness, a proven bound)
+    failed numerically: the inputs to the computation are corrupt."""

@@ -31,12 +31,12 @@ module has.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from eislab.eisenstein import (
+    _FLOOR_Y,
     EisensteinEvaluator,
     Point,
     RealSEvaluator,
@@ -52,7 +52,6 @@ from eislab.specfun import (
     scattering,
 )
 
-_FLOOR_Y = math.sqrt(3.0) / 2.0
 FOURTH_MOMENT_CONSTANT = 36.0 / math.pi  # predicted log^2 T coefficient
 
 
@@ -66,11 +65,9 @@ class YPanel:
 
 @dataclass
 class QuadratureGrid:
-    """y-strip decomposition of F up to y_max with per-strip orders."""
+    """y-strip decomposition of F with per-strip orders."""
 
-    y_max: float
-    panels: list = field(default_factory=list)
-    est_error: float = float("nan")
+    panels: list
 
 
 @dataclass(frozen=True)
@@ -84,9 +81,13 @@ class MomentReport:
     ratio: float
 
 
+_MAX_ORDER = 24     # Gauss-Legendre order cap per y panel
+_STRIP_RATIO = 1.3  # geometric growth of the y-strips
+_REFINE = 2.0       # node-density factor of the Richardson comparison grid
+
+
 def build_grid(y_max: float, y_bandwidth, x_bandwidth, *, splits=(),
-               oversample: float = 8.0, max_order: int = 24,
-               ratio: float = 1.3) -> QuadratureGrid:
+               oversample: float = 8.0) -> QuadratureGrid:
     """Geometric y-strips with forced breakpoints and bandwidth-driven orders.
 
     ``y_bandwidth(y)`` and ``x_bandwidth(y)`` give local bandwidths in
@@ -97,20 +98,20 @@ def build_grid(y_max: float, y_bandwidth, x_bandwidth, *, splits=(),
     for a, b in zip(edges[:-1], edges[1:]):
         fine.append(a)
         y = a
-        while y * ratio < b:
-            y *= ratio
+        while y * _STRIP_RATIO < b:
+            y *= _STRIP_RATIO
             fine.append(y)
     fine.append(y_max)
     panels = []
     for a, b in zip(fine[:-1], fine[1:]):
         need = (b - a) * y_bandwidth(a) * oversample / (2.0 * math.pi) + 6.0
-        pieces = max(1, int(math.ceil(need / max_order)))
+        pieces = max(1, int(math.ceil(need / _MAX_ORDER)))
         step = (b - a) / pieces
         for i in range(pieces):
             pa = a + i * step
-            order = min(max_order, max(8, int(math.ceil(need / pieces))))
+            order = min(_MAX_ORDER, max(8, int(math.ceil(need / pieces))))
             panels.append(YPanel(pa, pa + step, order, x_bandwidth(a)))
-    return QuadratureGrid(y_max=y_max, panels=panels)
+    return QuadratureGrid(panels)
 
 
 def _x_sections(y: float, even_in_x: bool):
@@ -125,7 +126,7 @@ def _x_sections(y: float, even_in_x: bool):
 
 
 def _integrate_grid(row_fn, grid: QuadratureGrid, *, oversample: float,
-                    even_in_x: bool, threads: int = 1):
+                    even_in_x: bool):
     """Sum of row_fn over the grid; row_fn(y, xs) -> (k,) or (k, len(xs))."""
 
     def do_panel(panel: YPanel):
@@ -151,12 +152,7 @@ def _integrate_grid(row_fn, grid: QuadratureGrid, *, oversample: float,
                 acc = contrib if acc is None else acc + contrib
         return acc if acc is not None else np.zeros(1, dtype=complex)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(do_panel, grid.panels))
-    else:
-        parts = [do_panel(p) for p in grid.panels]
-    return pairwise_sum(parts)
+    return pairwise_sum([do_panel(p) for p in grid.panels])
 
 
 def _composite_gl(a: float, b: float, npanels: int, order: int):
@@ -170,8 +166,7 @@ def _composite_gl(a: float, b: float, npanels: int, order: int):
 
 
 def integrate_rows(row_fn, y_max: float, *, y_bandwidth, x_bandwidth,
-                   splits=(), even_in_x=False, oversample: float = 8.0,
-                   threads: int = 1, refine: float = 2.0):
+                   splits=(), even_in_x=False, oversample: float = 8.0):
     """Integrate a row function over F up to y_max with a refinement estimate.
 
     Returns (value_vector, est_error_vector): the value from the refined grid
@@ -180,17 +175,17 @@ def integrate_rows(row_fn, y_max: float, *, y_bandwidth, x_bandwidth,
     grid = build_grid(y_max, y_bandwidth, x_bandwidth, splits=splits,
                       oversample=oversample)
     coarse = _integrate_grid(row_fn, grid, oversample=oversample,
-                             even_in_x=even_in_x, threads=threads)
+                             even_in_x=even_in_x)
     grid2 = build_grid(y_max, y_bandwidth, x_bandwidth, splits=splits,
-                       oversample=oversample * refine)
-    fine = _integrate_grid(row_fn, grid2, oversample=oversample * refine,
-                           even_in_x=even_in_x, threads=threads)
+                       oversample=oversample * _REFINE)
+    fine = _integrate_grid(row_fn, grid2, oversample=oversample * _REFINE,
+                           even_in_x=even_in_x)
     return fine, np.abs(fine - coarse)
 
 
 def integrate_F(f, y_max: float, tol: float = 1e-8, *,
                 policy: PrecisionPolicy = DEFAULT_POLICY,
-                bandwidth: float = 30.0, splits=(), threads: int = 1):
+                bandwidth: float = 30.0, splits=()):
     """Integral of a point function over F intersected with {y <= y_max}.
 
     ``f`` maps a Point to a (possibly complex) value.  ``bandwidth`` is the
@@ -210,8 +205,7 @@ def integrate_F(f, y_max: float, tol: float = 1e-8, *,
                               y_bandwidth=lambda y: bandwidth / max(y, 1.0),
                               x_bandwidth=lambda y: bandwidth,
                               splits=splits, even_in_x=False,
-                              oversample=policy.bessel_freq_oversample,
-                              threads=threads)
+                              oversample=policy.bessel_freq_oversample)
     value, estimate = complex(val[0]), float(est[0])
     if abs(value.imag) < 1e-14 * max(1.0, abs(value.real)):
         value = value.real
@@ -226,8 +220,7 @@ def integrate_F(f, y_max: float, tol: float = 1e-8, *,
 # closed forms
 # ---------------------------------------------------------------------------
 
-def maass_selberg(s1: complex, s2: complex, A: float,
-                  policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def maass_selberg(s1: complex, s2: complex, A: float) -> complex:
     """Exact truncated-moment identity for s1 != s2, s1 + s2 != 1."""
     if not A > 1:
         raise DomainError("maass_selberg needs A > 1")
@@ -236,8 +229,8 @@ def maass_selberg(s1: complex, s2: complex, A: float,
         raise DegenerateParameterError(
             "s1 = s2 or s1 + s2 = 1 degenerates the closed form; "
             "use maass_selberg_limit for the confluent critical-line case")
-    phi1 = np.exp(phi_log(s1, policy))
-    phi2 = np.exp(phi_log(s2, policy))
+    phi1 = np.exp(phi_log(s1))
+    phi2 = np.exp(phi_log(s2))
     lnA = math.log(A)
     term1 = (np.exp((s1 + s2 - 1) * lnA) - phi1 * phi2 * np.exp((1 - s1 - s2) * lnA)) \
         / (s1 + s2 - 1)
@@ -246,13 +239,12 @@ def maass_selberg(s1: complex, s2: complex, A: float,
     return complex(term1 + term2)
 
 
-def maass_selberg_limit(T: float, A: float,
-                        policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def maass_selberg_limit(T: float, A: float) -> complex:
     """Confluent limit: the exact value of int_F E_A(z, 1/2+iT)^2 dmu."""
     if not (T > 0 and A > 1):
         raise DomainError("maass_selberg_limit needs T > 0 and A > 1")
-    _, phi = scattering(T, policy)
-    dlog = phi_log_deriv_critical(T, policy)  # phi'/phi at 1/2 + iT, real
+    _, phi = scattering(T)
+    dlog = phi_log_deriv_critical(T)  # phi'/phi at 1/2 + iT, real
     lnA = math.log(A)
     osc = np.exp(2j * T * lnA)
     return complex(phi * (2.0 * lnA - dlog) + (osc - phi * phi / osc) / (2j * T))
@@ -267,6 +259,22 @@ def _moment_y_max(setup: SpectralSetup) -> float:
     return setup.A + (T + 20.0 * T ** (1.0 / 3.0)) / (2.0 * math.pi) + 5.0
 
 
+def _integrate_moment(row_fn, setup: SpectralSetup, ev: EisensteinEvaluator,
+                      power: float, splits, policy: PrecisionPolicy):
+    """``integrate_rows`` on the moment grid of E_A at height setup.T.
+
+    The y density follows the Bessel oscillation scale of four factors,
+    4T/y; the x density resolves the richest Fourier mode of the integrand,
+    ``power`` times the cutoff n_max(y) of one factor.
+    """
+    T = setup.T
+    return integrate_rows(
+        row_fn, _moment_y_max(setup),
+        y_bandwidth=lambda y: 4.0 * T / y + 8.0,
+        x_bandwidth=lambda y: 2.0 * math.pi * power * ev.n_max(y),
+        splits=splits, even_in_x=True, oversample=policy.bessel_freq_oversample)
+
+
 @dataclass(frozen=True)
 class FourthMomentResult:
     report: MomentReport                  # p = 4
@@ -277,8 +285,7 @@ class FourthMomentResult:
 
 
 def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
-                  policy: PrecisionPolicy = DEFAULT_POLICY,
-                  threads: int = 1) -> FourthMomentResult:
+                  policy: PrecisionPolicy = DEFAULT_POLICY) -> FourthMomentResult:
     """Fourth and second moments of E_A over F in one quadrature sweep.
 
     The p = 4 value integrates |E_A|^4; the companion second moment
@@ -287,19 +294,13 @@ def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
     """
     ev = EisensteinEvaluator(setup, policy)
     T = setup.T
-    y_max = _moment_y_max(setup)
 
     def row_fn(y, xs):
         vals = ev.eval_row_trunc(y, xs)
         a2 = np.abs(vals) ** 2
         return np.stack([(a2 * a2).astype(complex), vals * vals])
 
-    val, est = integrate_rows(
-        row_fn, y_max,
-        y_bandwidth=lambda y: 4.0 * T / y + 8.0,
-        x_bandwidth=lambda y: 2.0 * math.pi * 4.0 * ev.n_max(y),
-        splits=(setup.A,), even_in_x=True,
-        oversample=policy.bessel_freq_oversample, threads=threads)
+    val, est = _integrate_moment(row_fn, setup, ev, 4.0, (setup.A,), policy)
 
     m4 = float(val[0].real)
     second = complex(val[1])
@@ -322,20 +323,11 @@ def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
         const_projection_prediction=(12.0 / math.pi) * lnT * lnT)
 
 
-def second_moment_quadrature(setup: SpectralSetup, *,
-                             policy: PrecisionPolicy = DEFAULT_POLICY,
-                             threads: int = 1) -> complex:
-    """int_F E_A(z, 1/2 + iT)^2 dmu by quadrature alone."""
-    return fourth_moment(setup, tol=math.inf, policy=policy,
-                         threads=threads).second_moment
-
-
 def real_s_pair_quadrature(s1: float, s2: float, A: float, *,
-                           policy: PrecisionPolicy = DEFAULT_POLICY,
-                           threads: int = 1):
+                           policy: PrecisionPolicy = DEFAULT_POLICY):
     """Quadrature of int_F E_A(z, s1) E_A(z, s2) dmu for real s in (1, 4]."""
-    e1 = RealSEvaluator(s1, policy)
-    e2 = RealSEvaluator(s2, policy)
+    e1 = RealSEvaluator(s1)
+    e2 = RealSEvaluator(s2)
     y_max = A + 4.0
 
     def row_fn(y, xs):
@@ -346,27 +338,19 @@ def real_s_pair_quadrature(s1: float, s2: float, A: float, *,
         y_bandwidth=lambda y: 30.0 / y,
         x_bandwidth=lambda y: 2.0 * math.pi * 2.0 * max(e1.n_max(y), e2.n_max(y)),
         splits=(A,), even_in_x=True,
-        oversample=policy.bessel_freq_oversample, threads=threads)
+        oversample=policy.bessel_freq_oversample)
     return complex(val[0]), float(est[0])
 
 
 def h_window_norm_sq(setup: SpectralSetup, *,
-                     policy: PrecisionPolicy = DEFAULT_POLICY,
-                     threads: int = 1) -> float:
+                     policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
     """<H_A, H_A> = int_{y > A} |2 e(y) E_A|^2 dmu by quadrature."""
     ev = EisensteinEvaluator(setup, policy)
-    T = setup.T
-    y_max = _moment_y_max(setup)
 
     def row_fn(y, xs):
         return np.abs(ev.eval_row_H_A(y, xs)) ** 2 + 0j
 
-    val, _ = integrate_rows(
-        row_fn, y_max,
-        y_bandwidth=lambda y: 4.0 * T / y + 8.0,
-        x_bandwidth=lambda y: 2.0 * math.pi * 2.0 * ev.n_max(y),
-        splits=(setup.A,), even_in_x=True,
-        oversample=policy.bessel_freq_oversample, threads=threads)
+    val, _ = _integrate_moment(row_fn, setup, ev, 2.0, (setup.A,), policy)
     return float(val[0].real)
 
 
@@ -380,8 +364,7 @@ class SmoothedMomentResult:
 
 
 def smoothed_fourth_moment(setup: SpectralSetup, bump, *, n_nodes: int = 6,
-                           policy: PrecisionPolicy = DEFAULT_POLICY,
-                           threads: int = 1) -> SmoothedMomentResult:
+                           policy: PrecisionPolicy = DEFAULT_POLICY) -> SmoothedMomentResult:
     """Average of the fourth moment against the bump in the truncation height.
 
     Also computes the three-band split of hhat(0) ||E_B||_4^4 at the bump's
@@ -401,7 +384,7 @@ def smoothed_fourth_moment(setup: SpectralSetup, bump, *, n_nodes: int = 6,
     for A_i, w_i in zip(nodes, wts):
         res = fourth_moment(SpectralSetup(T=setup.T, A=float(A_i), B=setup.B,
                                           alpha=setup.alpha),
-                            tol=math.inf, policy=policy, threads=threads)
+                            tol=math.inf, policy=policy)
         reports.append(res.report)
         acc += w_i * bump_h(float(A_i), bump) * res.report.value
 
@@ -409,8 +392,6 @@ def smoothed_fourth_moment(setup: SpectralSetup, bump, *, n_nodes: int = 6,
     # same |E_B|^4, so the three bands must add back to the direct moment
     ev = EisensteinEvaluator(SpectralSetup(T=setup.T, A=setup.B, B=setup.B,
                                            alpha=setup.alpha), policy)
-    y_max = _moment_y_max(setup)
-    T = setup.T
 
     def band(lo, hi):
         def row_fn(y, xs):
@@ -418,13 +399,8 @@ def smoothed_fourth_moment(setup: SpectralSetup, bump, *, n_nodes: int = 6,
                 return np.zeros(len(np.atleast_1d(xs)), dtype=complex)
             v = np.abs(ev.eval_row_trunc(y, xs)) ** 2
             return (v * v).astype(complex)
-        val, _ = integrate_rows(
-            row_fn, y_max,
-            y_bandwidth=lambda y: 4.0 * T / y + 8.0,
-            x_bandwidth=lambda y: 2.0 * math.pi * 4.0 * ev.n_max(y),
-            splits=tuple(s for s in (lo, hi, setup.B) if _FLOOR_Y < s < y_max),
-            even_in_x=True, oversample=policy.bessel_freq_oversample,
-            threads=threads)
+        # the grid spans y up to setup's own A-dependent height, not B's
+        val, _ = _integrate_moment(row_fn, setup, ev, 4.0, (lo, hi, setup.B), policy)
         return float(val[0].real)
 
     hhat0 = setup.T ** (-setup.alpha / 2.0)

@@ -53,7 +53,12 @@ def panel_nodes(a: float, b: float, bandwidth: float, oversample: float = 8.0,
 
 
 def pairwise_sum(values) -> complex:
-    """Sum with a fixed pairwise tree, independent of thread scheduling."""
+    """Sum along a fixed pairwise tree.
+
+    The summation order is part of the result: every moment value and its
+    pinned reference digits come from this tree, so it stays even though a
+    plain ``sum`` would do the same work.
+    """
     vals = list(values)
     if not vals:
         return 0.0

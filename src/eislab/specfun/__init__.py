@@ -22,7 +22,6 @@ from eislab.specfun.zeta import (
 )
 from eislab.specfun.bessel import (
     bessel_k_scaled,
-    bessel_k_scaled_many,
     bessel_j_transform_kernel_many,
     kuznetsov_kernel,
     kuznetsov_kernel_even_many,
@@ -48,7 +47,6 @@ __all__ = [
     "zeta_log_derivs",
     "zeta_with_derivatives",
     "bessel_k_scaled",
-    "bessel_k_scaled_many",
     "bessel_j_transform_kernel_many",
     "kuznetsov_kernel",
     "kuznetsov_kernel_even_many",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from eislab.errors import DomainError, PoleError
-from eislab.specfun.policy import DEFAULT_POLICY, PrecisionPolicy, StirlingOrder
+from eislab.specfun.policy import StirlingOrder
 
 # B_{2k} / (2k (2k-1)) for k = 1..12: Stirling-series coefficients.
 _STIRLING_COEF = np.array([
@@ -79,7 +79,7 @@ def _log_gamma_right(z):
     return res + acc - shift
 
 
-def log_gamma(z, policy: PrecisionPolicy = DEFAULT_POLICY):
+def log_gamma(z):
     """Principal-branch log Gamma(z) for complex z, vectorized.
 
     exp(log_gamma(z)) = Gamma(z) exactly (up to rounding); the imaginary part
@@ -108,12 +108,12 @@ def log_gamma(z, policy: PrecisionPolicy = DEFAULT_POLICY):
     return out[0] if scalar else out
 
 
-def gamma(z, policy: PrecisionPolicy = DEFAULT_POLICY):
+def gamma(z):
     """Gamma(z) = exp(log_gamma(z)); over/underflows where |log| > ~709."""
-    return np.exp(log_gamma(z, policy))
+    return np.exp(log_gamma(z))
 
 
-def digamma(z, policy: PrecisionPolicy = DEFAULT_POLICY):
+def digamma(z):
     """psi(z) = Gamma'(z)/Gamma(z), principal values, vectorized."""
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
@@ -190,8 +190,8 @@ def _fit_corrections(z: complex, sign: float, order: int):
     return coef
 
 
-def stirling_gamma_log(z: complex, t: float, order: StirlingOrder = StirlingOrder(0),
-                       policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def stirling_gamma_log(z: complex, t: float,
+                       order: StirlingOrder = StirlingOrder(0)) -> complex:
     """Log of the large-t approximation to Gamma(z + it) with corrections.
 
     Requires Re(z) > 0 and |t| > 2 |z+1|^2; relative deviation from the exact
@@ -211,11 +211,11 @@ def stirling_gamma_log(z: complex, t: float, order: StirlingOrder = StirlingOrde
     return main + np.log(corr)
 
 
-def stirling_gamma(z: complex, t: float, order: StirlingOrder = StirlingOrder(0),
-                   policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def stirling_gamma(z: complex, t: float,
+                   order: StirlingOrder = StirlingOrder(0)) -> complex:
     """Large-t approximation to Gamma(z + it).
 
     Underflows to 0 once pi|t|/2 exceeds ~708; use ``stirling_gamma_log`` for
     heights beyond that.
     """
-    return np.exp(stirling_gamma_log(z, t, order, policy))
+    return np.exp(stirling_gamma_log(z, t, order))

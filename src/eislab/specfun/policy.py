@@ -9,25 +9,15 @@ from dataclasses import dataclass
 class PrecisionPolicy:
     """Accuracy/cost policy for the special-function kernels.
 
-    rel_tol
-        Target relative error for function values of nonnegligible size.
     bessel_freq_oversample
         Quadrature nodes per oscillation period in the Bessel kernels.
-    exp_cutoff
-        Argument beyond which exp(-x) is treated as zero.
     """
 
-    rel_tol: float = 1e-10
     bessel_freq_oversample: float = 8.0
-    exp_cutoff: float = 700.0
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise ValueError(f"rel_tol must lie in (0, 1e-3], got {self.rel_tol}")
         if self.bessel_freq_oversample < 4.0:
             raise ValueError("bessel_freq_oversample must be >= 4")
-        if self.exp_cutoff <= 0:
-            raise ValueError("exp_cutoff must be positive")
 
 
 @dataclass(frozen=True)

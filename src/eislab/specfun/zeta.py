@@ -25,7 +25,6 @@ import numpy as np
 
 from eislab.errors import PoleError
 from eislab.specfun.gamma import digamma, log_gamma
-from eislab.specfun.policy import DEFAULT_POLICY, PrecisionPolicy
 
 # B_{2k} for k = 1..14
 _BERNOULLI_2K = np.array([
@@ -82,27 +81,27 @@ def _euler_maclaurin(s: complex, derivs: int):
     return z0, z1, z2
 
 
-def zeta(s, policy: PrecisionPolicy = DEFAULT_POLICY):
+def zeta(s):
     """Riemann zeta(s), Euler-Maclaurin, for Re(s) >= -2, |Im s| <= 1e5."""
     s = complex(s)
     return _euler_maclaurin(s, derivs=0)
 
 
-def zeta_with_derivatives(s, policy: PrecisionPolicy = DEFAULT_POLICY):
+def zeta_with_derivatives(s):
     """(zeta(s), zeta'(s), zeta''(s)) from differentiated Euler-Maclaurin."""
     s = complex(s)
     return _euler_maclaurin(s, derivs=2)
 
 
-def zeta_log_derivs(s, policy: PrecisionPolicy = DEFAULT_POLICY):
+def zeta_log_derivs(s):
     """(zeta'/zeta, zeta''/zeta) at s; raises PoleError near s=1 or a zero."""
-    z0, z1, z2 = zeta_with_derivatives(s, policy)
+    z0, z1, z2 = zeta_with_derivatives(s)
     if abs(z0) < 1e-280:
         raise PoleError(f"zeta(s) vanishes at s = {s}; log-derivatives undefined")
     return z1 / z0, z2 / z0
 
 
-def xi_log(s, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def xi_log(s) -> complex:
     """Complex log of the completed zeta xi(s) = pi^(-s/2) Gamma(s/2) zeta(s).
 
     Real part is log|xi(s)| (safe at any height); imaginary part is a phase,
@@ -111,23 +110,23 @@ def xi_log(s, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
     s = complex(s)
     if abs(s) < 1e-12 or abs(s - 1.0) < 1e-12:
         raise PoleError("xi pole at s in {0, 1}")
-    return -(s / 2) * np.log(np.pi) + log_gamma(s / 2, policy) + np.log(zeta(s, policy))
+    return -(s / 2) * np.log(np.pi) + log_gamma(s / 2) + np.log(zeta(s))
 
 
-def xi(s, policy: PrecisionPolicy = DEFAULT_POLICY):
+def xi(s):
     """xi(s) in log-polar form: (log_modulus, phase mod 2 pi in (-pi, pi])."""
-    v = xi_log(s, policy)
+    v = xi_log(s)
     phase = np.angle(np.exp(1j * v.imag))
     return float(v.real), float(phase)
 
 
-def phi_log(s, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def phi_log(s) -> complex:
     """Complex log of phi(s) = xi(2s-1)/xi(2s)."""
     s = complex(s)
-    return xi_log(2 * s - 1, policy) - xi_log(2 * s, policy)
+    return xi_log(2 * s - 1) - xi_log(2 * s)
 
 
-def scattering(T: float, policy: PrecisionPolicy = DEFAULT_POLICY):
+def scattering(T: float):
     """Scattering quantities at height T > 0.
 
     Returns (c, phi) where c = xi(1-2iT)/xi(1+2iT) and phi = phi(1/2+iT);
@@ -136,24 +135,24 @@ def scattering(T: float, policy: PrecisionPolicy = DEFAULT_POLICY):
     """
     if not T > 0:
         raise ValueError("scattering requires T > 0")
-    lc = xi_log(1 - 2j * T, policy) - xi_log(1 + 2j * T, policy)
+    lc = xi_log(1 - 2j * T) - xi_log(1 + 2j * T)
     c = np.exp(1j * lc.imag) * np.exp(lc.real)
-    lp = phi_log(0.5 + 1j * T, policy)
+    lp = phi_log(0.5 + 1j * T)
     phi = np.exp(1j * lp.imag) * np.exp(lp.real)
     return complex(c), complex(phi)
 
 
-def xi_log_deriv(s, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def xi_log_deriv(s) -> complex:
     """xi'/xi(s) = -log(pi)/2 + psi(s/2)/2 + zeta'/zeta(s)."""
     s = complex(s)
-    zl, _ = zeta_log_derivs(s, policy)
-    return -0.5 * np.log(np.pi) + 0.5 * digamma(s / 2, policy) + zl
+    zl, _ = zeta_log_derivs(s)
+    return -0.5 * np.log(np.pi) + 0.5 * digamma(s / 2) + zl
 
 
-def phi_log_deriv_critical(T: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def phi_log_deriv_critical(T: float) -> complex:
     """phi'/phi(1/2 + iT), assembled exactly from digamma and zeta'/zeta.
 
     Via the functional equation xi(s) = xi(1-s),
     phi'/phi(1/2+iT) = -2 [xi'/xi(1-2iT) + xi'/xi(1+2iT)], a real number.
     """
-    return -2.0 * (xi_log_deriv(1 - 2j * T, policy) + xi_log_deriv(1 + 2j * T, policy))
+    return -2.0 * (xi_log_deriv(1 - 2j * T) + xi_log_deriv(1 + 2j * T))

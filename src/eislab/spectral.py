@@ -44,7 +44,7 @@ from eislab.specfun import (
     xi_log,
     zeta,
 )
-from eislab.weights import Bump, _g_ratio_log
+from eislab.weights import Bump, _g_ratio_log, contour_weights
 
 
 @dataclass
@@ -180,33 +180,6 @@ def ingest_forms(source, tol: float = 1e-4):
 # approximate functional equation for the central-value product
 # ---------------------------------------------------------------------------
 
-def _afe_weights(xs: np.ndarray, t: float, T: float, a: float,
-                 smoother: float, policy: PrecisionPolicy, sigma: float = 1.0):
-    """(V_plus, V_minus) at the sorted x array, one shared contour.
-
-    V_pm(x) = (1/2 pi i) int_(sigma) e^(smoother w^2) x^(-w) G_(pm,a)(w,t) dw/w.
-    ``smoother`` = 1 is the production weight; other values give independent
-    smoothings of the same identity for cross-checks.
-    """
-    vmax = max(10.0, math.sqrt(46.0 / smoother + sigma * sigma) + 3.0)
-    lx_max = float(np.max(np.log(np.maximum(xs, 1.0))))
-    bw = lx_max + 2.0 * sigma * smoother + 4.0
-    nodes, wts = panel_nodes(-vmax, vmax, bw, policy.bessel_freq_oversample,
-                             min_panels=8)
-    w = sigma + 1j * nodes
-    lnx = np.log(xs)
-    outs = []
-    for sT in (+1.0, -1.0):
-        glog = _g_ratio_log(w, t, T, a, sT)
-        core = np.exp(smoother * w * w + glog) / w * (wts / (2.0 * np.pi))
-        vals = np.empty(len(xs), dtype=complex)
-        for i0 in range(0, len(xs), 2048):
-            blk = lnx[i0:i0 + 2048]
-            vals[i0:i0 + 2048] = np.exp(np.outer(-blk, w)) @ core
-        outs.append(vals)
-    return outs[0], outs[1]
-
-
 def afe_cutoff(t: float, T: float, a: float, tail_tol: float,
                smoother: float = 1.0) -> float:
     """Series length: terms past Q_eff exp(2 sqrt(smoother ln(1/tol))) are
@@ -240,7 +213,9 @@ def afe_pair(form: MaassForm, T: float, contour=None, *, tail_tol: float = 1e-7,
     xs_all = sorted({int(k * k * n) for k in ks for n in range(1, n_need // (k * k) + 1)})
     xs_arr = np.array(xs_all, dtype=float)
     sigma = contour.sigma if contour is not None else 1.0
-    vp, vm = _afe_weights(xs_arr, t, T, a, smoother, policy, sigma=sigma)
+    # e^(smoother w^2) is below e^(-46) past this height on the line Re w = sigma
+    height = max(10.0, math.sqrt(46.0 / smoother + sigma * sigma) + 3.0)
+    vp, vm = contour_weights(xs_arr, t, T, a, sigma, height, smoother, policy)
     vp_at = dict(zip(xs_all, vp))
     vm_at = dict(zip(xs_all, vm))
     total = 0.0 + 0.0j
@@ -259,12 +234,11 @@ def afe_pair(form: MaassForm, T: float, contour=None, *, tail_tol: float = 1e-7,
     return complex(total)
 
 
-def zeta_product_oracle(gamma: float, T: float,
-                        policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def zeta_product_oracle(gamma: float, T: float) -> complex:
     """Exact L(1/2, u) L(1/2 - 2iT, u) for the divisor pseudoform."""
-    return complex(zeta(0.5 + 1j * gamma, policy) * zeta(0.5 - 1j * gamma, policy)
-                   * zeta(0.5 - 2j * T + 1j * gamma, policy)
-                   * zeta(0.5 - 2j * T - 1j * gamma, policy))
+    return complex(zeta(0.5 + 1j * gamma) * zeta(0.5 - 1j * gamma)
+                   * zeta(0.5 - 2j * T + 1j * gamma)
+                   * zeta(0.5 - 2j * T - 1j * gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +275,7 @@ def rankin_selberg_pairing(form: MaassForm, T: float, *,
     # log |rho(1)|^2 = log(2 cosh(pi t)) - log L = pi t + log1p(e^{-2 pi t}) - log L
     log_rho = 0.5 * (math.pi * t + math.log1p(math.exp(-2 * math.pi * t))
                      - math.log(form.sym2_L1))
-    log_norm = -2.0 * xi_log(1 + 2j * T, policy)
+    log_norm = -2.0 * xi_log(1 + 2j * T)
     return complex(lvals_plus * np.exp(log_rho - math.log(2.0)
                                        + log_gamma_factors + log_norm))
 
@@ -372,9 +346,9 @@ def kuznetsov_two_sides(n: int, m: int, phi: TestFunction, forms,
 
     # continuous term: tau(n,t) tau(m,t) / |zeta(1+2it)|^2, even integrand
     nodes, wts = panel_nodes(0.0, t_cut, 8.0, os, min_panels=12)
-    zvals = np.array([abs(zeta(1.0 + 2j * tt, policy)) ** 2 for tt in nodes])
-    taun = np.array([_tau_at(n, tt) for tt in nodes])
-    taum = np.array([_tau_at(m, tt) for tt in nodes])
+    zvals = np.array([abs(zeta(1.0 + 2j * tt)) ** 2 for tt in nodes])
+    taun = np.array([arith.tau_gen(n, tt) for tt in nodes])
+    taum = np.array([arith.tau_gen(m, tt) for tt in nodes])
     continuous = float(2.0 * np.sum(wts * taun * taum / zvals * phi(nodes)) / (2.0 * np.pi))
     spectral = discrete + continuous
 
@@ -421,10 +395,6 @@ def kuznetsov_two_sides(n: int, m: int, phi: TestFunction, forms,
         delta_term=delta, kloosterman_series=kloos,
         closure=abs(spectral - geometric) / scale,
         tail_estimate=tail, basis_gap=geometric - spectral)
-
-
-def _tau_at(n: int, t: float) -> float:
-    return arith.tau_gen(n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +512,13 @@ class DiagonalTerms(NamedTuple):
     prediction: float
 
 
-def bracket_factor(T: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def bracket_factor(T: float) -> complex:
     """1 + Gamma(1/2 - iT)/Gamma(1/2 + iT) e^(-2iT) T^(2iT); tends to 2."""
     lg_ratio = log_gamma(0.5 - 1j * T) - log_gamma(0.5 + 1j * T)
     return complex(1.0 + np.exp(lg_ratio - 2j * T + 2j * T * math.log(T)))
 
 
-def diagonal_main_terms(T: float, bump: Bump,
-                        policy: PrecisionPolicy = DEFAULT_POLICY) -> DiagonalTerms:
+def diagonal_main_terms(T: float, bump: Bump) -> DiagonalTerms:
     """Closed-form diagonal main terms with exact zeta values.
 
     d_plus_plus = hhat(0) (12/pi^2) zeta(1+2iT) zeta(1-2iT)^2 log^2 T and its
@@ -564,17 +533,17 @@ def diagonal_main_terms(T: float, bump: Bump,
         raise DomainError("diagonal_main_terms expects T >= 10")
     h0 = bump.hhat0
     ln2T = math.log(T) ** 2
-    zp = zeta(1 + 2j * T, policy)
-    zm = zeta(1 - 2j * T, policy)
+    zp = zeta(1 + 2j * T)
+    zm = zeta(1 - 2j * T)
     dpp = h0 * (12.0 / math.pi ** 2) * zp * zm * zm * ln2T
     # pi^(-4iT) e^(-2iT) T^(2iT), assembled from logarithms
     phase = np.exp(-4j * T * math.log(math.pi) - 2j * T + 2j * T * math.log(T))
     dmm = h0 * (12.0 / math.pi ** 2) * zp * zp * zm * ln2T * phase
-    lc = xi_log(1 - 2j * T, policy) - xi_log(1 + 2j * T, policy)
+    lc = xi_log(1 - 2j * T) - xi_log(1 + 2j * T)
     c_val = np.exp(1j * lc.imag)
     norm = math.pi / (zm * zm * zp)
     total = norm * (dpp + c_val * np.exp(2j * T * math.log(math.pi)) * dmm)
-    br = bracket_factor(T, policy)
+    br = bracket_factor(T)
     return DiagonalTerms(d_plus_plus=complex(dpp), d_minus_minus=complex(dmm),
                          total=complex(total), bracket_factor=br,
                          prediction=h0 * (24.0 / math.pi) * ln2T)
@@ -600,8 +569,7 @@ class PredictionLedger(NamedTuple):
 
 def prediction_ledger(T: float, bump: Bump, *,
                       h_window_norm: float | None = None,
-                      cross_coefficient: Fraction = Fraction(24),
-                      policy: PrecisionPolicy = DEFAULT_POLICY) -> PredictionLedger:
+                      cross_coefficient: Fraction = Fraction(24)) -> PredictionLedger:
     """Bookkeeping of the spectral-decomposition coefficients over pi.
 
     The five pieces combine as 12 + 48 + 24 - 2*24 = 36 in exact rational

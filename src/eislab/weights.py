@@ -195,8 +195,7 @@ def in_bulk(t: float, T: float, alpha: float = 0.009) -> bool:
     return edge < abs(t) < 2.0 * T - edge
 
 
-def weight_Hcal(t: float, T: float, alpha: float = 0.009,
-                policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def weight_Hcal(t: float, T: float, alpha: float = 0.009) -> complex:
     """Spectral gamma-ratio weight at spectral parameter t, height T."""
     if not in_bulk(t, T, alpha):
         warnings.warn(f"weight_Hcal: t={t} outside the bulk range for T={T}",
@@ -239,17 +238,16 @@ def weight_Hcal_pm(s, t: float, T: float, bump: Bump,
 
 @dataclass(frozen=True)
 class WeightContour:
-    """Vertical-line contour: abscissa sigma, |Im| cap, nominal step."""
+    """Vertical-line contour: abscissa sigma and |Im| cap."""
 
     sigma: float
     height: float
-    step: float = 0.05
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise DomainError("contour abscissa must be positive")
-        if self.height <= 0 or self.step <= 0:
-            raise DomainError("contour height and step must be positive")
+        if self.height <= 0:
+            raise DomainError("contour height must be positive")
 
 
 def _g_ratio_log(w, t: float, T: float, a: float, sign_T: float):
@@ -277,6 +275,34 @@ def g_ratio(w, t: float, T: float, a: float = 0.5, sign: float = +1.0):
     return np.exp(_g_ratio_log(w, t, T, a, sign))
 
 
+def contour_weights(xs: np.ndarray, t: float, T: float, a: float, sigma: float,
+                    height: float, smoother: float = 1.0,
+                    policy: PrecisionPolicy = DEFAULT_POLICY):
+    """(V_plus, V_minus) at an array of x >= 1 on one shared contour.
+
+    V_pm(x) = (1/2 pi i) int_(sigma) e^(smoother w^2) x^(-w) G_(pm,a)(w,t) dw/w,
+    truncated at |Im w| = ``height``; each caller supplies the truncation
+    rule that suits its smoother.  ``smoother`` = 1 is the production
+    weight; other values give independent smoothings of the same identity
+    for cross-checks.  Rows are evaluated 2048 x values at a time to bound
+    the outer-product memory.
+    """
+    lnx = np.log(xs)
+    bw = float(np.max(lnx)) + 2.0 * sigma * smoother + 4.0
+    nodes, wts = panel_nodes(-height, height, bw, policy.bessel_freq_oversample,
+                             min_panels=8)
+    w = sigma + 1j * nodes
+    outs = []
+    for sT in (+1.0, -1.0):
+        glog = _g_ratio_log(w, t, T, a, sT)
+        core = np.exp(smoother * w * w + glog) / w * (wts / (2.0 * np.pi))
+        vals = np.empty(len(xs), dtype=complex)
+        for i0 in range(0, len(xs), 2048):
+            vals[i0:i0 + 2048] = np.exp(np.outer(-lnx[i0:i0 + 2048], w)) @ core
+        outs.append(vals)
+    return outs[0], outs[1]
+
+
 def weight_V_pm(x, t: float, T: float, parity: str = "even",
                 contour: WeightContour | None = None,
                 policy: PrecisionPolicy = DEFAULT_POLICY):
@@ -296,18 +322,10 @@ def weight_V_pm(x, t: float, T: float, parity: str = "even",
     sigma = contour.sigma if contour is not None else 1.0
     lx_max = float(np.max(np.log(xv)))
     vmax = contour.height if contour is not None else max(30.0, 10.0 * math.sqrt(max(lx_max, 1.0)))
-    bw = lx_max + 2.0 * sigma + 4.0
-    nodes, wts = panel_nodes(-vmax, vmax, bw, policy.bessel_freq_oversample,
-                             min_panels=8)
-    w = sigma + 1j * nodes
-    lnx = np.log(xv)
-    results = []
-    for sT in (+1.0, -1.0):
-        glog = _g_ratio_log(w, t, T, a, sT)
-        core = np.exp(w * w + glog) / w * (wts / (2.0 * np.pi))
-        vals = np.exp(np.outer(-lnx, w)) @ core
-        results.append(vals if vals.size > 1 else complex(vals[0]))
-    return results[0], results[1]
+    vp, vm = contour_weights(xv, t, T, a, sigma, vmax, policy=policy)
+    if vp.size > 1:
+        return vp, vm
+    return complex(vp[0]), complex(vm[0])
 
 
 class VcalResult(NamedTuple):
@@ -428,8 +446,7 @@ def g_lower_incomplete(x: float, T: float, t: float,
     return complex(np.exp(-0.5 * np.pi * (T + t)) * np.sum(wts * vals))
 
 
-def g_mellin_closed(s: complex, T: float, t: float,
-                    policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def g_mellin_closed(s: complex, T: float, t: float) -> complex:
     """G(s) = (2^(s - 5/2 + iT) / s) prod_pm Gamma((s + 1/2 + 2iT pm it)/2)
     Gamma((s + 1/2 pm it)/2) / Gamma(s + 1/2 + iT)."""
     s = complex(s)
@@ -444,7 +461,7 @@ def g_mellin_closed(s: complex, T: float, t: float,
 def g_mellin_pair(x: float, s: complex, t: float, T: float,
                   policy: PrecisionPolicy = DEFAULT_POLICY):
     """(g(x) by quadrature, G(s) in closed form)."""
-    return g_lower_incomplete(x, T, t, policy), g_mellin_closed(s, T, t, policy)
+    return g_lower_incomplete(x, T, t, policy), g_mellin_closed(s, T, t)
 
 
 def g_mellin_numeric(s: complex, T: float, t: float,

@@ -18,7 +18,7 @@ def eval_E_independent(z, T: float, extra_margin: float = 2.0,
                        oversample: float = 16.0) -> complex:
     """Fourier-sum Eisenstein value with doubled cutoff and doubled Bessel
     resolution, built directly from scratch (no EisensteinEvaluator)."""
-    policy = PrecisionPolicy(rel_tol=1e-12, bessel_freq_oversample=oversample)
+    policy = PrecisionPolicy(bessel_freq_oversample=oversample)
     from eislab.specfun import bessel_k_scaled
 
     lx = xi_log(1 + 2j * T)

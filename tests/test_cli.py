@@ -62,8 +62,7 @@ class TestMomentSweepCommand:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(["moment-sweep", "--T", "10", "--A", "1.5", "--out", str(a)])
-        run_cli(["moment-sweep", "--T", "10", "--A", "1.5", "--out", str(b),
-                 "--threads", "2"])
+        run_cli(["moment-sweep", "--T", "10", "--A", "1.5", "--out", str(b)])
         assert a.read_text() == b.read_text()
 
 

@@ -276,8 +276,6 @@ class TestKuznetsovKernel:
 
 def test_precision_policy_invariants():
     with pytest.raises(ValueError):
-        PrecisionPolicy(rel_tol=0.1)
-    with pytest.raises(ValueError):
         PrecisionPolicy(bessel_freq_oversample=2.0)
     with pytest.raises(ValueError):
         StirlingOrder(9)

@@ -51,9 +51,8 @@ def criterion_1() -> CriterionResult:
     worst = 0.0
     details = []
     for (T, A) in [(5.0, 1.5), (10.0, 2.0), (20.0, 2.0)]:
-        res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf)
-        closed = moments.maass_selberg_limit(T, A)
-        rel = abs(res.second_moment - closed) / abs(closed)
+        _, rel = moments.second_moment_error(
+            moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf))
         worst = max(worst, rel)
         details.append(f"(T={T:g},A={A:g}): {rel:.2e}")
     return _result(1, "exact second-moment identity", worst <= 1e-5,
@@ -94,8 +93,7 @@ def criterion_4() -> CriterionResult:
     for T in (10.0, 25.0, 50.0):
         for A in (1.5, 2.0, 3.0):
             res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf)
-            closed = moments.maass_selberg_limit(T, A)
-            worst_p2 = max(worst_p2, abs(abs(res.second_moment) - abs(closed)) / abs(closed))
+            worst_p2 = max(worst_p2, moments.second_moment_error(res)[1])
             r = res.report.ratio
             finite &= bool(np.isfinite(r) and r > 0)
             ratios.setdefault(T, []).append(r)
@@ -119,8 +117,8 @@ def weights_audit_checks():
     inv_v = max(abs(v1[0] / v2[0] - 1.0), abs(v1[1] / v2[1] - 1.0))
     checks.append(("V contour", inv_v, 1e-7))
 
-    c1 = weights.weight_Vcal_pm(2.0, t, T, bump, weights.WeightContour(0.5, 1e9))
-    c2 = weights.weight_Vcal_pm(2.0, t, T, bump, weights.WeightContour(1.5, 1e9))
+    c1 = weights.weight_Vcal_pm(2.0, t, T, bump, sigma=0.5)
+    c2 = weights.weight_Vcal_pm(2.0, t, T, bump, sigma=1.5)
     inv_c = max(abs(c1.plus / c2.plus - 1.0), abs(c1.minus / c2.minus - 1.0))
     checks.append(("Vcal contour", inv_c, 1e-7))
 
@@ -128,7 +126,7 @@ def weights_audit_checks():
     ht_far = abs(weights.bump_transform(1.0 - 0.01 - 1800.0j, bump)) / bump.hhat0
     checks.append(("bump-transform support", ht_far, 1e-10))
     base = weights.weight_Vcal_pm(1.0, t, T, bump)
-    far = weights.weight_Vcal_pm(T ** 1.2, t, T, bump, weights.WeightContour(35.0, 1e9))
+    far = weights.weight_Vcal_pm(T ** 1.2, t, T, bump, sigma=35.0)
     checks.append(("Vcal support", abs(far.plus) / abs(base.plus), 1e-10))
     q0 = t * math.sqrt(4 * T * T - t * t) / (4.0 * math.pi ** 2)
     vbase = weights.weight_V_pm(1.0, t, T, "even")
@@ -208,10 +206,8 @@ def criterion_7() -> CriterionResult:
         br = spectral.bracket_factor(T)
         devs[T] = abs(br - 2.0)
     ok_bracket = all(devs[T] <= 10.0 / T for T in devs)
-    led = spectral.prediction_ledger(100.0, weights.Bump(B=2.0, alpha=0.009, T=100.0))
-    led_bad = spectral.prediction_ledger(
-        100.0, weights.Bump(B=2.0, alpha=0.009, T=100.0),
-        cross_coefficient=Fraction(23))
+    led = spectral.prediction_ledger()
+    led_bad = spectral.prediction_ledger(cross_coefficient=Fraction(23))
     ok = ok_bracket and led.matches and led.combined == Fraction(36) and not led_bad.matches
     return _result(7, "diagonal constants", ok,
                    f"|bracket-2|: T=100: {devs[100.0]:.2e} (<=0.1), "

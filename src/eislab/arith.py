@@ -110,12 +110,16 @@ def sigma_complex(m: int, a: complex) -> complex:
     return complex(np.sum(np.exp(complex(a) * np.log(d))))
 
 
+def weil_bound(n: int, m: int, c: int) -> float:
+    """Weil's bound d(c) sqrt(gcd(n, m, c) c) on |S(n, m; c)|."""
+    return len(divisors(c)) * math.sqrt(math.gcd(n, math.gcd(m, c)) * c)
+
+
 def kloosterman(n: int, m: int, c: int) -> float:
     """Kloosterman sum S(n, m; c) over invertible residues mod c.
 
-    Checks that the imaginary part is negligible and that the Weil bound
-    |S| <= d(c) sqrt(gcd(n, m, c)) sqrt(c) holds (raising InvariantError
-    otherwise), then returns the real part.
+    Checks that the imaginary part is negligible and that ``weil_bound``
+    holds (raising InvariantError otherwise), then returns the real part.
     """
     if c < 1:
         raise DomainError(f"kloosterman needs c >= 1, got {c}")
@@ -133,7 +137,7 @@ def kloosterman(n: int, m: int, c: int) -> float:
     if not abs(val.imag) < 1e-9 * max(1.0, len(xs)):
         raise InvariantError(f"S({n},{m};{c}) is not real: {val}")
     s = float(val.real)
-    weil = len(divisors(c)) * math.sqrt(math.gcd(n, math.gcd(m, c)) * c)
+    weil = weil_bound(n, m, c)
     if not abs(s) <= weil + 1e-6:
         raise InvariantError(f"Weil bound violated: |S({n},{m};{c})|={abs(s)} > {weil}")
     return s

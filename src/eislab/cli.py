@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from eislab import moments, spectral, weights
-from eislab.acceptance import run_all
+from eislab import moments, spectral
+from eislab.acceptance import kuznetsov_gates, run_all
 from eislab.eisenstein import SpectralSetup
 
 _DEFAULT_FORMS = Path(__file__).resolve().parents[2] / "data" / "maass_forms.csv"
@@ -30,8 +30,6 @@ _DEFAULT_FORMS = Path(__file__).resolve().parents[2] / "data" / "maass_forms.csv
 class RunConfig:
     T: list | None = None
     A: list | None = None
-    alpha: float = 0.009
-    B: float = 2.0
     tol: float = 1e-5
     out: str = "-"
     forms: str = str(_DEFAULT_FORMS)
@@ -42,10 +40,6 @@ class RunConfig:
             raise ValueError("T values must be positive")
         if self.A is not None and (not self.A or any(a <= 1 for a in self.A)):
             raise ValueError("A values must exceed 1")
-        if not (0 < self.alpha < 0.01):
-            raise ValueError("alpha must lie in (0, 1/100)")
-        if self.B <= 1:
-            raise ValueError("B must exceed 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         return self
@@ -74,8 +68,8 @@ def build_config(args) -> RunConfig:
         for key, val in _load_config_file(args.config).items():
             if key in ("T", "A"):
                 setattr(cfg, key, _parse_float_list(val))
-            elif key in ("alpha", "B", "tol"):
-                setattr(cfg, key, float(val))
+            elif key == "tol":
+                cfg.tol = float(val)
             elif key in ("out", "forms"):
                 setattr(cfg, key, val)
             elif key == "quick":
@@ -85,7 +79,7 @@ def build_config(args) -> RunConfig:
     for key in ("T", "A"):
         if getattr(args, key, None) is not None:
             setattr(cfg, key, _parse_float_list(getattr(args, key)))
-    for key in ("alpha", "B", "tol", "out", "forms"):
+    for key in ("tol", "out", "forms"):
         if getattr(args, key, None) is not None:
             setattr(cfg, key, getattr(args, key))
     if getattr(args, "quick", False):
@@ -129,10 +123,8 @@ def _require_grid(cfg: RunConfig):
 def cmd_maass_selberg(cfg: RunConfig) -> int:
     results = []
     for T, A in _require_grid(cfg):
-        closed = moments.maass_selberg_limit(T, A)
-        res = moments.fourth_moment(SpectralSetup(T=T, A=A, B=cfg.B, alpha=cfg.alpha),
-                                    tol=math.inf)
-        rel = abs(res.second_moment - closed) / abs(closed)
+        res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf)
+        closed, rel = moments.second_moment_error(res)
         results.append((T, A, closed, res.second_moment, rel))
     rows = [f"{T!r},{A!r},{_fmt(c)},{_fmt(q)},{rel!r}" for (T, A, c, q, rel) in results]
     _emit_csv(cfg.out, "T,A,closed,quadrature,rel_err", rows)
@@ -148,10 +140,8 @@ def cmd_moment_sweep(cfg: RunConfig) -> int:
     rows = []
     hard_error = 0
     for T, A in _require_grid(cfg):
-        res = moments.fourth_moment(SpectralSetup(T=T, A=A, B=cfg.B, alpha=cfg.alpha),
-                                    tol=math.inf)
-        closed = moments.maass_selberg_limit(T, A)
-        rel2 = abs(res.second_report.value - abs(closed)) / abs(closed)
+        res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf)
+        _, rel2 = moments.second_moment_error(res)
         if rel2 > 1e-4:
             print(f"moment-sweep: p=2 row (T={T}, A={A}) off closed form by {rel2:.2e}",
                   file=sys.stderr)
@@ -198,17 +188,14 @@ def cmd_kuznetsov(cfg: RunConfig) -> int:
     pairs = [(1, 1), (1, 2), (2, 2)]
     c_list = (50, 100, 200) if not cfg.quick else (25, 50)
     rows = []
-    prev_tail = {}
     monotone = True
     for (n, m) in pairs:
-        for c_max in c_list:
-            rep = spectral.kuznetsov_two_sides(n, m, phi, forms, c_max=c_max)
-            rows.append(f"{n},{m},{c_max},{rep.spectral_side!r},{rep.geometric_side!r},"
-                        f"{rep.closure!r},{rep.tail_estimate!r}")
-            key = (n, m)
-            if key in prev_tail and rep.tail_estimate > prev_tail[key] + 1e-15:
-                monotone = False
-            prev_tail[key] = rep.tail_estimate
+        reports = [spectral.kuznetsov_two_sides(n, m, phi, forms, c_max=c_max)
+                   for c_max in c_list]
+        rows.extend(f"{n},{m},{c_max},{rep.spectral_side!r},{rep.geometric_side!r},"
+                    f"{rep.closure!r},{rep.tail_estimate!r}"
+                    for c_max, rep in zip(c_list, reports))
+        monotone &= kuznetsov_gates(reports)["monotone"]
     _emit_csv(cfg.out, "n,m,c_max,spectral,geometric,closure,tail_estimate", rows)
     return 0 if monotone else 1
 
@@ -231,8 +218,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="key=value configuration file")
     sub.add_argument("--T", help="comma-separated spectral heights")
     sub.add_argument("--A", help="comma-separated truncation heights")
-    sub.add_argument("--alpha", type=float, help="smoothing exponent in (0, 1/100)")
-    sub.add_argument("--B", type=float, help="bump center height")
     sub.add_argument("--tol", type=float, help="tolerance gate")
     sub.add_argument("--out", help="output CSV path ('-' for stdout)")
     sub.add_argument("--forms", help="Maass-form CSV path")

@@ -184,7 +184,6 @@ def integrate_rows(row_fn, y_max: float, *, y_bandwidth, x_bandwidth,
 
 
 def integrate_F(f, y_max: float, tol: float = 1e-8, *,
-                policy: PrecisionPolicy = DEFAULT_POLICY,
                 bandwidth: float = 30.0, splits=()):
     """Integral of a point function over F intersected with {y <= y_max}.
 
@@ -205,7 +204,7 @@ def integrate_F(f, y_max: float, tol: float = 1e-8, *,
                               y_bandwidth=lambda y: bandwidth / max(y, 1.0),
                               x_bandwidth=lambda y: bandwidth,
                               splits=splits, even_in_x=False,
-                              oversample=policy.bessel_freq_oversample)
+                              oversample=DEFAULT_POLICY.bessel_freq_oversample)
     value, estimate = complex(val[0]), float(est[0])
     if abs(value.imag) < 1e-14 * max(1.0, abs(value.real)):
         value = value.real
@@ -260,19 +259,20 @@ def _moment_y_max(setup: SpectralSetup) -> float:
 
 
 def _integrate_moment(row_fn, setup: SpectralSetup, ev: EisensteinEvaluator,
-                      power: float, splits, policy: PrecisionPolicy):
+                      power: float, splits):
     """``integrate_rows`` on the moment grid of E_A at height setup.T.
 
     The y density follows the Bessel oscillation scale of four factors,
     4T/y; the x density resolves the richest Fourier mode of the integrand,
-    ``power`` times the cutoff n_max(y) of one factor.
+    ``power`` times the cutoff n_max(y) of one factor.  Node densities use
+    the evaluator's oversampling.
     """
     T = setup.T
     return integrate_rows(
         row_fn, _moment_y_max(setup),
         y_bandwidth=lambda y: 4.0 * T / y + 8.0,
         x_bandwidth=lambda y: 2.0 * math.pi * power * ev.n_max(y),
-        splits=splits, even_in_x=True, oversample=policy.bessel_freq_oversample)
+        splits=splits, even_in_x=True, oversample=ev.policy.bessel_freq_oversample)
 
 
 @dataclass(frozen=True)
@@ -300,7 +300,7 @@ def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
         a2 = np.abs(vals) ** 2
         return np.stack([(a2 * a2).astype(complex), vals * vals])
 
-    val, est = _integrate_moment(row_fn, setup, ev, 4.0, (setup.A,), policy)
+    val, est = _integrate_moment(row_fn, setup, ev, 4.0, (setup.A,))
 
     m4 = float(val[0].real)
     second = complex(val[1])
@@ -323,8 +323,18 @@ def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
         const_projection_prediction=(12.0 / math.pi) * lnT * lnT)
 
 
-def real_s_pair_quadrature(s1: float, s2: float, A: float, *,
-                           policy: PrecisionPolicy = DEFAULT_POLICY):
+def second_moment_error(res: FourthMomentResult) -> tuple[complex, float]:
+    """(closed, rel): the exact p = 2 value ``maass_selberg_limit(T, A)`` and
+    the relative error of ``res.second_moment`` against it.
+
+    The error is that of the complex values, not of their moduli, so a
+    second moment with the wrong phase fails.
+    """
+    closed = maass_selberg_limit(res.report.T, res.report.A)
+    return closed, abs(res.second_moment - closed) / abs(closed)
+
+
+def real_s_pair_quadrature(s1: float, s2: float, A: float):
     """Quadrature of int_F E_A(z, s1) E_A(z, s2) dmu for real s in (1, 4]."""
     e1 = RealSEvaluator(s1)
     e2 = RealSEvaluator(s2)
@@ -338,19 +348,18 @@ def real_s_pair_quadrature(s1: float, s2: float, A: float, *,
         y_bandwidth=lambda y: 30.0 / y,
         x_bandwidth=lambda y: 2.0 * math.pi * 2.0 * max(e1.n_max(y), e2.n_max(y)),
         splits=(A,), even_in_x=True,
-        oversample=policy.bessel_freq_oversample)
+        oversample=DEFAULT_POLICY.bessel_freq_oversample)
     return complex(val[0]), float(est[0])
 
 
-def h_window_norm_sq(setup: SpectralSetup, *,
-                     policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
+def h_window_norm_sq(setup: SpectralSetup) -> float:
     """<H_A, H_A> = int_{y > A} |2 e(y) E_A|^2 dmu by quadrature."""
-    ev = EisensteinEvaluator(setup, policy)
+    ev = EisensteinEvaluator(setup)
 
     def row_fn(y, xs):
         return np.abs(ev.eval_row_H_A(y, xs)) ** 2 + 0j
 
-    val, _ = _integrate_moment(row_fn, setup, ev, 2.0, (setup.A,), policy)
+    val, _ = _integrate_moment(row_fn, setup, ev, 2.0, (setup.A,))
     return float(val[0].real)
 
 
@@ -363,8 +372,8 @@ class SmoothedMomentResult:
     reports: tuple        # per-node MomentReports
 
 
-def smoothed_fourth_moment(setup: SpectralSetup, bump, *, n_nodes: int = 6,
-                           policy: PrecisionPolicy = DEFAULT_POLICY) -> SmoothedMomentResult:
+def smoothed_fourth_moment(setup: SpectralSetup, bump, *,
+                           n_nodes: int = 6) -> SmoothedMomentResult:
     """Average of the fourth moment against the bump in the truncation height.
 
     Also computes the three-band split of hhat(0) ||E_B||_4^4 at the bump's
@@ -384,14 +393,14 @@ def smoothed_fourth_moment(setup: SpectralSetup, bump, *, n_nodes: int = 6,
     for A_i, w_i in zip(nodes, wts):
         res = fourth_moment(SpectralSetup(T=setup.T, A=float(A_i), B=setup.B,
                                           alpha=setup.alpha),
-                            tol=math.inf, policy=policy)
+                            tol=math.inf)
         reports.append(res.report)
         acc += w_i * bump_h(float(A_i), bump) * res.report.value
 
     # fixed-B band split: the integrand below/within/above the shell is the
     # same |E_B|^4, so the three bands must add back to the direct moment
     ev = EisensteinEvaluator(SpectralSetup(T=setup.T, A=setup.B, B=setup.B,
-                                           alpha=setup.alpha), policy)
+                                           alpha=setup.alpha))
 
     def band(lo, hi):
         def row_fn(y, xs):
@@ -400,7 +409,7 @@ def smoothed_fourth_moment(setup: SpectralSetup, bump, *, n_nodes: int = 6,
             v = np.abs(ev.eval_row_trunc(y, xs)) ** 2
             return (v * v).astype(complex)
         # the grid spans y up to setup's own A-dependent height, not B's
-        val, _ = _integrate_moment(row_fn, setup, ev, 4.0, (lo, hi, setup.B), policy)
+        val, _ = _integrate_moment(row_fn, setup, ev, 4.0, (lo, hi, setup.B))
         return float(val[0].real)
 
     hhat0 = setup.T ** (-setup.alpha / 2.0)

@@ -115,13 +115,13 @@ def bessel_k_scaled(T: float, y: float, policy: PrecisionPolicy = DEFAULT_POLICY
 # Kuznetsov kernel
 # ---------------------------------------------------------------------------
 
-def _kernel_even_many(w: float, ts: np.ndarray, policy: PrecisionPolicy) -> np.ndarray:
+def _kernel_even_many(w: float, ts: np.ndarray) -> np.ndarray:
     """(4/pi) int_0^inf cos(w cosh s) cos(2 t s) ds for an array of t >= 0.
 
     One leg geometry is chosen from max(t), so the node grids are shared
     across the whole t array.
     """
-    os = policy.bessel_freq_oversample
+    os = DEFAULT_POLICY.bessel_freq_oversample
     tmax = float(np.max(ts))
     M = max(4.0 * tmax, 20.0)
     s1 = float(np.arcsinh(M / w))
@@ -156,17 +156,17 @@ def _kernel_even_many(w: float, ts: np.ndarray, policy: PrecisionPolicy) -> np.n
     return (2.0 / np.pi) * total
 
 
-def kuznetsov_kernel_even_many(x: float, ts, policy: PrecisionPolicy = DEFAULT_POLICY):
+def kuznetsov_kernel_even_many(x: float, ts):
     """Even part of the trace-formula kernel at fixed x over an array of t >= 0."""
     if x <= 0.0:
         raise DomainError(f"kuznetsov kernel requires x > 0, got {x}")
     ts = np.asarray(ts, dtype=float)
     if (ts < 0).any():
         raise DomainError("t array must be nonnegative (kernel is even in t)")
-    return _kernel_even_many(4.0 * np.pi * x, ts, policy)
+    return _kernel_even_many(4.0 * np.pi * x, ts)
 
 
-def kuznetsov_kernel(x: float, t: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def kuznetsov_kernel(x: float, t: float) -> complex:
     """t-even part of (2i/sinh(pi t)) J_{2it}(4 pi x); real for real t, x.
 
     Returned as complex per the library convention for spectral kernels; the
@@ -176,16 +176,16 @@ def kuznetsov_kernel(x: float, t: float, policy: PrecisionPolicy = DEFAULT_POLIC
         raise DomainError(f"kuznetsov_kernel requires x > 0, got {x}")
     if t == 0.0:
         raise DomainError("kuznetsov_kernel requires t != 0 (limit exists but is not taken here)")
-    val = _kernel_even_many(4.0 * np.pi * x, np.array([abs(float(t))]), policy)[0]
+    val = _kernel_even_many(4.0 * np.pi * x, np.array([abs(float(t))]))[0]
     return complex(val)
 
 
-def bessel_j_transform_kernel_many(x: float, ts, policy: PrecisionPolicy = DEFAULT_POLICY):
+def bessel_j_transform_kernel_many(x: float, ts):
     """Even combination (J_{2it} - J_{-2it})(2 pi x) / cosh(pi t) over t >= 0.
 
     Equals -i tanh(pi t) times the even kernel at half the argument scale;
     used by the oscillatory-transform diagnostics.
     """
     ts = np.asarray(ts, dtype=float)
-    ker = _kernel_even_many(2.0 * np.pi * x, ts, policy)
+    ker = _kernel_even_many(2.0 * np.pi * x, ts)
     return -1j * np.tanh(np.pi * ts) * ker

@@ -37,7 +37,6 @@ from eislab.errors import (
 from eislab.quadrature import panel_nodes
 from eislab.specfun import (
     DEFAULT_POLICY,
-    PrecisionPolicy,
     bessel_j_transform_kernel_many,
     kuznetsov_kernel_even_many,
     log_gamma,
@@ -190,16 +189,16 @@ def afe_cutoff(t: float, T: float, a: float, tail_tol: float,
     return max(q_eff, 1.0) * math.exp(L) + 16.0
 
 
-def afe_pair(form: MaassForm, T: float, contour=None, *, tail_tol: float = 1e-7,
-             smoother: float = 1.0,
-             policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def afe_pair(form: MaassForm, T: float, sigma: float = 1.0, *, tail_tol: float = 1e-7,
+             smoother: float = 1.0) -> complex:
     """L(1/2, u) L(1/2 - 2iT, u) via the approximate functional equation.
 
     Both mirror sums are carried: coefficients lambda(n) tau(n, T) over
     n^(1/2 -+ iT) k^(1 -+ 2iT) against the contour weights at x = k^2 n, with
-    parity selecting the gamma data (a = 1/2 even, 3/2 odd).  The double sum
-    is truncated where the Gaussian contour budget puts the weights below
-    ``tail_tol``; the form must carry eigenvalues out to that cutoff.
+    parity selecting the gamma data (a = 1/2 even, 3/2 odd).  The weights'
+    contour runs on Re w = ``sigma``, up to a height set by the smoother.  The
+    double sum is truncated where the Gaussian contour budget puts the weights
+    below ``tail_tol``; the form must carry eigenvalues out to that cutoff.
     """
     a = 0.5 if form.parity == "even" else 1.5
     t = form.t
@@ -212,10 +211,9 @@ def afe_pair(form: MaassForm, T: float, contour=None, *, tail_tol: float = 1e-7,
     ks = np.arange(1, int(math.isqrt(n_need)) + 1)
     xs_all = sorted({int(k * k * n) for k in ks for n in range(1, n_need // (k * k) + 1)})
     xs_arr = np.array(xs_all, dtype=float)
-    sigma = contour.sigma if contour is not None else 1.0
     # e^(smoother w^2) is below e^(-46) past this height on the line Re w = sigma
     height = max(10.0, math.sqrt(46.0 / smoother + sigma * sigma) + 3.0)
-    vp, vm = contour_weights(xs_arr, t, T, a, sigma, height, smoother, policy)
+    vp, vm = contour_weights(xs_arr, t, T, a, sigma, height, smoother)
     vp_at = dict(zip(xs_all, vp))
     vm_at = dict(zip(xs_all, vm))
     total = 0.0 + 0.0j
@@ -245,9 +243,7 @@ def zeta_product_oracle(gamma: float, T: float) -> complex:
 # triple-product pairing
 # ---------------------------------------------------------------------------
 
-def rankin_selberg_pairing(form: MaassForm, T: float, *,
-                           policy: PrecisionPolicy = DEFAULT_POLICY,
-                           tail_tol: float = 1e-6) -> complex:
+def rankin_selberg_pairing(form: MaassForm, T: float) -> complex:
     """<E^2(., 1/2+iT), u_j> assembled from central values and gamma factors.
 
     Vanishes identically for odd forms.  For even forms,
@@ -264,7 +260,7 @@ def rankin_selberg_pairing(form: MaassForm, T: float, *,
     if form.sym2_L1 is None:
         raise MissingEigenvalueError("rankin_selberg_pairing needs sym2_L1")
     t = form.t
-    lvals = afe_pair(form, T, tail_tol=tail_tol, policy=policy)
+    lvals = afe_pair(form, T, tail_tol=1e-6)
     # L(1/2) L(1/2 + 2iT) = conj(L(1/2) L(1/2 - 2iT)) for real-coefficient even forms
     lvals_plus = np.conj(lvals)
     log_gamma_factors = (
@@ -319,8 +315,7 @@ class KuznetsovReport(NamedTuple):
 
 
 def kuznetsov_two_sides(n: int, m: int, phi: TestFunction, forms,
-                        c_max: int = 100, *,
-                        policy: PrecisionPolicy = DEFAULT_POLICY) -> KuznetsovReport:
+                        c_max: int = 100) -> KuznetsovReport:
     """Evaluate both sides of the trace formula for (n, m) over a given basis.
 
     Spectral side: sum over the supplied forms of
@@ -334,7 +329,7 @@ def kuznetsov_two_sides(n: int, m: int, phi: TestFunction, forms,
     if n < 1 or m < 1:
         raise DomainError("kuznetsov_two_sides needs n, m >= 1")
     t_cut = phi.support_cut
-    os = policy.bessel_freq_oversample
+    os = DEFAULT_POLICY.bessel_freq_oversample
 
     discrete = 0.0
     for form in forms:
@@ -363,7 +358,7 @@ def kuznetsov_two_sides(n: int, m: int, phi: TestFunction, forms,
         w_arg = 4.0 * math.pi * root / c
         bw_c = 2.0 * float(np.arcsinh(2.0 * t_cut / w_arg)) + 10.0
         nn, ww = panel_nodes(0.0, t_cut, bw_c, os, min_panels=10)
-        kernel = kuznetsov_kernel_even_many(root / c, nn, policy)
+        kernel = kuznetsov_kernel_even_many(root / c, nn)
         dst = np.tanh(np.pi * nn) * nn * phi(nn)
         return float(2.0 * np.sum(ww * kernel * dst) / (2.0 * np.pi))
 
@@ -380,13 +375,11 @@ def kuznetsov_two_sides(n: int, m: int, phi: TestFunction, forms,
     grid = [int(math.ceil(8 * 1.2 ** k)) for k in range(40)]
     grid = sorted({c for c in grid if c_max < c <= 16 * c_max})
     for lo, hi in zip(grid[:-1], grid[1:]):
-        S_bound = len(arith.divisors(lo)) * math.sqrt(math.gcd(n, math.gcd(m, lo)) * lo)
-        tail += S_bound / lo * abs(kernel_integral(lo)) * (hi - lo)
+        tail += arith.weil_bound(n, m, lo) / lo * abs(kernel_integral(lo)) * (hi - lo)
     if grid:
         last = grid[-1]
-        S_bound = len(arith.divisors(last)) * math.sqrt(math.gcd(n, math.gcd(m, last)) * last)
         # geometric-envelope remainder past the sampled range
-        tail += 4.0 * S_bound / last * abs(kernel_integral(last)) * last
+        tail += 4.0 * arith.weil_bound(n, m, last) / last * abs(kernel_integral(last)) * last
 
     scale = max(abs(spectral), abs(geometric), 1e-30)
     return KuznetsovReport(
@@ -454,8 +447,7 @@ class BesselTransformResult(NamedTuple):
 
 
 def bessel_transform_check(x: float, T: float, alpha: float,
-                           z_window: ZWindow | None = None, *,
-                           policy: PrecisionPolicy = DEFAULT_POLICY) -> BesselTransformResult:
+                           z_window: ZWindow | None = None) -> BesselTransformResult:
     """Both sides of the oscillatory J-transform identity.
 
     direct = int_{-inf}^{inf} J_{2it}(2 pi x) / cosh(pi t) Z(t/T) t dt,
@@ -472,13 +464,13 @@ def bessel_transform_check(x: float, T: float, alpha: float,
         raise DomainError("bessel_transform_check needs x, T > 0")
     Z = z_window if z_window is not None else ZWindow(alpha=alpha, T=T)
     lo, hi = Z.support
-    os = policy.bessel_freq_oversample
+    os = DEFAULT_POLICY.bessel_freq_oversample
 
     # direct side: t in (lo T, hi T); kernel phase rate 2 asinh(2t/w) plus Z
     w_arg = 2.0 * math.pi * x
     bw = 2.0 * float(np.arcsinh(2.0 * hi * T / w_arg)) + 24.0 / (_z_structure_scale(Z) * T)
     nodes, wts = panel_nodes(lo * T, hi * T, bw, os, min_panels=12)
-    kern = bessel_j_transform_kernel_many(x, nodes, policy)
+    kern = bessel_j_transform_kernel_many(x, nodes)
     direct = complex(np.sum(wts * kern * Z(nodes / T) * nodes))
 
     # stationary-phase main term, in the scaled variable
@@ -567,8 +559,7 @@ class PredictionLedger(NamedTuple):
     h_window_norm_numeric: float | None
 
 
-def prediction_ledger(T: float, bump: Bump, *,
-                      h_window_norm: float | None = None,
+def prediction_ledger(*, h_window_norm: float | None = None,
                       cross_coefficient: Fraction = Fraction(24)) -> PredictionLedger:
     """Bookkeeping of the spectral-decomposition coefficients over pi.
 

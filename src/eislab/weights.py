@@ -39,6 +39,8 @@ from eislab.specfun import (
 
 # int_{-1}^{1} exp(-1/(1-u^2)) du, frozen at 50-digit quadrature
 MOLLIFIER_MASS = 0.443993816168079437823
+# relative decay of the bump transform at the height-averaged contour's cap
+_VCAL_TAIL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,24 @@ def bump_h_derivative(A, bump: Bump, k: int = 1, rel_step: float = 1e-3):
     return float(sum(c * bump_h(A + o * h, bump) for c, o in zip(coefs, offs)) / h ** k)
 
 
-def bump_transform(s, bump: Bump, policy: PrecisionPolicy = DEFAULT_POLICY):
+def _exp_outer_apply(a: np.ndarray, b: np.ndarray, vs) -> list:
+    """[exp(outer(a, b)) @ v for v in vs]: one line integral per entry of a,
+    sampled at the nodes b with weights v.
+
+    Rows are exponentiated 2048 at a time, in place, and each block serves
+    every v; one block is alive at a time, which bounds the memory.
+    """
+    outs = [np.empty(len(a), dtype=complex) for _ in vs]
+    for i0 in range(0, len(a), 2048):
+        block = np.outer(a[i0:i0 + 2048], b)
+        np.exp(block, out=block)
+        for out, v in zip(outs, vs):
+            out[i0:i0 + 2048] = block @ v
+        del block  # freed before the next block is built
+    return outs
+
+
+def bump_transform(s, bump: Bump):
     """h-tilde(s) = int h(A) (pi A)^(s-1) dA, vectorized over s.
 
     (Not quite a Mellin transform: the pi sits inside the power.)
@@ -112,30 +131,24 @@ def bump_transform(s, bump: Bump, policy: PrecisionPolicy = DEFAULT_POLICY):
     re_max = float(np.max(np.abs(s.real - 1.0)))
     # oscillation |Im s| / A plus mollifier structure ~ 24 / half_width
     bw = im_max / lo + re_max / lo + 24.0 / bump.half_width
-    nodes, wts = panel_nodes(lo, hi, bw, policy.bessel_freq_oversample,
+    nodes, wts = panel_nodes(lo, hi, bw, DEFAULT_POLICY.bessel_freq_oversample,
                              min_panels=10)
-    hv = bump_h(nodes, bump) * wts
-    lnpa = np.log(np.pi * nodes)
-    vals = np.empty(s.shape, dtype=complex)
-    for lo_i in range(0, s.size, 4096):  # bound the outer-product memory
-        blk = s[lo_i:lo_i + 4096] - 1.0
-        vals[lo_i:lo_i + 4096] = np.exp(np.outer(blk, lnpa)) @ hv
+    vals = _exp_outer_apply(s - 1.0, np.log(np.pi * nodes), [bump_h(nodes, bump) * wts])[0]
     return vals if vals.size > 1 else complex(vals[0])
 
 
-def bump_transform_decay_height(bump: Bump, sigma: float, tol: float,
-                                policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
+def bump_transform_decay_height(bump: Bump, sigma: float, tol: float) -> float:
     """Smallest scanned height H where the transform has decayed below
     ``tol`` relative to its own value at the foot of the line Re(s) = sigma.
 
     This is the honest desk-scale replacement for the asymptotic |s| > T^alpha
     smallness threshold of the transform.
     """
-    scale = abs(bump_transform(1.0 - sigma, bump, policy))
+    scale = abs(bump_transform(1.0 - sigma, bump))
     target = tol * max(scale, 1e-280)
     H = 16.0
     while H < 1e5:
-        if abs(bump_transform(1.0 - sigma - 1j * H, bump, policy)) < target:
+        if abs(bump_transform(1.0 - sigma - 1j * H, bump)) < target:
             return H
         H *= 1.35
     raise ConvergenceError("bump transform did not reach the decay target")
@@ -208,8 +221,7 @@ def weight_Hcal(t: float, T: float, alpha: float = 0.009) -> complex:
     return complex(np.exp(num - den))
 
 
-def weight_Hcal_pm(s, t: float, T: float, bump: Bump,
-                   policy: PrecisionPolicy = DEFAULT_POLICY):
+def weight_Hcal_pm(s, t: float, T: float, bump: Bump):
     """Both sign variants of the height-averaged gamma-ratio weight.
 
     Returns (plus, minus), each vectorized over s.  The plus variant carries
@@ -220,7 +232,7 @@ def weight_Hcal_pm(s, t: float, T: float, bump: Bump,
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if np.any(s.real <= -0.5):
         raise DomainError("weight_Hcal_pm needs Re(s) > -1/2")
-    ht = np.atleast_1d(bump_transform(1.0 - s, bump, policy))
+    ht = np.atleast_1d(bump_transform(1.0 - s, bump))
     out = []
     for sT in (+1.0, -1.0):
         num = np.zeros_like(s)
@@ -276,36 +288,28 @@ def g_ratio(w, t: float, T: float, a: float = 0.5, sign: float = +1.0):
 
 
 def contour_weights(xs: np.ndarray, t: float, T: float, a: float, sigma: float,
-                    height: float, smoother: float = 1.0,
-                    policy: PrecisionPolicy = DEFAULT_POLICY):
+                    height: float, smoother: float = 1.0):
     """(V_plus, V_minus) at an array of x >= 1 on one shared contour.
 
     V_pm(x) = (1/2 pi i) int_(sigma) e^(smoother w^2) x^(-w) G_(pm,a)(w,t) dw/w,
     truncated at |Im w| = ``height``; each caller supplies the truncation
     rule that suits its smoother.  ``smoother`` = 1 is the production
     weight; other values give independent smoothings of the same identity
-    for cross-checks.  Rows are evaluated 2048 x values at a time to bound
-    the outer-product memory.
+    for cross-checks.
     """
     lnx = np.log(xs)
     bw = float(np.max(lnx)) + 2.0 * sigma * smoother + 4.0
-    nodes, wts = panel_nodes(-height, height, bw, policy.bessel_freq_oversample,
+    nodes, wts = panel_nodes(-height, height, bw, DEFAULT_POLICY.bessel_freq_oversample,
                              min_panels=8)
     w = sigma + 1j * nodes
-    outs = []
-    for sT in (+1.0, -1.0):
-        glog = _g_ratio_log(w, t, T, a, sT)
-        core = np.exp(smoother * w * w + glog) / w * (wts / (2.0 * np.pi))
-        vals = np.empty(len(xs), dtype=complex)
-        for i0 in range(0, len(xs), 2048):
-            vals[i0:i0 + 2048] = np.exp(np.outer(-lnx[i0:i0 + 2048], w)) @ core
-        outs.append(vals)
-    return outs[0], outs[1]
+    cores = [np.exp(smoother * w * w + _g_ratio_log(w, t, T, a, sT)) / w * (wts / (2.0 * np.pi))
+             for sT in (+1.0, -1.0)]
+    vp, vm = _exp_outer_apply(-lnx, w, cores)
+    return vp, vm
 
 
 def weight_V_pm(x, t: float, T: float, parity: str = "even",
-                contour: WeightContour | None = None,
-                policy: PrecisionPolicy = DEFAULT_POLICY):
+                contour: WeightContour | None = None):
     """Gaussian-smoothed contour weights (V_plus, V_minus), vectorized in x.
 
     V_pm(x, t) = (1/2 pi i) int_(sigma) e^(w^2) x^(-w) G_(pm, a)(w, t) dw / w,
@@ -322,7 +326,7 @@ def weight_V_pm(x, t: float, T: float, parity: str = "even",
     sigma = contour.sigma if contour is not None else 1.0
     lx_max = float(np.max(np.log(xv)))
     vmax = contour.height if contour is not None else max(30.0, 10.0 * math.sqrt(max(lx_max, 1.0)))
-    vp, vm = contour_weights(xv, t, T, a, sigma, vmax, policy=policy)
+    vp, vm = contour_weights(xv, t, T, a, sigma, vmax)
     if vp.size > 1:
         return vp, vm
     return complex(vp[0]), complex(vm[0])
@@ -335,40 +339,35 @@ class VcalResult(NamedTuple):
     height: float
 
 
-def weight_Vcal_pm(x, t: float, T: float, bump: Bump,
-                   contour: WeightContour | None = None,
-                   policy: PrecisionPolicy = DEFAULT_POLICY,
-                   tail_tol: float = 1e-13) -> VcalResult:
-    """Height-averaged contour weights (1/2 pi i) int H_pm(s,t) x^(-s) ds/s.
+def weight_Vcal_pm(x, t: float, T: float, bump: Bump, sigma: float = 0.75) -> VcalResult:
+    """Height-averaged contour weights (1/2 pi i) int H_pm(s,t) x^(-s) ds/s
+    on the line Re s = ``sigma``.
 
     The vertical cap is taken where the bump transform has measurably decayed
-    below ``tail_tol`` relative to its mass (and never beyond the point where
-    the gamma ratio's own e^(-pi(|Im s|-t)/2) decay has taken over); the
+    below ``_VCAL_TAIL_TOL`` relative to its mass (and never beyond the point
+    where the gamma ratio's own e^(-pi(|Im s|-t)/2) decay has taken over); the
     estimated tail is recorded in the result.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xv < 1.0):
         raise DomainError("weight_Vcal_pm is defined for x >= 1")
-    sigma = contour.sigma if contour is not None else 0.75
-    h_cap = bump_transform_decay_height(bump, sigma, tail_tol, policy)
+    h_cap = bump_transform_decay_height(bump, sigma, _VCAL_TAIL_TOL)
     # the gamma ratios only decay for good past the ridge at |Im s| = 2T + |t|
     # (where the shifted numerator arguments cross the real axis)
-    gamma_cap = 2.0 * T + abs(t) + (2.0 / math.pi) * (-math.log(tail_tol)) + 24.0
+    gamma_cap = 2.0 * T + abs(t) + (2.0 / math.pi) * (-math.log(_VCAL_TAIL_TOL)) + 24.0
     vmax = min(h_cap, gamma_cap)
     lx_max = float(np.max(np.log(np.maximum(xv, 1.0))))
     bw = lx_max + 24.0 / bump.half_width + 12.0
-    nodes, wts = panel_nodes(-vmax, vmax, bw, policy.bessel_freq_oversample,
+    nodes, wts = panel_nodes(-vmax, vmax, bw, DEFAULT_POLICY.bessel_freq_oversample,
                              min_panels=16)
     s = sigma + 1j * nodes
-    plus_i, minus_i = weight_Hcal_pm(s, t, T, bump, policy)
-    lnx = np.log(xv)
-    xs = np.exp(np.outer(-lnx, s))
-    res = []
+    plus_i, minus_i = weight_Hcal_pm(s, t, T, bump)
+    cores = [integ / s * (wts / (2.0 * np.pi)) for integ in (plus_i, minus_i)]
+    vp, vm = _exp_outer_apply(-np.log(xv), s, cores)
+    if vp.size == 1:
+        vp, vm = complex(vp[0]), complex(vm[0])
     tail = 0.0
     for integ in (plus_i, minus_i):
-        core = integ / s * (wts / (2.0 * np.pi))
-        vals = xs @ core
-        res.append(vals if vals.size > 1 else complex(vals[0]))
         # endpoint integrand size relative to its peak along the contour:
         # a scale-free measure of how completely the truncation decayed
         peak = float(np.max(np.abs(integ))) + 1e-300
@@ -377,7 +376,7 @@ def weight_Vcal_pm(x, t: float, T: float, bump: Bump,
         raise ConvergenceError(
             f"contour truncation at height {vmax:.0f} left a relative "
             f"endpoint residue {tail:.2e} > 1e-6")
-    return VcalResult(plus=res[0], minus=res[1], tail_estimate=tail, height=vmax)
+    return VcalResult(plus=vp, minus=vm, tail_estimate=tail, height=vmax)
 
 
 class LeadingTerms(NamedTuple):
@@ -386,8 +385,7 @@ class LeadingTerms(NamedTuple):
     v_minus_phase: complex
 
 
-def leading_terms(s: complex, t: float, T: float, bump: Bump,
-                  policy: PrecisionPolicy = DEFAULT_POLICY) -> LeadingTerms:
+def leading_terms(s: complex, t: float, T: float, bump: Bump) -> LeadingTerms:
     """Closed-form leading expressions of the weight products in the bulk.
 
     hh_plus:   8 pi h~(1-s) / (|t| R) * (|t| R / 4T)^s, R = sqrt(4T^2 - t^2),
@@ -403,7 +401,7 @@ def leading_terms(s: complex, t: float, T: float, bump: Bump,
     """
     if abs(t) >= 2 * T:
         raise DomainError("leading_terms needs |t| < 2T")
-    ht = bump_transform(1.0 - complex(s), bump, policy)
+    ht = bump_transform(1.0 - complex(s), bump)
     R = math.sqrt(4.0 * T * T - t * t)
     base = 8.0 * math.pi * ht / (abs(t) * R) * np.exp(complex(s) * math.log(abs(t) * R / (4.0 * T)))
     phase_minus = np.exp(2j * T * math.log(T / (math.pi ** 2 * math.e)))
@@ -458,15 +456,12 @@ def g_mellin_closed(s: complex, T: float, t: float) -> complex:
     return complex(np.exp(acc))
 
 
-def g_mellin_pair(x: float, s: complex, t: float, T: float,
-                  policy: PrecisionPolicy = DEFAULT_POLICY):
+def g_mellin_pair(x: float, s: complex, t: float, T: float):
     """(g(x) by quadrature, G(s) in closed form)."""
-    return g_lower_incomplete(x, T, t, policy), g_mellin_closed(s, T, t)
+    return g_lower_incomplete(x, T, t), g_mellin_closed(s, T, t)
 
 
-def g_mellin_numeric(s: complex, T: float, t: float,
-                     policy: PrecisionPolicy = DEFAULT_POLICY,
-                     n_log: int = 28) -> complex:
+def g_mellin_numeric(s: complex, T: float, t: float) -> complex:
     """int_0^inf g(x) x^(s-1) dx by iterated quadrature (oracle-grade, slow).
 
     Uses the substitution x = e^u with panel quadrature on u in [-16, log cut].
@@ -476,24 +471,23 @@ def g_mellin_numeric(s: complex, T: float, t: float,
         raise DomainError("the g-transform converges for Re(s) > 0")
     u_hi = math.log(max(T, t) + 40.0)
     bw = max(abs(s.imag), 2.0) + 2.0
-    nodes, wts = panel_nodes(-16.0, u_hi, bw, policy.bessel_freq_oversample,
-                             min_panels=n_log)
-    vals = np.array([g_lower_incomplete(math.exp(u), T, t, policy) for u in nodes])
+    nodes, wts = panel_nodes(-16.0, u_hi, bw, DEFAULT_POLICY.bessel_freq_oversample,
+                             min_panels=28)
+    vals = np.array([g_lower_incomplete(math.exp(u), T, t) for u in nodes])
     return complex(np.sum(wts * vals * np.exp(s * nodes)))
 
 
-def mellin_barnes_kk_numeric(s: complex, T: float, t: float,
-                             policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
+def mellin_barnes_kk_numeric(s: complex, T: float, t: float) -> complex:
     """int_0^inf x^s K_{iT}(x) K_{it}(x) dx/x by direct quadrature."""
     s = complex(s)
     if s.real <= 0:
         raise DomainError("the double-Bessel Mellin integral needs Re(s) > 0")
     u_hi = math.log(max(T, t, 1.0) + 55.0)
     bw = max(abs(s.imag), 2.0) + T + t + 3.0
-    nodes, wts = panel_nodes(-18.0, u_hi, bw, policy.bessel_freq_oversample,
+    nodes, wts = panel_nodes(-18.0, u_hi, bw, DEFAULT_POLICY.bessel_freq_oversample,
                              min_panels=24)
     x = np.exp(nodes)
-    vals = _scaled_kk(x, T, t, policy) * np.exp(s * nodes)
+    vals = _scaled_kk(x, T, t, DEFAULT_POLICY) * np.exp(s * nodes)
     return complex(np.exp(-0.5 * np.pi * (T + t)) * np.sum(wts * vals))
 
 

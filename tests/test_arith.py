@@ -71,6 +71,7 @@ class TestKloosterman:
         s2 = arith.kloosterman(m, n, c)
         assert s1 == pytest.approx(s2, abs=1e-7)
         weil = len(arith.divisors(c)) * math.sqrt(math.gcd(n, math.gcd(m, c)) * c)
+        assert arith.weil_bound(n, m, c) == weil
         assert abs(s1) <= weil + 1e-6
 
     def test_twisted_multiplicativity(self):

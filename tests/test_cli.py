@@ -1,5 +1,7 @@
 """CLI behavior: subcommands, CSV format, determinism, exit codes."""
 
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from eislab import moments
 from eislab.cli import main
+from eislab.eisenstein import SpectralSetup
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "maass_forms.csv"
 
@@ -75,9 +79,10 @@ class TestConfigFile:
         assert r.returncode == 0
         assert out.exists()
 
-    def test_bad_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["bogus", "alpha", "B"])
+    def test_bad_key_rejected(self, tmp_path, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 1\n")
+        cfg.write_text(f"{key} = 1\n")
         r = run_cli(["maass-selberg", "--config", str(cfg)])
         assert r.returncode == 2
 
@@ -113,6 +118,16 @@ def test_in_process_entry_point(tmp_path):
     code = main(["maass-selberg", "--T", "5", "--A", "1.5", "--out", str(out)])
     assert code == 0
     assert out.exists()
+
+
+def test_wrong_phase_second_moment_fails_both_commands(monkeypatch, tmp_path):
+    # the conjugate has the closed form's modulus; only a complex check sees it
+    res = moments.fourth_moment(SpectralSetup(T=10.0, A=1.5), tol=math.inf)
+    bad = dataclasses.replace(res, second_moment=res.second_moment.conjugate())
+    monkeypatch.setattr(moments, "fourth_moment", lambda setup, tol: bad)
+    for command in ("maass-selberg", "moment-sweep"):
+        assert main([command, "--T", "10", "--A", "1.5",
+                     "--out", str(tmp_path / "o.csv")]) == 1
 
 
 def test_invalid_values_exit_two():

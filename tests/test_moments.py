@@ -1,6 +1,7 @@
 """Fundamental-domain quadrature and the moment pipeline."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -112,6 +113,16 @@ class TestFourthMoment:
             res.report.value / res.report.prediction, rel=1e-15)
         assert res.const_projection_sq == pytest.approx(
             (3 / math.pi) * abs(res.second_moment) ** 2, rel=1e-12)
+
+    def test_second_moment_error_sees_the_phase(self):
+        closed = moments.maass_selberg_limit(10.0, 1.5)
+
+        def result(second):
+            return SimpleNamespace(second_moment=second, report=SimpleNamespace(T=10.0, A=1.5))
+
+        assert moments.second_moment_error(result(closed)) == (closed, 0.0)
+        # the conjugate has the right modulus and the wrong phase
+        assert moments.second_moment_error(result(closed.conjugate()))[1] > 1.0
 
     def test_ratio_sanity_band(self):
         for T in (10.0, 25.0):

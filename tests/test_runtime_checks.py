@@ -2,6 +2,8 @@
 
 ``assert`` statements are stripped under -O, so every check the package
 makes at run time must raise a typed ``eislab.errors`` exception instead.
+The same source scan keeps ``policy`` off public functions whose callers
+all use the default.
 """
 
 import ast
@@ -13,6 +15,35 @@ from pathlib import Path
 import eislab
 
 PACKAGE = Path(eislab.__file__).resolve().parent
+
+
+# the public functions whose ``policy`` some caller sets to a second value
+POLICY_TAKERS = {"bessel_k_scaled", "EisensteinEvaluator", "fourth_moment",
+                 "g_lower_incomplete"}
+
+
+def _functions(tree):
+    """(name, def) for module-level functions and class methods; a class's
+    ``__init__`` goes by the class name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = node.name if item.name == "__init__" else f"{node.name}.{item.name}"
+                    yield name, item
+
+
+def test_policy_parameter_only_where_a_caller_varies_it():
+    takers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text(), filename=str(path))):
+            params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            public = not any(part.startswith("_") for part in name.split("."))
+            if public and "policy" in {a.arg for a in params}:
+                takers.add(name)
+    assert takers == POLICY_TAKERS
 
 
 def test_package_has_no_assert_statements():

@@ -87,10 +87,8 @@ class TestAFE:
         assert abs(a - b) / abs(a) < 1e-5
 
     def test_contour_independence(self, pseudoform):
-        a = spectral.afe_pair(pseudoform, 3.0, weights.WeightContour(1.0, 20.0),
-                              tail_tol=1e-9)
-        b = spectral.afe_pair(pseudoform, 3.0, weights.WeightContour(2.0, 20.0),
-                              tail_tol=1e-9)
+        a = spectral.afe_pair(pseudoform, 3.0, sigma=1.0, tail_tol=1e-9)
+        b = spectral.afe_pair(pseudoform, 3.0, sigma=2.0, tail_tol=1e-9)
         assert abs(a - b) / abs(a) < 1e-7
 
     def test_odd_form_finite(self):
@@ -250,21 +248,17 @@ class TestDiagonal:
 
 class TestPredictionLedger:
     def test_exact_combination(self):
-        bump = weights.Bump(B=2.0, alpha=0.009, T=100.0)
-        led = spectral.prediction_ledger(100.0, bump)
+        led = spectral.prediction_ledger()
         assert led.combined == Fraction(36)
         assert led.matches
         assert 12 + 48 + 24 - 2 * 24 == 36
 
     def test_negative_control(self):
-        bump = weights.Bump(B=2.0, alpha=0.009, T=100.0)
-        led = spectral.prediction_ledger(100.0, bump,
-                                         cross_coefficient=Fraction(23))
+        led = spectral.prediction_ledger(cross_coefficient=Fraction(23))
         assert not led.matches
 
     def test_window_norm_numeric_positive(self):
         val = moments.h_window_norm_sq(SpectralSetup(T=10.0, A=2.0))
-        bump = weights.Bump(B=2.0, alpha=0.009, T=10.0)
-        led = spectral.prediction_ledger(10.0, bump, h_window_norm=val)
+        led = spectral.prediction_ledger(h_window_norm=val)
         assert led.h_window_norm_numeric > 0
         assert np.isfinite(led.h_window_norm_numeric)

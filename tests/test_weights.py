@@ -173,8 +173,8 @@ class TestContourWeights:
             assert max(abs(vp), abs(vm)) <= 100.0 * env
 
     def test_vcal_contour_independence(self, bump50):
-        c1 = weights.weight_Vcal_pm(2.0, 60.0, 50.0, bump50, WeightContour(0.5, 1e9))
-        c2 = weights.weight_Vcal_pm(2.0, 60.0, 50.0, bump50, WeightContour(1.5, 1e9))
+        c1 = weights.weight_Vcal_pm(2.0, 60.0, 50.0, bump50, sigma=0.5)
+        c2 = weights.weight_Vcal_pm(2.0, 60.0, 50.0, bump50, sigma=1.5)
         assert abs(c1.plus / c2.plus - 1) < 1e-7
         assert abs(c1.minus / c2.minus - 1) < 1e-7
 
@@ -183,15 +183,14 @@ class TestContourWeights:
         # sigma-agreement there is measured against the family scale (the
         # pointwise ratio sits at the double-precision cancellation floor)
         base = abs(weights.weight_Vcal_pm(1.0, 60.0, 50.0, bump50).plus)
-        c1 = weights.weight_Vcal_pm(10.0, 60.0, 50.0, bump50, WeightContour(0.5, 1e9))
-        c2 = weights.weight_Vcal_pm(10.0, 60.0, 50.0, bump50, WeightContour(1.5, 1e9))
+        c1 = weights.weight_Vcal_pm(10.0, 60.0, 50.0, bump50, sigma=0.5)
+        c2 = weights.weight_Vcal_pm(10.0, 60.0, 50.0, bump50, sigma=1.5)
         assert abs(c1.plus - c2.plus) < 1e-7 * base
         assert abs(c1.minus - c2.minus) < 1e-7 * base
 
     def test_vcal_support_window(self, bump50):
         base = weights.weight_Vcal_pm(1.0, 60.0, 50.0, bump50)
-        far = weights.weight_Vcal_pm(50.0 ** 1.2, 60.0, 50.0, bump50,
-                                     WeightContour(35.0, 1e9))
+        far = weights.weight_Vcal_pm(50.0 ** 1.2, 60.0, 50.0, bump50, sigma=35.0)
         assert abs(far.plus) < 1e-10 * abs(base.plus)
         assert abs(far.minus) < 1e-10 * abs(base.minus)
 

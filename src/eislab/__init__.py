@@ -24,7 +24,7 @@ from eislab.errors import (
     ValidationError,
     MissingEigenvalueError,
 )
-from eislab.specfun import PrecisionPolicy, StirlingOrder
+from eislab.specfun import PrecisionPolicy
 
 __version__ = "0.1.0"
 
@@ -36,6 +36,5 @@ __all__ = [
     "ValidationError",
     "MissingEigenvalueError",
     "PrecisionPolicy",
-    "StirlingOrder",
     "__version__",
 ]

@@ -26,7 +26,6 @@ from eislab.specfun import (
     stirling_gamma_log,
     xi_log,
     zeta,
-    StirlingOrder,
 )
 
 DATA_DIR = Path(__file__).resolve().parents[2] / "data"
@@ -295,9 +294,9 @@ def criterion_10() -> CriterionResult:
     z2 = abs(zeta(2.0) - math.pi ** 2 / 6.0)
     k0 = abs(bessel_k_scaled(0.0, 1.0) - 0.42102443824070834)
     ok_ref = z2 <= 1e-9 and k0 <= 1e-9
-    dev100 = abs(np.exp(stirling_gamma_log(0.5, 100.0, StirlingOrder(0))
+    dev100 = abs(np.exp(stirling_gamma_log(0.5, 100.0)
                         - log_gamma(0.5 + 100.0j)) - 1.0)
-    dev1000 = abs(np.exp(stirling_gamma_log(0.5, 1000.0, StirlingOrder(0))
+    dev1000 = abs(np.exp(stirling_gamma_log(0.5, 1000.0)
                          - log_gamma(0.5 + 1000.0j)) - 1.0)
     ok_st = dev100 / dev1000 >= 8.0
     ok = ok_fe and ok_c and ok_ref and ok_st
@@ -312,7 +311,7 @@ ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 QUICK_SUBSET = {2, 3, 7, 10}
 
 
-def run_all(quick: bool = False, emit=print):
+def run_all(quick: bool = False):
     results = []
     for fn in ALL_CRITERIA:
         number = int(fn.__name__.split("_")[1])
@@ -321,6 +320,6 @@ def run_all(quick: bool = False, emit=print):
         res = fn()
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
-        emit(f"[{status}] criterion {res.number:2d} ({res.name}) "
-             f"[{res.seconds:.1f}s] {res.detail}")
+        print(f"[{status}] criterion {res.number:2d} ({res.name}) "
+              f"[{res.seconds:.1f}s] {res.detail}")
     return results

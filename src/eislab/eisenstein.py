@@ -242,12 +242,14 @@ class RealSEvaluator:
         return vals.astype(complex)
 
 
-def lattice_sum_reference(z: Point, s: float, bound: int = 120) -> float:
+def lattice_sum_reference(z: Point, s: float) -> float:
     """Brute-force (1/2) sum over coprime (c, d) of y^s / |cz+d|^(2s).
 
-    Converges for real s > 1; used only to validate the real-s coefficient
-    path at heights where the constant term dominates.
+    The sum is cut at |c|, |d| <= 120.  Converges for real s > 1; used only
+    to validate the real-s coefficient path at heights where the constant
+    term dominates.
     """
+    bound = 120
     total = 0.0
     zz = z.z
     for c in range(-bound, bound + 1):

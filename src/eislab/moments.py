@@ -372,8 +372,7 @@ class SmoothedMomentResult:
     reports: tuple        # per-node MomentReports
 
 
-def smoothed_fourth_moment(setup: SpectralSetup, bump, *,
-                           n_nodes: int = 6) -> SmoothedMomentResult:
+def smoothed_fourth_moment(setup: SpectralSetup, bump) -> SmoothedMomentResult:
     """Average of the fourth moment against the bump in the truncation height.
 
     Also computes the three-band split of hhat(0) ||E_B||_4^4 at the bump's
@@ -387,7 +386,7 @@ def smoothed_fourth_moment(setup: SpectralSetup, bump, *,
     if abs(bump.B - setup.B) > 1e-12 or abs(bump.T - setup.T) > 1e-12:
         raise DomainError("bump and setup disagree on (B, T)")
     delta = bump.half_width
-    nodes, wts = gl_nodes(bump.B - delta, bump.B + delta, n_nodes)
+    nodes, wts = gl_nodes(bump.B - delta, bump.B + delta, 4)
     reports = []
     acc = 0.0
     for A_i, w_i in zip(nodes, wts):

@@ -2,7 +2,7 @@
 
 Everything here goes through mpmath at elevated working precision and, where
 it matters, through *different* algorithms than the production code uses
-(downward gamma recurrence instead of shifted Stirling, tanh-sinh quadrature
+(downward gamma recurrence instead of scipy's loggamma, tanh-sinh quadrature
 instead of panel Gauss-Legendre, hypergeometric Bessel series instead of
 rotated contours).  Production code never imports this module; it exists
 solely to anchor the test suite.

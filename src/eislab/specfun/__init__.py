@@ -1,11 +1,9 @@
 """Complex special functions underpinning the whole laboratory."""
 
-from eislab.specfun.policy import DEFAULT_POLICY, PrecisionPolicy, StirlingOrder
+from eislab.specfun.policy import DEFAULT_POLICY, PrecisionPolicy
 from eislab.specfun.gamma import (
     digamma,
-    gamma,
     log_gamma,
-    stirling_gamma,
     stirling_gamma_log,
     stirling_gamma_main_log,
 )
@@ -30,11 +28,8 @@ from eislab.specfun.bessel import (
 __all__ = [
     "DEFAULT_POLICY",
     "PrecisionPolicy",
-    "StirlingOrder",
     "digamma",
-    "gamma",
     "log_gamma",
-    "stirling_gamma",
     "stirling_gamma_log",
     "stirling_gamma_main_log",
     "phi_log",

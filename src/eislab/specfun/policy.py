@@ -20,15 +20,4 @@ class PrecisionPolicy:
             raise ValueError("bessel_freq_oversample must be >= 4")
 
 
-@dataclass(frozen=True)
-class StirlingOrder:
-    """Number of 1/t correction terms retained in the large-t gamma expansion."""
-
-    n: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.n <= 8):
-            raise ValueError(f"StirlingOrder.n must lie in [0, 8], got {self.n}")
-
-
 DEFAULT_POLICY = PrecisionPolicy()

@@ -87,9 +87,9 @@ def bump_h(A, bump: Bump):
     return out if out.ndim else float(out)
 
 
-def bump_h_derivative(A, bump: Bump, k: int = 1, rel_step: float = 1e-3):
+def bump_h_derivative(A, bump: Bump, k: int = 1):
     """k-th derivative of h by central differences (diagnostic use)."""
-    h = bump.half_width * rel_step
+    h = bump.half_width * 2e-4
     A = float(A)
     if k == 0:
         return float(bump_h(A, bump))
@@ -282,9 +282,9 @@ def _g_ratio_log(w, t: float, T: float, a: float, sign_T: float):
     return num - den
 
 
-def g_ratio(w, t: float, T: float, a: float = 0.5, sign: float = +1.0):
-    """The shifted/unshifted Gamma_R ratio G_{sign, a}(w, t), vectorized in w."""
-    return np.exp(_g_ratio_log(w, t, T, a, sign))
+def g_ratio(w, t: float, T: float, a: float = 0.5):
+    """The shifted/unshifted Gamma_R ratio G_{+, a}(w, t), vectorized in w."""
+    return np.exp(_g_ratio_log(w, t, T, a, +1.0))
 
 
 def contour_weights(xs: np.ndarray, t: float, T: float, a: float, sigma: float,
@@ -433,8 +433,6 @@ def g_lower_incomplete(x: float, T: float, t: float,
     """
     if x <= 0:
         raise DomainError("g needs x > 0")
-    if x < 1e-4:
-        warnings.warn("g(x) converges slowly for tiny x", stacklevel=2)
     y_hi = max(x, T, t) + 55.0
     bw = 2.0 * T + t + 3.0
     nodes, wts = panel_nodes(math.log(x), math.log(y_hi), bw,

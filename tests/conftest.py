@@ -18,5 +18,4 @@ def _quiet_bulk_warnings():
     # probe the weights away from the asymptotic window
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*outside the bulk range.*")
-        warnings.filterwarnings("ignore", message=".*converges slowly.*")
         yield

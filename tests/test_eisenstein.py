@@ -164,7 +164,7 @@ class TestRealS:
         ev = RealSEvaluator(2.0)
         z = Point(0.3, 10.0)
         got = ev.eval_row(10.0, [0.3])[0].real
-        ref = lattice_sum_reference(z, 2.0, bound=120)
+        ref = lattice_sum_reference(z, 2.0)
         # the lattice tail at bound 120 is ~4e-6 relative
         assert got == pytest.approx(ref, rel=2e-5)
 

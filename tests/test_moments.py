@@ -144,7 +144,7 @@ class TestFourthMoment:
 def smoothed():
     setup = SpectralSetup(T=10.0, A=2.0, B=2.0, alpha=0.009)
     bump = Bump(B=2.0, alpha=0.009, T=10.0)
-    return setup, bump, moments.smoothed_fourth_moment(setup, bump, n_nodes=4)
+    return setup, bump, moments.smoothed_fourth_moment(setup, bump)
 
 
 class TestSmoothedMoment:

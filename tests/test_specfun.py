@@ -11,13 +11,11 @@ from eislab import oracles
 from eislab.errors import DomainError, PoleError
 from eislab.specfun import (
     PrecisionPolicy,
-    StirlingOrder,
     bessel_k_scaled,
     digamma,
     kuznetsov_kernel,
     log_gamma,
     scattering,
-    stirling_gamma,
     stirling_gamma_log,
     xi,
     xi_log,
@@ -27,6 +25,18 @@ from eislab.specfun import (
 )
 
 EULER_GAMMA = 0.5772156649015329
+
+
+def _box_sample(n=100, seed=4):
+    """Seeded arguments with Re z in [-2.5, 4] and |Im z| <= 2500.
+
+    |Im z| is log-uniform on [0.01, 2500], so small and large heights are
+    both covered.
+    """
+    rng = np.random.default_rng(seed)
+    re = rng.uniform(-2.5, 4.0, n)
+    im = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-2.0, math.log10(2500.0), n)
+    return list(re + 1j * im)
 
 
 class TestLogGamma:
@@ -44,18 +54,21 @@ class TestLogGamma:
         assert abs(got - ref) < 1e-12 * abs(ref)
 
     def test_against_recurrence_oracle_samples(self):
-        for z in [2.5 - 7j, 0.25 + 100j, 5.0 + 0.1j, 0.75 - 300j]:
+        for z in [2.5 - 7j, 0.25 + 100j, 5.0 + 0.1j, 0.75 - 300j] + _box_sample():
             ref = oracles.hp_log_gamma(z)
             assert abs(log_gamma(z) - ref) < 1e-12 * max(1.0, abs(ref))
 
     def test_left_half_plane_principal(self):
-        from scipy.special import loggamma as scipy_lg
         for z in [-1.5 + 0.5j, -2.3 - 4j, -0.25 + 12j]:
-            assert abs(log_gamma(z) - scipy_lg(z)) < 1e-11
+            assert abs(log_gamma(z) - oracles.hp_log_gamma(z)) < 1e-11
 
     def test_pole_raises(self):
-        with pytest.raises(PoleError):
-            log_gamma(-3.0)
+        # scipy alone returns nan at a pole; the wrappers must raise, for a
+        # scalar and for an array holding one pole among regular points
+        for fn in (log_gamma, digamma):
+            for z in (-3.0, np.array([0.5 + 1j, 2.0, -4.0, -1.5])):
+                with pytest.raises(PoleError):
+                    fn(z)
 
     @given(st.complex_numbers(min_magnitude=0.3, max_magnitude=50,
                               allow_infinity=False, allow_nan=False))
@@ -78,38 +91,32 @@ class TestDigamma:
         assert abs(digamma(0.5 + 100j).real - math.log(100)) < 1e-3
 
     def test_against_oracle(self):
-        for z in [0.5 + 7j, 3.0 - 2j, -1.2 + 0.4j]:
+        for z in [0.5 + 7j, 3.0 - 2j, -1.2 + 0.4j] + _box_sample():
             assert abs(digamma(z) - oracles.hp_digamma(z)) < 1e-11
 
 
 class TestStirlingGamma:
     def test_order_zero_error_bound(self):
         ex = log_gamma(0.5 + 100j)
-        ap = stirling_gamma_log(0.5, 100.0, StirlingOrder(0))
+        ap = stirling_gamma_log(0.5, 100.0)
         rel = abs(np.exp(ap - ex) - 1.0)
         assert rel <= 2 * (abs(0.5 + 1) ** 2 / 100)
 
     def test_error_decays_like_one_over_t(self):
         devs = {}
         for t in (100.0, 1000.0):
-            rel = abs(np.exp(stirling_gamma_log(0.5, t, StirlingOrder(0))
+            rel = abs(np.exp(stirling_gamma_log(0.5, t)
                              - log_gamma(0.5 + 1j * t)) - 1.0)
             devs[t] = rel
         assert devs[100.0] / devs[1000.0] >= 8.0
 
-    def test_corrections_improve(self):
-        ex = log_gamma(0.5 + 100j)
-        rels = [abs(np.exp(stirling_gamma_log(0.5, 100.0, StirlingOrder(N)) - ex) - 1.0)
-                for N in (0, 1, 2)]
-        assert rels[0] > rels[1] > rels[2]
-
     def test_negative_t_conjugate(self):
-        v = stirling_gamma(0.5, -100.0)
-        assert v == pytest.approx(np.conj(stirling_gamma(0.5, 100.0)), rel=1e-12)
+        v = np.exp(stirling_gamma_log(0.5, -100.0))
+        assert v == pytest.approx(np.conj(np.exp(stirling_gamma_log(0.5, 100.0))), rel=1e-12)
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
-            stirling_gamma(0.5, 1.0)
+            stirling_gamma_log(0.5, 1.0)
 
 
 class TestZeta:
@@ -277,5 +284,3 @@ class TestKuznetsovKernel:
 def test_precision_policy_invariants():
     with pytest.raises(ValueError):
         PrecisionPolicy(bessel_freq_oversample=2.0)
-    with pytest.raises(ValueError):
-        StirlingOrder(9)

@@ -1,12 +1,14 @@
 """Smoothing bumps, windows, gamma-ratio and contour weights, Mellin pairs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from eislab import oracles, weights
 from eislab.errors import DomainError
+from eislab.specfun import PrecisionPolicy
 from eislab.weights import Bump, WeightContour
 
 
@@ -35,7 +37,7 @@ class TestBump:
         us = np.linspace(bump50.B - 0.95 * bump50.half_width,
                          bump50.B + 0.95 * bump50.half_width, 41)
         for k, bound in c_k.items():
-            worst = max(abs(weights.bump_h_derivative(float(a), bump50, k, 2e-4))
+            worst = max(abs(weights.bump_h_derivative(float(a), bump50, k))
                         for a in us)
             assert worst <= bound * (50.0 ** (k * 0.009 / 2))
 
@@ -145,8 +147,8 @@ class TestGammaRatioWeights:
         # |G_(1/2) - G_(3/2)| at fixed w shrinks like 1/t
         w = np.array([0.1 + 0.3j])
         for t in (50.0, 100.0, 200.0):
-            d = abs(weights.g_ratio(w, t, t, 0.5, +1.0)[0]
-                    - weights.g_ratio(w, t, t, 1.5, +1.0)[0])
+            d = abs(weights.g_ratio(w, t, t, 0.5)[0]
+                    - weights.g_ratio(w, t, t, 1.5)[0])
             assert d <= 1.5 / t
 
 
@@ -226,6 +228,16 @@ class TestMellinPair:
     def test_g_pair_api(self):
         g_num, G_closed = weights.g_mellin_pair(2.0, 1.0 + 0j, 5.0, 3.0)
         assert np.isfinite(g_num) and np.isfinite(G_closed)
+
+    def test_g_tiny_x_converged_without_warning(self):
+        # the log-variable quadrature is already converged far below x = 1e-4:
+        # doubling the node density moves g(1e-7) by rounding only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = weights.g_lower_incomplete(1e-7, 3.0, 5.0)
+        g_fine = weights.g_lower_incomplete(
+            1e-7, 3.0, 5.0, PrecisionPolicy(bessel_freq_oversample=16.0))
+        assert abs(g - g_fine) <= 1e-12 * abs(g_fine)
 
     def test_g_exponential_decay(self):
         # |g(x)| <= C_T e^{-x} on samples

@@ -16,8 +16,12 @@ from eislab.specfun import bessel_k_scaled, kuznetsov_kernel
 def main() -> int:
     t0 = time.time()
     worst_k = 0.0
-    for T in (0.0, 5.0, 30.0, 100.0, 200.0, 300.0):
-        for y in (0.5, 5.0, 0.6 * T + 1, max(T - 2, 1.0), T + 1, T + 30, 2 * T + 50):
+    # T = 104 and 106 straddle T = 104.8, above which the horizontal leg is
+    # empty; y = 1.5e-8 and 1e-4 are the small arguments of the Mellin paths
+    for T in (0.0, 5.0, 30.0, 100.0, 104.0, 106.0, 200.0, 300.0):
+        small_y = (1.5e-8, 1e-4) if T <= 30.0 else ()
+        for y in small_y + (0.5, 5.0, 0.6 * T + 1, max(T - 2, 1.0), T + 1, T + 30,
+                            2 * T + 50):
             got = bessel_k_scaled(T, y)
             ref = oracles.hp_bessel_k_scaled_fast(T, y)
             if abs(ref) > 1e-250:

@@ -66,13 +66,21 @@ def hp_bessel_k_scaled(T: float, y: float, dps: int = 40) -> float:
 
     The working precision absorbs the cancellation of the real-axis form, so
     this is a genuinely independent check on the rotated-contour production
-    path.
+    path.  Checked against ``hp_bessel_k_scaled_fast`` to 1e-12 relative on
+    a grid over 0 <= T <= 200, 1e-8 <= y <= 700.  The range is split into
+    panels no longer than one period of cos(T u), the width 1/sqrt(y) of the
+    peak at u = 0, and 1, so the cost grows like T log(1/y): seconds at
+    T = 50, minutes at T = 200, y = 1e-3.
     """
     extra = int(0.7 * T) + 10  # cancellation costs ~ (pi/2) T / ln(10) digits
     with mp.workdps(dps + extra):
-        f = lambda u: mp.exp(-y * mp.cosh(u)) * mp.cos(T * u)
-        umax = mp.acosh((mp.mpf(10) ** (dps + extra) + abs(y)) / y) if y < 1e300 else 1
-        val = mp.quad(f, [0, umax]) * mp.exp(mp.pi * T / 2)
+        # scaled by e^y so the peak is 1: mp.quad's error tolerance is absolute
+        f = lambda u: mp.exp(-2 * y * mp.sinh(u / 2) ** 2) * mp.cos(T * u)
+        # the integrand falls 10^-(dps+extra) below its peak at umax
+        umax = mp.acosh(1 + (dps + extra) * mp.log(10) / y)
+        step = min(1.0, 1.0 / y ** 0.5, 2 * mp.pi / T if T > 0 else 1.0)
+        pts = mp.linspace(0, umax, int(mp.ceil(umax / step)) + 1)
+        val = mp.quad(f, pts) * mp.exp(mp.pi * T / 2 - y)
         return float(mp.re(val))
 
 

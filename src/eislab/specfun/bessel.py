@@ -26,8 +26,17 @@ of precision to cancellation once T is past ~25):
 
 Step control is frequency-aware in both paths: composite Gauss-Legendre
 panels sized to the local bandwidth with ``policy.bessel_freq_oversample``
-nodes per oscillation, cut off where the damped exponent passes
-``_EXP_CUTOFF``.
+nodes per oscillation.  Two separate thresholds bound the work:
+
+* each unbounded leg (the horizontal one, and the saddle-shifted real leg)
+  ends where its integrand is e^-45 (``_TAIL_CUT``, 2.9e-20) below the
+  result's own scale; the panels are sized for the bandwidth at the leg's
+  far end, so a longer leg costs nodes along its whole length.  For
+  T >= 104.8 the horizontal leg would start past its end and is skipped;
+
+* a decay-range value whose scale e^(T arccos(T/y) - sqrt(y^2-T^2)) is
+  below e^-745 (``_FLOOR_EXP``, the double-precision underflow) is
+  returned as 0.0, an absolute floor under 1e-280.
 
 Kuznetsov kernel
 ----------------
@@ -52,7 +61,8 @@ from eislab.errors import DomainError
 from eislab.quadrature import panel_nodes
 from eislab.specfun.policy import DEFAULT_POLICY, PrecisionPolicy
 
-_EXP_CUTOFF = 700.0  # exp(-x) is treated as zero past this argument
+_FLOOR_EXP = 745.0  # e^-745 ~ 5e-324: a result whose scale is below it is 0.0
+_TAIL_CUT = 45.0    # a leg ends where its integrand is e^-45 below the result's scale
 
 
 def _k_scaled_oscillatory(T: float, y: float, policy: PrecisionPolicy) -> float:
@@ -71,7 +81,7 @@ def _k_scaled_oscillatory(T: float, y: float, policy: PrecisionPolicy) -> float:
     theta = T * (u1 - 1j * n) - y * np.sinh(u1 - 1j * n)
     total += float(np.real(np.sum(w * np.exp(1j * theta) * (-1j))))
     # horizontal leg u = x - i pi/2: integrand e^{iTx} e^{T pi/2 - y cosh x}
-    cap = (T * np.pi / 2 + _EXP_CUTOFF + 45.0) / y
+    cap = (T * np.pi / 2 + _TAIL_CUT) / y
     if cap > np.cosh(u1):
         xmax = float(np.arccosh(cap))
         bw_h = T + y * np.sinh(xmax)
@@ -85,9 +95,9 @@ def _k_scaled_decay(T: float, y: float, policy: PrecisionPolicy) -> float:
     os = policy.bessel_freq_oversample
     p = float(np.sqrt((y - T) * (y + T)))
     pref = T * float(np.arccos(T / y)) if T > 0 else 0.0
-    if pref - p < -(_EXP_CUTOFF + 45.0):
+    if pref - p < -_FLOOR_EXP:
         return 0.0  # below the 1e-280 absolute floor
-    chmax = 1.0 + (_EXP_CUTOFF + 45.0 + max(pref - p, 0.0)) / p
+    chmax = 1.0 + (_TAIL_CUT + max(pref - p, 0.0)) / p
     umax = float(np.arccosh(chmax))
     bw = p * np.sinh(umax) + T * (np.cosh(umax) - 1.0)
     n, w = panel_nodes(0.0, umax, bw, os)
@@ -101,7 +111,9 @@ def bessel_k_scaled(T: float, y: float, policy: PrecisionPolicy = DEFAULT_POLICY
     Relative error below 1e-9 wherever the value exceeds ~1e-280, as
     surveyed against mpmath's besselk by scripts/kernel_accuracy_survey.py;
     below that scale the absolute error is under 1e-280 (the value may
-    underflow to exactly 0).
+    underflow to exactly 0).  The contour legs are truncated relative to
+    the result, where the integrand is e^-45 below its scale, and the
+    1e-280 floor is a separate, absolute cut.
     """
     if y <= 0.0:
         raise DomainError(f"bessel_k_scaled requires y > 0, got {y}")

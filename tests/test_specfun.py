@@ -1,6 +1,8 @@
 """Special-function substrate tests, anchored to independent oracles."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,11 +233,23 @@ class TestBesselK:
         ref = oracles.hp_bessel_k_scaled_fast(30.0, 200.0)
         assert abs(v - ref) < 1e-8 * abs(ref)
 
+    # the last eight cover the legs that end e^-45 below the result: the
+    # Mellin paths' tiny y, both ends of the moment-sweep mode range, and both
+    # sides of T = 104.8, above which the horizontal leg is empty
     @pytest.mark.parametrize("T,y", [(5.0, 1.0), (30.0, 10.0), (100.0, 99.5),
-                                     (150.0, 5.0), (300.0, 310.0), (10.0, 60.0)])
+                                     (150.0, 5.0), (300.0, 310.0), (10.0, 60.0),
+                                     (0.0, 1.5e-8), (3.0, 1.5e-8), (3.0, 58.0),
+                                     (49.5, 5.44), (49.5, 126.8), (104.0, 50.0),
+                                     (106.0, 50.0), (106.0, 0.3)])
     def test_against_oracle(self, T, y):
         ref = oracles.hp_bessel_k_scaled_fast(T, y)
         assert abs(bessel_k_scaled(T, y) - ref) < 1e-10 * max(abs(ref), 1e-280)
+
+    @pytest.mark.parametrize("T,y", [(0.0, 132.6), (10.0, 126.8), (24.9, 0.0548),
+                                     (3.0, 1.5e-8)])
+    def test_quadrature_oracle_agrees_with_besselk(self, T, y):
+        ref = oracles.hp_bessel_k_scaled_fast(T, y)
+        assert abs(oracles.hp_bessel_k_scaled(T, y) - ref) < 1e-12 * abs(ref)
 
     def test_doubled_resolution_agreement(self):
         dense = PrecisionPolicy(bessel_freq_oversample=16.0)
@@ -248,6 +262,16 @@ class TestBesselK:
     def test_domain(self):
         with pytest.raises(DomainError):
             bessel_k_scaled(5.0, -1.0)
+
+
+def test_kernel_accuracy_survey_passes():
+    # scripts/kernel_accuracy_survey.py exits 0 when both kernels stay below
+    # 1e-9 relative to mpmath over its whole (order, argument) grid
+    path = Path(__file__).resolve().parents[1] / "scripts" / "kernel_accuracy_survey.py"
+    spec = importlib.util.spec_from_file_location("kernel_accuracy_survey", path)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    assert survey.main() == 0
 
 
 class TestKuznetsovKernel:

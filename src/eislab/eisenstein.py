@@ -81,6 +81,58 @@ class SpectralSetup:
 _FLOOR_Y = math.sqrt(3.0) / 2.0
 
 
+def moment_y_max(setup: SpectralSetup) -> float:
+    """Top of the moment grid: the modes of E_A are negligible above it."""
+    T = setup.T
+    return setup.A + (T + 20.0 * T ** (1.0 / 3.0)) / (2.0 * math.pi) + 5.0
+
+
+_CHEB_DEG = 24       # polynomial degree of every table panel
+_CHEB_TOL = 1e-14    # stop rule: a panel's last three coefficients, relative to the peak
+_CHEB_MIN_WIDTH = 2.0 ** -6  # far below the table's K_{iT} wavelengths, >= 34 / T
+_CHEB_THETA = np.pi * (np.arange(_CHEB_DEG + 1) + 0.5) / (_CHEB_DEG + 1)
+_CHEB_FIT = (2.0 / (_CHEB_DEG + 1)) * np.cos(np.outer(np.arange(_CHEB_DEG + 1), _CHEB_THETA))
+_CHEB_FIT[0] *= 0.5
+
+
+class ChebyshevTable:
+    """Piecewise degree-24 Chebyshev interpolant of a scalar f on [lo, hi].
+
+    Panels are bisected until their last three coefficients are at most
+    1e-14 of the running peak |f| (Trefethen, ATAP, ch. 8), which only
+    grows; a failing panel narrower than 2^-6 raises ConvergenceError.
+    """
+
+    def __init__(self, f, lo: float, hi: float):
+        todo = [(lo, hi)]
+        edges, coefs = [lo], []
+        self.peak = 0.0
+        while todo:  # depth first, left half first, so panels come out in order
+            a, b = todo.pop()
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            vals = np.array([f(mid + half * t) for t in np.cos(_CHEB_THETA)])
+            self.peak = max(self.peak, float(np.max(np.abs(vals))))
+            coef = _CHEB_FIT @ vals
+            if np.max(np.abs(coef[-3:])) <= _CHEB_TOL * self.peak:
+                edges.append(b)
+                coefs.append(coef)
+            elif b - a < _CHEB_MIN_WIDTH:
+                raise ConvergenceError(f"Chebyshev table: panel [{a:.17g}, {b:.17g}] "
+                                       f"still fails the {_CHEB_TOL:.0e} coefficient rule")
+            else:
+                todo += [(mid, b), (a, mid)]
+        self.edges = np.array(edges)
+        self.coefs = np.array(coefs)
+
+    def __call__(self, x) -> np.ndarray:
+        """The interpolant at an array of x in [lo, hi]."""
+        i = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, len(self.coefs) - 1)
+        a, b = self.edges[i], self.edges[i + 1]
+        t = np.clip((x - 0.5 * (a + b)) / (0.5 * (b - a)), -1.0, 1.0)
+        basis = np.cos(np.arccos(t)[:, None] * np.arange(_CHEB_DEG + 1))
+        return np.einsum("ij,ij->i", self.coefs[i], basis)
+
+
 def reduce(z: Point):
     """Reduce z to the standard fundamental domain {|x| <= 1/2, |z| >= 1}.
 
@@ -118,9 +170,12 @@ def apply_matrix(mat, z: Point) -> Point:
 class EisensteinEvaluator:
     """Critical-line Eisenstein series for one (T, A).
 
-    Evaluation mutates the object: the divisor table ``_tau`` is resized when
-    a row needs more modes, and ``_bessel_cache`` memoises mode coefficients
-    per height.  Concurrent callers must not share one evaluator unlocked.
+    Rows on the moment grid, sqrt(3)/2 <= y <= ``moment_y_max(setup)``, take
+    their modes from one ``ChebyshevTable`` of ``bessel_k_scaled(T, .)``,
+    accurate to about 1e-14 of the peak |K| and built on the first such row;
+    rows at other heights call ``bessel_k_scaled`` once per mode.  Evaluation
+    mutates the object (the table, and ``_tau`` grows when a row needs more
+    modes), so concurrent callers must not share one evaluator unlocked.
     """
 
     def __init__(self, setup: SpectralSetup, policy: PrecisionPolicy = DEFAULT_POLICY):
@@ -135,7 +190,8 @@ class EisensteinEvaluator:
         self.cutoff_margin = T + 10.0 * T ** (1.0 / 3.0) + 40.0
         n_top = self.n_max(_FLOOR_Y)
         self._tau = tau_gen_many(max(n_top, 1), T)
-        self._bessel_cache: dict = {}
+        self._y_top = moment_y_max(setup)
+        self._k_table: ChebyshevTable | None = None
 
     def n_max(self, y: float) -> int:
         """Fourier cutoff: K_{iT}(2 pi n y) is negligible past this index."""
@@ -151,21 +207,21 @@ class EisensteinEvaluator:
 
     def _mode_coefficients(self, y: float) -> np.ndarray:
         """Coefficient of e(n x) + e(-n x) for n = 1..n_max at height y."""
-        key = round(y, 15)
-        hit = self._bessel_cache.get(key)
-        if hit is not None:
-            return hit
         T = self.setup.T
         nm = self.n_max(y)
         if nm >= len(self._tau):
             self._tau = tau_gen_many(nm, T)
-        ns = np.arange(1, nm + 1)
-        ks = np.array([bessel_k_scaled(T, 2.0 * math.pi * n * y, self.policy)
-                       for n in ns])
-        coef = self.mode_prefactor * math.sqrt(y) * self._tau[1:nm + 1] * ks
-        if len(self._bessel_cache) < 4096:
-            self._bessel_cache[key] = coef
-        return coef
+        args = 2.0 * math.pi * np.arange(1, nm + 1) * y
+        if _FLOOR_Y <= y <= self._y_top:
+            # 2 pi n_max(y) y < cutoff_margin + 2 pi y, so the row lies in the table
+            if self._k_table is None:
+                self._k_table = ChebyshevTable(
+                    lambda u: bessel_k_scaled(T, u, self.policy), 2.0 * math.pi * _FLOOR_Y,
+                    self.cutoff_margin + 2.0 * math.pi * self._y_top)
+            ks = self._k_table(args)
+        else:
+            ks = np.array([bessel_k_scaled(T, u, self.policy) for u in args])
+        return self.mode_prefactor * math.sqrt(y) * self._tau[1:nm + 1] * ks
 
     def eval_row(self, y: float, xs) -> np.ndarray:
         """Full E(x + iy, 1/2 + iT) for an array of x at one height y."""

@@ -41,9 +41,10 @@ from eislab.eisenstein import (
     Point,
     RealSEvaluator,
     SpectralSetup,
+    moment_y_max,
 )
 from eislab.errors import DegenerateParameterError, DomainError, ToleranceError
-from eislab.quadrature import gl_nodes, pairwise_sum
+from eislab.quadrature import composite_gl, gl_nodes, pairwise_sum
 from eislab.specfun import (
     DEFAULT_POLICY,
     PrecisionPolicy,
@@ -146,23 +147,13 @@ def _integrate_grid(row_fn, grid: QuadratureGrid, *, oversample: float,
                                8.0 / (b - a))
                 order = 12
                 npanels = max(1, int(math.ceil((b - a) * per_unit / order)))
-                xs, xw = _composite_gl(a, b, npanels, order)
+                xs, xw = composite_gl(a, b, npanels, order)
                 vals = np.atleast_2d(row_fn(yy, xs))
                 contrib = (vals @ xw) * (mult * wy / (yy * yy))
                 acc = contrib if acc is None else acc + contrib
         return acc if acc is not None else np.zeros(1, dtype=complex)
 
     return pairwise_sum([do_panel(p) for p in grid.panels])
-
-
-def _composite_gl(a: float, b: float, npanels: int, order: int):
-    xs_list, ws_list = [], []
-    edges = np.linspace(a, b, npanels + 1)
-    for pa, pb in zip(edges[:-1], edges[1:]):
-        x, w = gl_nodes(pa, pb, order)
-        xs_list.append(x)
-        ws_list.append(w)
-    return np.concatenate(xs_list), np.concatenate(ws_list)
 
 
 def integrate_rows(row_fn, y_max: float, *, y_bandwidth, x_bandwidth,
@@ -253,11 +244,6 @@ def maass_selberg_limit(T: float, A: float) -> complex:
 # moments of the truncated series
 # ---------------------------------------------------------------------------
 
-def _moment_y_max(setup: SpectralSetup) -> float:
-    T = setup.T
-    return setup.A + (T + 20.0 * T ** (1.0 / 3.0)) / (2.0 * math.pi) + 5.0
-
-
 def _integrate_moment(row_fn, setup: SpectralSetup, ev: EisensteinEvaluator,
                       power: float, splits):
     """``integrate_rows`` on the moment grid of E_A at height setup.T.
@@ -269,7 +255,7 @@ def _integrate_moment(row_fn, setup: SpectralSetup, ev: EisensteinEvaluator,
     """
     T = setup.T
     return integrate_rows(
-        row_fn, _moment_y_max(setup),
+        row_fn, moment_y_max(setup),
         y_bandwidth=lambda y: 4.0 * T / y + 8.0,
         x_bandwidth=lambda y: 2.0 * math.pi * power * ev.n_max(y),
         splits=splits, even_in_x=True, oversample=ev.policy.bessel_freq_oversample)
@@ -282,6 +268,8 @@ class FourthMomentResult:
     second_moment: complex                # int_F E_A(z, 1/2+iT)^2 dmu
     const_projection_sq: float            # (3/pi) |int E_A^2|^2
     const_projection_prediction: float    # (12/pi) log^2 T
+    gaussian_prediction: float            # 3 const_projection_sq = (9/pi) |int E_A^2|^2
+    gaussian_ratio: float                 # p = 4 value / gaussian_prediction
 
 
 def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
@@ -290,7 +278,8 @@ def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
 
     The p = 4 value integrates |E_A|^4; the companion second moment
     integrates E_A^2 (complex) and must reproduce the closed-form limit.
-    Predictions: (36/pi) log^2 T for p = 4, 2 log T for |int E_A^2|.
+    Predictions: (36/pi) log^2 T and the Gaussian 3 ||E_A||^4 / vol F for p = 4
+    (||E_A||^2 = |int E_A^2|, as phi^(-1/2) E_A is real), 2 log T for |int E_A^2|.
     """
     ev = EisensteinEvaluator(setup, policy)
     T = setup.T
@@ -320,7 +309,8 @@ def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
     return FourthMomentResult(
         report=rep4, second_report=rep2, second_moment=second,
         const_projection_sq=proj,
-        const_projection_prediction=(12.0 / math.pi) * lnT * lnT)
+        const_projection_prediction=(12.0 / math.pi) * lnT * lnT,
+        gaussian_prediction=3.0 * proj, gaussian_ratio=m4 / (3.0 * proj))
 
 
 def second_moment_error(res: FourthMomentResult) -> tuple[complex, float]:

@@ -8,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eislab.eisenstein import (
+    ChebyshevTable,
     EisensteinEvaluator,
     Point,
     RealSEvaluator,
     SpectralSetup,
     apply_matrix,
     lattice_sum_reference,
+    moment_y_max,
     reduce,
 )
-from eislab.errors import DomainError
-from eislab.specfun import xi_log
+from eislab.errors import ConvergenceError, DomainError
+from eislab.specfun import bessel_k_scaled, xi_log
 
 from helpers import eval_E_independent
 
@@ -103,6 +105,38 @@ class TestEvalE:
             v = ev.eval_E(p)
             ref = eval_E_independent(p, T, extra_margin=2.0, oversample=16.0)
             assert abs(v - ref) <= 1e-10 * abs(ref)
+
+
+class TestBesselTable:
+    @pytest.mark.parametrize("T", [3.0, 10.0, 50.0, 104.0, 106.0, 150.0, 200.0])
+    def test_table_matches_scalar_kernel(self, T):
+        # T = 104 and 106 straddle the height where the kernel's horizontal
+        # contour leg drops out
+        ev = EisensteinEvaluator(SpectralSetup(T=T, A=2.0))
+        ev.eval_row(1.0, [0.0])
+        table = ev._k_table
+        lo, hi = table.edges[0], table.edges[-1]
+        assert lo == pytest.approx(math.pi * math.sqrt(3), rel=1e-15)
+        assert hi == ev.cutoff_margin + 2 * math.pi * moment_y_max(ev.setup)
+        us = np.random.default_rng(int(T)).uniform(lo, hi, 1000)
+        ref = np.array([bessel_k_scaled(T, u) for u in us])
+        assert np.max(np.abs(table(us) - ref)) <= 1e-13 * table.peak
+
+    def test_jump_raises_instead_of_bisecting_forever(self):
+        assert ChebyshevTable(math.sin, 1.0, 2.0)(np.array([1.5]))[0] == \
+            pytest.approx(math.sin(1.5), abs=1e-14)
+        with pytest.raises(ConvergenceError):
+            ChebyshevTable(lambda u: float(u > 1.3), 1.0, 2.0)
+
+    @pytest.mark.parametrize("y", [0.8, 20.0])
+    def test_rows_off_the_moment_grid_use_the_scalar_kernel(self, y):
+        # sqrt(3)/2 = 0.866 and moment_y_max = 15.4 bound the table's rows
+        ev = EisensteinEvaluator(SpectralSetup(T=10.0, A=2.0))
+        got = ev._mode_coefficients(y)
+        assert ev._k_table is None
+        ns = np.arange(1, ev.n_max(y) + 1)
+        ks = np.array([bessel_k_scaled(10.0, 2.0 * math.pi * n * y) for n in ns])
+        assert np.array_equal(got, ev.mode_prefactor * math.sqrt(y) * ev._tau[1:len(ns) + 1] * ks)
 
 
 class TestTruncation:

@@ -124,6 +124,22 @@ class TestFourthMoment:
         # the conjugate has the right modulus and the wrong phase
         assert moments.second_moment_error(result(closed.conjugate()))[1] > 1.0
 
+    def test_gaussian_prediction_is_the_closed_form(self):
+        # ||E_A||^2 = |int E_A^2| exactly, so 3 ||E_A||^4 / vol F is
+        # (9/pi) |maass_selberg_limit|^2 up to the quadrature error
+        res = moments.fourth_moment(SpectralSetup(T=10.0, A=2.0), tol=math.inf)
+        closed = moments.maass_selberg_limit(10.0, 2.0)
+        assert res.gaussian_prediction == pytest.approx(
+            (9 / math.pi) * abs(closed) ** 2, rel=1e-10)
+        assert res.gaussian_ratio == res.report.value / res.gaussian_prediction
+
+    def test_gaussian_ratio_approaches_one(self):
+        # measured |ratio - 1|: 0.614 at T = 10, 0.271 at T = 50 (A = 2)
+        devs = {T: abs(moments.fourth_moment(SpectralSetup(T=T, A=2.0),
+                                             tol=math.inf).gaussian_ratio - 1.0)
+                for T in (10.0, 50.0)}
+        assert devs[50.0] < devs[10.0]
+
     def test_ratio_sanity_band(self):
         for T in (10.0, 25.0):
             rep = moments.fourth_moment(SpectralSetup(T=T, A=2.0), tol=math.inf).report

@@ -12,7 +12,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -198,19 +197,26 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    """Diagonal constants: bracket factor and the rational ledger."""
+    """Diagonal constants: bracket factor and the collapse of the diagonal terms.
+
+    The zeta-valued combination of the diagonal main terms must equal
+    hhat(0) (12/pi) log^2 T times the bracket factor, which is built from a
+    gamma ratio on its own, so a wrong constant on either side fails.
+    """
     t0 = time.time()
-    devs = {}
+    devs, collapse = {}, {}
     for T in (100.0, 400.0):
         br = spectral.bracket_factor(T)
         devs[T] = abs(br - 2.0)
-    ok_bracket = all(devs[T] <= 10.0 / T for T in devs)
-    led = spectral.prediction_ledger()
-    led_bad = spectral.prediction_ledger(cross_coefficient=Fraction(23))
-    ok = ok_bracket and led.matches and led.combined == Fraction(36) and not led_bad.matches
+        bump = weights.Bump(B=2.0, alpha=0.009, T=T)
+        total = spectral.diagonal_main_terms(T, bump).total
+        collapse[T] = abs(total / (bump.hhat0 * (12.0 / math.pi) * math.log(T) ** 2 * br) - 1.0)
+    ok = all(devs[T] <= 10.0 / T and collapse[T] <= 1e-10 for T in devs)
     return _result(7, "diagonal constants", ok,
                    f"|bracket-2|: T=100: {devs[100.0]:.2e} (<=0.1), "
-                   f"T=400: {devs[400.0]:.2e} (<=0.025); ledger 12+48+24-48={led.combined}",
+                   f"T=400: {devs[400.0]:.2e} (<=0.025); "
+                   f"|diagonal/(hhat0 (12/pi) log^2 T bracket) - 1|: "
+                   f"T=100: {collapse[100.0]:.2e}, T=400: {collapse[400.0]:.2e} (<=1e-10)",
                    t0)
 
 

@@ -223,6 +223,15 @@ class EisensteinEvaluator:
             ks = np.array([bessel_k_scaled(T, u, self.policy) for u in args])
         return self.mode_prefactor * math.sqrt(y) * self._tau[1:nm + 1] * ks
 
+    def row_coefficients(self, y: float) -> np.ndarray:
+        """Coefficients c_k of e(k x), k = -n_max..n_max, of E_A at height y.
+
+        The constant term c_0 is dropped above y = A, as in ``eval_row_trunc``.
+        """
+        modes = self._mode_coefficients(y)
+        const = self.constant_term(y) if y <= self.setup.A else 0.0
+        return np.concatenate([modes[::-1], [const], modes])
+
     def eval_row(self, y: float, xs) -> np.ndarray:
         """Full E(x + iy, 1/2 + iT) for an array of x at one height y."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -283,19 +292,24 @@ class RealSEvaluator:
     def constant_term(self, y: float) -> float:
         return y ** self.s + self.phi_s.real * y ** (1.0 - self.s)
 
-    def eval_row(self, y: float, xs, A: float | None = None) -> np.ndarray:
-        """E(x+iy, s) for an x array; subtracts the constant term if y > A."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    def row_coefficients(self, y: float, A: float | None = None) -> np.ndarray:
+        """Coefficients c_k of e(k x), k = -n_max..n_max; c_0 = 0 if y > A."""
         nm = self.n_max(y)
         ns = np.arange(1, nm + 1)
         kvals = _kv_real(self.s - 0.5, 2.0 * np.pi * ns * y)
         sig = np.array([sigma_complex(int(n), 1.0 - 2.0 * self.s).real for n in ns])
-        coef = self.pref * ns ** (self.s - 0.5) * sig * math.sqrt(y) * kvals
-        phases = np.cos(2.0 * np.pi * np.outer(ns, np.mod(xs, 1.0)))
-        vals = coef @ phases
-        if A is None or y <= A:
-            vals = vals + self.constant_term(y)
-        return vals.astype(complex)
+        # cos(2 pi n x) = (e(nx) + e(-nx)) / 2
+        half = 0.5 * self.pref * ns ** (self.s - 0.5) * sig * math.sqrt(y) * kvals
+        const = self.constant_term(y) if A is None or y <= A else 0.0
+        return np.concatenate([half[::-1], [const], half])
+
+    def eval_row(self, y: float, xs, A: float | None = None) -> np.ndarray:
+        """E(x+iy, s) for an x array; subtracts the constant term if y > A."""
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        coef = self.row_coefficients(y, A)
+        nm = len(coef) // 2
+        phases = np.cos(2.0 * np.pi * np.outer(np.arange(1, nm + 1), np.mod(xs, 1.0)))
+        return coef[nm] + (2.0 * coef[nm + 1:]) @ phases
 
 
 def lattice_sum_reference(z: Point, s: float) -> float:

@@ -1,16 +1,17 @@
 """Quadrature over the modular fundamental domain and the moment pipeline.
 
 The fundamental domain F = {|x| <= 1/2, |z| >= 1} is integrated against
-d mu = dx dy / y^2 as a stack of y-strips: Gauss-Legendre panels in y (split
-at y = 1, at the truncation height A, and at any caller-supplied breakpoints,
-since the truncated series is discontinuous across y = A), and per-row
-Gauss-Legendre in x over the exact section (full strip above y = 1, the arcs
-|x| >= sqrt(1 - y^2) below).  Node densities are oscillation-aware: the
-x direction resolves the richest Fourier mode of the integrand (4 n_max(y)
-for the fourth power), the y direction the Bessel oscillation scale ~ T/y per
-factor.  Error estimates are Richardson-style: the whole integral is redone
-with doubled node density and the difference is reported; no asymptotic
-error model is assumed.
+d mu = dx dy / y^2 as a stack of rows.  At a fixed height y every integrand
+here is a trigonometric polynomial in x whose coefficients follow from those
+of E_A by convolution, so its row integral is exact in coefficient space:
+the constant coefficient on the full strip above y = 1, and a closed-form
+arc weight on the section |x| >= sqrt(1 - y^2) below it (``section_integral``).
+The y direction uses Gauss-Legendre panels (split at y = 1, at the truncation
+height A, and at any caller-supplied breakpoints, since the truncated series
+is discontinuous across y = A) whose density follows the Bessel oscillation
+scale ~ T/y per factor.  Error estimates are Richardson-style: the whole
+integral is redone with doubled y node density and the difference is
+reported; no asymptotic error model is assumed.
 
 Closed forms: the exact two-parameter truncated-moment identity
 
@@ -38,13 +39,12 @@ import numpy as np
 from eislab.eisenstein import (
     _FLOOR_Y,
     EisensteinEvaluator,
-    Point,
     RealSEvaluator,
     SpectralSetup,
     moment_y_max,
 )
 from eislab.errors import DegenerateParameterError, DomainError, ToleranceError
-from eislab.quadrature import composite_gl, gl_nodes, pairwise_sum
+from eislab.quadrature import gl_nodes, pairwise_sum
 from eislab.specfun import (
     DEFAULT_POLICY,
     PrecisionPolicy,
@@ -61,7 +61,6 @@ class YPanel:
     y0: float
     y1: float
     order: int
-    x_nodes_per_unit: float
 
 
 @dataclass
@@ -87,12 +86,12 @@ _STRIP_RATIO = 1.3  # geometric growth of the y-strips
 _REFINE = 2.0       # node-density factor of the Richardson comparison grid
 
 
-def build_grid(y_max: float, y_bandwidth, x_bandwidth, *, splits=(),
+def build_grid(y_max: float, y_bandwidth, *, splits=(),
                oversample: float = 8.0) -> QuadratureGrid:
     """Geometric y-strips with forced breakpoints and bandwidth-driven orders.
 
-    ``y_bandwidth(y)`` and ``x_bandwidth(y)`` give local bandwidths in
-    radians per unit length; orders follow ``oversample`` nodes per wave.
+    ``y_bandwidth(y)`` gives the local bandwidth in radians per unit length;
+    orders follow ``oversample`` nodes per wave.
     """
     edges = sorted({_FLOOR_Y, 1.0, y_max} | {s for s in splits if _FLOOR_Y < s < y_max})
     fine: list[float] = []
@@ -111,24 +110,35 @@ def build_grid(y_max: float, y_bandwidth, x_bandwidth, *, splits=(),
         for i in range(pieces):
             pa = a + i * step
             order = min(_MAX_ORDER, max(8, int(math.ceil(need / pieces))))
-            panels.append(YPanel(pa, pa + step, order, x_bandwidth(a)))
+            panels.append(YPanel(pa, pa + step, order))
     return QuadratureGrid(panels)
 
 
-def _x_sections(y: float, even_in_x: bool):
+def section_integral(f, y: float) -> complex:
+    """Integral of sum_k f_k e(k x), k = -K..K, over F's section at height y.
+
+    ``f`` holds f_-K..f_K.  The section is the strip |x| <= 1/2 for y >= 1,
+    which keeps f_0 alone, and the arcs sqrt(1 - y^2) <= |x| <= 1/2 below,
+    where e(k x) + e(-k x) integrates to -sin(2 pi k x_r) / (pi k).
+    """
+    if y < _FLOOR_Y:
+        raise DomainError(f"F has no section at height {y} < sqrt(3)/2")
+    K = len(f) // 2
     if y >= 1.0:
-        return [(0.0, 0.5, 2.0)] if even_in_x else [(-0.5, 0.5, 1.0)]
+        return f[K]
     xr = math.sqrt(1.0 - y * y)
-    if xr >= 0.5:
-        return []
-    if even_in_x:
-        return [(xr, 0.5, 2.0)]
-    return [(-0.5, -xr, 1.0), (xr, 0.5, 1.0)]
+    ks = np.arange(1, K + 1)
+    arc = np.sin(2.0 * np.pi * ks * xr) / (np.pi * ks)
+    return f[K] * (1.0 - 2.0 * xr) - (f[K + 1:] + f[:K][::-1]) @ arc
 
 
-def _integrate_grid(row_fn, grid: QuadratureGrid, *, oversample: float,
-                    even_in_x: bool):
-    """Sum of row_fn over the grid; row_fn(y, xs) -> (k,) or (k, len(xs))."""
+def _abs_sq(c) -> np.ndarray:
+    """Coefficients of |g|^2 from the coefficients c_-K..c_K of g."""
+    return np.convolve(c, c[::-1].conj())
+
+
+def _integrate_grid(row_fn, grid: QuadratureGrid):
+    """Sum of row_fn(y) dy / y^2 over the grid; row_fn(y) -> (k,) row integrals."""
 
     def do_panel(panel: YPanel):
         if panel.y1 <= 1.0 + 1e-12:
@@ -140,70 +150,25 @@ def _integrate_grid(row_fn, grid: QuadratureGrid, *, oversample: float,
             yw = pw * np.cos(pn)
         else:
             yn, yw = gl_nodes(panel.y0, panel.y1, panel.order)
-        acc = None
-        for yy, wy in zip(yn, yw):
-            for (a, b, mult) in _x_sections(yy, even_in_x):
-                per_unit = max(panel.x_nodes_per_unit * oversample / (2.0 * math.pi),
-                               8.0 / (b - a))
-                order = 12
-                npanels = max(1, int(math.ceil((b - a) * per_unit / order)))
-                xs, xw = composite_gl(a, b, npanels, order)
-                vals = np.atleast_2d(row_fn(yy, xs))
-                contrib = (vals @ xw) * (mult * wy / (yy * yy))
-                acc = contrib if acc is None else acc + contrib
-        return acc if acc is not None else np.zeros(1, dtype=complex)
+        return sum(row_fn(yy) * (wy / (yy * yy)) for yy, wy in zip(yn, yw))
 
     return pairwise_sum([do_panel(p) for p in grid.panels])
 
 
-def integrate_rows(row_fn, y_max: float, *, y_bandwidth, x_bandwidth,
-                   splits=(), even_in_x=False, oversample: float = 8.0):
-    """Integrate a row function over F up to y_max with a refinement estimate.
+def integrate_rows(row_fn, y_max: float, *, y_bandwidth, splits=(),
+                   oversample: float = 8.0):
+    """Integrate row integrals over F up to y_max with a refinement estimate.
 
-    Returns (value_vector, est_error_vector): the value from the refined grid
-    and the coarse-vs-refined difference as the error estimate.
+    ``row_fn(y)`` returns the x-integrals over F's section at height y of a
+    vector of integrands.  Returns (value_vector, est_error_vector): the
+    value from the refined y grid and the coarse-vs-refined difference as the
+    error estimate.
     """
-    grid = build_grid(y_max, y_bandwidth, x_bandwidth, splits=splits,
-                      oversample=oversample)
-    coarse = _integrate_grid(row_fn, grid, oversample=oversample,
-                             even_in_x=even_in_x)
-    grid2 = build_grid(y_max, y_bandwidth, x_bandwidth, splits=splits,
-                       oversample=oversample * _REFINE)
-    fine = _integrate_grid(row_fn, grid2, oversample=oversample * _REFINE,
-                           even_in_x=even_in_x)
+    grid = build_grid(y_max, y_bandwidth, splits=splits, oversample=oversample)
+    coarse = _integrate_grid(row_fn, grid)
+    grid2 = build_grid(y_max, y_bandwidth, splits=splits, oversample=oversample * _REFINE)
+    fine = _integrate_grid(row_fn, grid2)
     return fine, np.abs(fine - coarse)
-
-
-def integrate_F(f, y_max: float, tol: float = 1e-8, *,
-                bandwidth: float = 30.0, splits=()):
-    """Integral of a point function over F intersected with {y <= y_max}.
-
-    ``f`` maps a Point to a (possibly complex) value.  ``bandwidth`` is the
-    assumed spectral bandwidth of f at y = 1 in radians per unit length in
-    either coordinate (features of hyperbolic integrands widen like y, so
-    the y-direction density decays as bandwidth/y); raise it for oscillatory
-    integrands.  Returns (value, est_error); raises ToleranceError (carrying
-    both) if the Richardson estimate exceeds ``tol``.
-    """
-    if y_max < 2.0:
-        raise DomainError("integrate_F needs y_max >= 2")
-
-    def row_fn(y, xs):
-        return np.array([f(Point(float(x), float(y))) for x in xs])
-
-    val, est = integrate_rows(row_fn, y_max,
-                              y_bandwidth=lambda y: bandwidth / max(y, 1.0),
-                              x_bandwidth=lambda y: bandwidth,
-                              splits=splits, even_in_x=False,
-                              oversample=DEFAULT_POLICY.bessel_freq_oversample)
-    value, estimate = complex(val[0]), float(est[0])
-    if abs(value.imag) < 1e-14 * max(1.0, abs(value.real)):
-        value = value.real
-    if estimate > tol * max(1.0, abs(value)):
-        raise ToleranceError(
-            f"integrate_F estimate {estimate:.3e} exceeds tol {tol:.3e}",
-            value=value, estimate=estimate)
-    return value, estimate
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +209,16 @@ def maass_selberg_limit(T: float, A: float) -> complex:
 # moments of the truncated series
 # ---------------------------------------------------------------------------
 
-def _integrate_moment(row_fn, setup: SpectralSetup, ev: EisensteinEvaluator,
-                      power: float, splits):
+def _integrate_moment(row_fn, setup: SpectralSetup, ev: EisensteinEvaluator, splits):
     """``integrate_rows`` on the moment grid of E_A at height setup.T.
 
     The y density follows the Bessel oscillation scale of four factors,
-    4T/y; the x density resolves the richest Fourier mode of the integrand,
-    ``power`` times the cutoff n_max(y) of one factor.  Node densities use
-    the evaluator's oversampling.
+    4T/y, with the evaluator's oversampling.
     """
     T = setup.T
     return integrate_rows(
-        row_fn, moment_y_max(setup),
-        y_bandwidth=lambda y: 4.0 * T / y + 8.0,
-        x_bandwidth=lambda y: 2.0 * math.pi * power * ev.n_max(y),
-        splits=splits, even_in_x=True, oversample=ev.policy.bessel_freq_oversample)
+        row_fn, moment_y_max(setup), y_bandwidth=lambda y: 4.0 * T / y + 8.0,
+        splits=splits, oversample=ev.policy.bessel_freq_oversample)
 
 
 @dataclass(frozen=True)
@@ -284,12 +244,13 @@ def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
     ev = EisensteinEvaluator(setup, policy)
     T = setup.T
 
-    def row_fn(y, xs):
-        vals = ev.eval_row_trunc(y, xs)
-        a2 = np.abs(vals) ** 2
-        return np.stack([(a2 * a2).astype(complex), vals * vals])
+    def row_fn(y):
+        c = ev.row_coefficients(y)
+        b = _abs_sq(c)
+        return np.array([section_integral(np.convolve(b, b), y),
+                         section_integral(np.convolve(c, c), y)])
 
-    val, est = _integrate_moment(row_fn, setup, ev, 4.0, (setup.A,))
+    val, est = _integrate_moment(row_fn, setup, ev, (setup.A,))
 
     m4 = float(val[0].real)
     second = complex(val[1])
@@ -330,15 +291,12 @@ def real_s_pair_quadrature(s1: float, s2: float, A: float):
     e2 = RealSEvaluator(s2)
     y_max = A + 4.0
 
-    def row_fn(y, xs):
-        return e1.eval_row(y, xs, A=A) * e2.eval_row(y, xs, A=A)
+    def row_fn(y):
+        c12 = np.convolve(e1.row_coefficients(y, A), e2.row_coefficients(y, A))
+        return np.array([section_integral(c12, y)])
 
-    val, est = integrate_rows(
-        row_fn, y_max,
-        y_bandwidth=lambda y: 30.0 / y,
-        x_bandwidth=lambda y: 2.0 * math.pi * 2.0 * max(e1.n_max(y), e2.n_max(y)),
-        splits=(A,), even_in_x=True,
-        oversample=DEFAULT_POLICY.bessel_freq_oversample)
+    val, est = integrate_rows(row_fn, y_max, y_bandwidth=lambda y: 30.0 / y, splits=(A,),
+                              oversample=DEFAULT_POLICY.bessel_freq_oversample)
     return complex(val[0]), float(est[0])
 
 
@@ -346,10 +304,14 @@ def h_window_norm_sq(setup: SpectralSetup) -> float:
     """<H_A, H_A> = int_{y > A} |2 e(y) E_A|^2 dmu by quadrature."""
     ev = EisensteinEvaluator(setup)
 
-    def row_fn(y, xs):
-        return np.abs(ev.eval_row_H_A(y, xs)) ** 2 + 0j
+    def row_fn(y):
+        # H_A = 2 e(y) E_A vanishes below A; above it Parseval on the full strip
+        if y <= setup.A:
+            return np.zeros(1)
+        c = ev.row_coefficients(y)
+        return np.array([4.0 * abs(ev.constant_term(y)) ** 2 * np.sum(np.abs(c) ** 2)])
 
-    val, _ = _integrate_moment(row_fn, setup, ev, 2.0, (setup.A,))
+    val, _ = _integrate_moment(row_fn, setup, ev, (setup.A,))
     return float(val[0].real)
 
 
@@ -392,13 +354,13 @@ def smoothed_fourth_moment(setup: SpectralSetup, bump) -> SmoothedMomentResult:
                                            alpha=setup.alpha))
 
     def band(lo, hi):
-        def row_fn(y, xs):
+        def row_fn(y):
             if not (lo < y <= hi):
-                return np.zeros(len(np.atleast_1d(xs)), dtype=complex)
-            v = np.abs(ev.eval_row_trunc(y, xs)) ** 2
-            return (v * v).astype(complex)
+                return np.zeros(1)
+            b = _abs_sq(ev.row_coefficients(y))
+            return np.array([section_integral(np.convolve(b, b), y)])
         # the grid spans y up to setup's own A-dependent height, not B's
-        val, _ = _integrate_moment(row_fn, setup, ev, 4.0, (lo, hi, setup.B))
+        val, _ = _integrate_moment(row_fn, setup, ev, (lo, hi, setup.B))
         return float(val[0].real)
 
     hhat0 = setup.T ** (-setup.alpha / 2.0)

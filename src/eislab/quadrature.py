@@ -43,12 +43,7 @@ def panel_nodes(a: float, b: float, bandwidth: float, oversample: float = 8.0,
     bandwidth = max(bandwidth, 1.0)
     width = 2.0 * np.pi * _GL_ORDER / (oversample * bandwidth)
     npanels = max(min_panels, int(np.ceil((b - a) / width)))
-    return composite_gl(a, b, npanels, _GL_ORDER)
-
-
-def composite_gl(a: float, b: float, npanels: int, order: int):
-    """Nodes and weights of ``npanels`` equal Gauss-Legendre panels on [a, b]."""
-    x, w = _gl_rule(order)
+    x, w = _gl_rule(_GL_ORDER)
     edges = np.linspace(a, b, npanels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]

@@ -23,7 +23,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -493,7 +492,7 @@ def bessel_transform_check(x: float, T: float, alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# diagonal main terms and the constants ledger
+# diagonal main terms
 # ---------------------------------------------------------------------------
 
 class DiagonalTerms(NamedTuple):
@@ -539,40 +538,3 @@ def diagonal_main_terms(T: float, bump: Bump) -> DiagonalTerms:
     return DiagonalTerms(d_plus_plus=complex(dpp), d_minus_minus=complex(dmm),
                          total=complex(total), bracket_factor=br,
                          prediction=h0 * (24.0 / math.pi) * ln2T)
-
-
-def arcsine_normalization(T: float) -> float:
-    """int_0^{2T} dt / sqrt(4T^2 - t^2) via t = 2T sin(theta); equals pi/2."""
-    nodes, wts = panel_nodes(0.0, math.pi / 2.0, 4.0, 8.0, min_panels=4)
-    t = 2.0 * T * np.sin(nodes)
-    integrand = 2.0 * T * np.cos(nodes) / np.sqrt(4.0 * T * T - t * t)
-    return float(np.sum(wts * integrand))
-
-
-class PredictionLedger(NamedTuple):
-    constant_term_sq: Fraction     # 12/pi coefficient
-    discrete_sum: Fraction         # 48/pi
-    window_norm: Fraction          # 24/pi
-    cross_term: Fraction           # 24/pi, entering with weight -2
-    combined: Fraction             # must equal 36/pi's rational part
-    matches: bool
-    h_window_norm_numeric: float | None
-
-
-def prediction_ledger(*, h_window_norm: float | None = None,
-                      cross_coefficient: Fraction = Fraction(24)) -> PredictionLedger:
-    """Bookkeeping of the spectral-decomposition coefficients over pi.
-
-    The five pieces combine as 12 + 48 + 24 - 2*24 = 36 in exact rational
-    arithmetic; perturbing the cross-term coefficient must break the match.
-    An optional measured <H_A, H_A> value is carried along for the report.
-    """
-    c_const = Fraction(12)
-    c_disc = Fraction(48)
-    c_win = Fraction(24)
-    combined = c_const + c_disc + c_win - 2 * cross_coefficient
-    return PredictionLedger(
-        constant_term_sq=c_const, discrete_sum=c_disc, window_norm=c_win,
-        cross_term=cross_coefficient, combined=combined,
-        matches=(combined == Fraction(36)),
-        h_window_norm_numeric=h_window_norm)

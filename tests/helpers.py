@@ -33,5 +33,29 @@ def eval_E_independent(z, T: float, extra_margin: float = 2.0,
     return complex(total)
 
 
+def dense_gl(a: float, b: float, npanels: int, order: int = 16):
+    """Nodes and weights of ``npanels`` equal Gauss-Legendre panels on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, npanels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def section_quadrature(row, y: float, npanels: int = 2000) -> complex:
+    """Dense x quadrature of ``row(xs)`` over F's section at height y: the
+    strip |x| <= 1/2 for y >= 1, else the two arcs |x| >= sqrt(1 - y^2)."""
+    if y >= 1.0:
+        sections = [(-0.5, 0.5)]
+    else:
+        xr = math.sqrt(1.0 - y * y)
+        sections = [(-0.5, -xr), (xr, 0.5)]
+    total = 0.0
+    for a, b in sections:
+        xs, w = dense_gl(a, b, npanels)
+        total += complex(np.sum(w * row(xs)))
+    return total
+
+
 def hp_reference(name, *args, **kwargs):
     return getattr(oracles, name)(*args, **kwargs)

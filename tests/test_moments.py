@@ -7,23 +7,33 @@ import numpy as np
 import pytest
 
 from eislab import moments
-from eislab.eisenstein import EisensteinEvaluator, Point, SpectralSetup
+from eislab.eisenstein import EisensteinEvaluator, Point, RealSEvaluator, SpectralSetup
 from eislab.errors import DegenerateParameterError, ToleranceError
 from eislab.specfun import phi_log, scattering
 from eislab.weights import Bump
 
+from helpers import dense_gl, section_quadrature
+
 
 class TestIntegrateF:
+    """Integrals over the fundamental domain F through ``integrate_rows``."""
+
     def test_volume(self):
         # mu(F) = pi/3, with the region above y_max added analytically
-        val, est = moments.integrate_F(lambda p: 1.0, y_max=1e6)
-        assert val + 1e-6 == pytest.approx(math.pi / 3, abs=1e-8)
-        assert est < 1e-10
+        def row_fn(y):
+            return np.array([moments.section_integral(np.ones(1), y)])
+
+        val, est = moments.integrate_rows(row_fn, 1e6, y_bandwidth=lambda y: 30.0 / max(y, 1.0))
+        assert val[0] + 1e-6 == pytest.approx(math.pi / 3, abs=1e-8)
+        assert est[0] < 1e-10
 
     def test_inverse_square(self):
         # int over F cap {y <= 10} of y^-2 dmu has an elementary closed form:
         # split at y=1; the arc section below height 1 integrates in closed form
-        val, _ = moments.integrate_F(lambda p: 1.0 / p.y ** 2, y_max=10.0)
+        def row_fn(y):
+            return np.array([moments.section_integral(np.ones(1), y) / y ** 2])
+
+        val, _ = moments.integrate_rows(row_fn, 10.0, y_bandwidth=lambda y: 30.0 / max(y, 1.0))
         # oracle via high-order 1-D quadrature of the exact section widths
         ys = np.linspace(0, 1, 200001)[1:]
         lower = np.trapezoid(
@@ -31,20 +41,47 @@ class TestIntegrateF:
                      (1.0 - 2.0 * np.sqrt(np.clip(1 - ys ** 2, 0, 1))) / ys ** 4,
                      0.0), ys)
         upper = (1.0 / 3.0) * (1.0 - 10.0 ** -3)
-        assert val == pytest.approx(lower + upper, rel=1e-6)
-
-    def test_smooth_bump_against_doubled_order(self):
-        f = lambda p: math.exp(-((p.x) ** 2 + (p.y - 1.2) ** 2) / 0.08)
-        val, est = moments.integrate_F(f, y_max=4.0, bandwidth=60.0)
-        dense = moments.integrate_F(f, y_max=4.0, bandwidth=120.0)[0]
-        assert val == pytest.approx(dense, rel=1e-8)
+        assert val[0] == pytest.approx(lower + upper, rel=1e-6)
 
     def test_tolerance_error_carries_value(self):
+        # the Richardson estimate of the p = 4 moment is 6.3e-7 at T = 25
+        setup = SpectralSetup(T=25.0, A=2.0)
         with pytest.raises(ToleranceError) as err:
-            moments.integrate_F(lambda p: math.cos(40 * p.x * p.y), y_max=3.0,
-                                bandwidth=8.0, tol=1e-14)
-        assert err.value.value is not None
+            moments.fourth_moment(setup, tol=1e-12)
+        assert err.value.value == moments.fourth_moment(setup, tol=math.inf).report.value
         assert err.value.estimate > 0
+
+
+class TestSectionIntegral:
+    """Coefficient-space rows against dense composite Gauss-Legendre in x.
+
+    Each error is measured against a full-strip Parseval value, not the
+    row's own value: int |E_A|^4 and int |E_A|^2 over |x| <= 1/2, and
+    ||E_1|| ||E_2|| for the real-s pair.  Near the corner y = sqrt(3)/2 the
+    section is a few 1e-4 wide and the row's value cancels.
+    """
+
+    @pytest.mark.parametrize("T", [10.0, 25.0, 50.0])
+    def test_moment_rows_match_dense_x_quadrature(self, T):
+        ev = EisensteinEvaluator(SpectralSetup(T=T, A=2.0))
+        for y in (0.8661, 0.87, 0.95, 1.0, 1.3, 1.99, 2.01, 2.5):
+            c = ev.row_coefficients(y)
+            b = np.convolve(c, np.conj(c[::-1]))  # coefficients of |E_A|^2
+            p4 = moments.section_integral(np.convolve(b, b), y)
+            sq = moments.section_integral(np.convolve(c, c), y)
+            dense4 = section_quadrature(lambda xs: np.abs(ev.eval_row_trunc(y, xs)) ** 4, y)
+            dense2 = section_quadrature(lambda xs: ev.eval_row_trunc(y, xs) ** 2, y)
+            assert abs(p4 - dense4) <= 1e-13 * np.sum(np.abs(b) ** 2), y
+            assert abs(sq - dense2) <= 1e-13 * np.sum(np.abs(c) ** 2), y
+
+    def test_real_s_pair_row_matches_dense_x_quadrature(self):
+        e1, e2 = RealSEvaluator(2.0), RealSEvaluator(3.0)
+        y, A = 0.9, 2.0
+        c1, c2 = e1.row_coefficients(y, A), e2.row_coefficients(y, A)
+        row = moments.section_integral(np.convolve(c1, c2), y)
+        dense = section_quadrature(lambda xs: e1.eval_row(y, xs, A) * e2.eval_row(y, xs, A), y)
+        scale = math.sqrt(np.sum(np.abs(c1) ** 2) * np.sum(np.abs(c2) ** 2))
+        assert abs(row - dense) <= 1e-13 * scale
 
 
 class TestMaassSelberg:
@@ -194,17 +231,14 @@ class TestSmoothedMoment:
             saw_nonzero |= abs(diff) > 1e-3
         assert saw_nonzero
 
-    def test_window_norm_positive(self):
-        val = moments.h_window_norm_sq(SpectralSetup(T=10.0, A=2.0))
-        assert val > 0 and np.isfinite(val)
+    def test_window_norm_matches_dense_xy_quadrature(self):
+        # second path: point values of |H_A|^2 on a dense composite
+        # Gauss-Legendre grid in x and y, to a fixed height past the grid top
+        setup = SpectralSetup(T=10.0, A=2.0)
+        ev = EisensteinEvaluator(setup)
+        ys, wy = dense_gl(setup.A, 16.0, 100)
+        xs, wx = dense_gl(-0.5, 0.5, 8)
+        ref = sum(w / y ** 2 * np.sum(wx * np.abs(ev.eval_row_H_A(y, xs)) ** 2)
+                  for y, w in zip(ys, wy))
+        assert moments.h_window_norm_sq(setup) == pytest.approx(ref, rel=1e-10)
 
-
-def test_grid_invariant_x_nodes():
-    # the x sampling must give at least 4 n_max nodes per unit length
-    ev = EisensteinEvaluator(SpectralSetup(T=25.0, A=2.0))
-    grid = moments.build_grid(
-        5.0, lambda y: 4 * 25.0 / y, lambda y: 2 * math.pi * 4 * ev.n_max(y),
-        splits=(2.0,), oversample=8.0)
-    for panel in grid.panels:
-        n_here = ev.n_max(panel.y0)
-        assert panel.x_nodes_per_unit * 8.0 / (2 * math.pi) >= 4 * n_here

@@ -2,14 +2,12 @@
 
 import io
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eislab import arith, moments, spectral, weights
-from eislab.eisenstein import SpectralSetup
+from eislab import arith, spectral, weights
 from eislab.errors import MissingEigenvalueError, ValidationError
 from eislab.specfun import log_gamma, stirling_gamma_main_log
 
@@ -225,10 +223,6 @@ class TestDiagonal:
         # documented O(1/T): roughly 4x reduction per 4x height
         assert 2.5 <= devs[100.0] / devs[400.0] <= 6.0
 
-    def test_arcsine_normalization(self):
-        assert spectral.arcsine_normalization(7.3) == pytest.approx(
-            math.pi / 2, abs=1e-12)
-
     def test_total_diagonal_trend(self):
         devs = {}
         for T in (50.0, 400.0):
@@ -244,21 +238,3 @@ class TestDiagonal:
         d = spectral.diagonal_main_terms(T, bump)
         expected = bump.hhat0 * (12.0 / math.pi) * math.log(T) ** 2 * d.bracket_factor
         assert d.total == pytest.approx(expected, rel=1e-10)
-
-
-class TestPredictionLedger:
-    def test_exact_combination(self):
-        led = spectral.prediction_ledger()
-        assert led.combined == Fraction(36)
-        assert led.matches
-        assert 12 + 48 + 24 - 2 * 24 == 36
-
-    def test_negative_control(self):
-        led = spectral.prediction_ledger(cross_coefficient=Fraction(23))
-        assert not led.matches
-
-    def test_window_norm_numeric_positive(self):
-        val = moments.h_window_norm_sq(SpectralSetup(T=10.0, A=2.0))
-        led = spectral.prediction_ledger(h_window_norm=val)
-        assert led.h_window_norm_numeric > 0
-        assert np.isfinite(led.h_window_norm_numeric)

@@ -28,6 +28,7 @@ from eislab.specfun import (
 )
 
 DATA_DIR = Path(__file__).resolve().parents[2] / "data"
+P2_SWEEP_TOL = 1e-4  # worst p = 2 error of criterion 4 and `eislab moment-sweep`
 
 
 @dataclass
@@ -96,8 +97,8 @@ def criterion_4() -> CriterionResult:
             finite &= bool(np.isfinite(r) and r > 0)
             ratios.setdefault(T, []).append(r)
     spread = {T: max(v) - min(v) for T, v in ratios.items()}
-    ok = (worst_p2 <= 1e-4) and finite and (spread[50.0] < spread[10.0])
-    detail = (f"p2 worst rel={worst_p2:.2e} (gate 1e-4); ratio spreads "
+    ok = (worst_p2 <= P2_SWEEP_TOL) and finite and (spread[50.0] < spread[10.0])
+    detail = (f"p2 worst rel={worst_p2:.2e} (gate {P2_SWEEP_TOL:.0e}); ratio spreads "
               f"T=10: {spread[10.0]:.3f}, T=25: {spread[25.0]:.3f}, "
               f"T=50: {spread[50.0]:.3f} (gate: T=50 < T=10)")
     return _result(4, "fourth-moment pipeline", ok, detail, t0)

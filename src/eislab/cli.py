@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from eislab import moments, spectral
-from eislab.acceptance import kuznetsov_gates, run_all
+from eislab.acceptance import P2_SWEEP_TOL, kuznetsov_gates, run_all
 from eislab.eisenstein import SpectralSetup
 
 _DEFAULT_FORMS = Path(__file__).resolve().parents[2] / "data" / "maass_forms.csv"
@@ -142,7 +142,7 @@ def cmd_moment_sweep(cfg: RunConfig) -> int:
     for T, A in _require_grid(cfg):
         res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf)
         _, rel2 = moments.second_moment_error(res)
-        if rel2 > 1e-4:
+        if rel2 > P2_SWEEP_TOL:
             print(f"moment-sweep: p=2 row (T={T}, A={A}) off closed form by {rel2:.2e}",
                   file=sys.stderr)
             hard_error = 1

@@ -133,6 +133,15 @@ class ChebyshevTable:
         return np.einsum("ij,ij->i", self.coefs[i], basis)
 
 
+def cosine_series(c, xs) -> np.ndarray:
+    """c_0 + sum_n 2 c_n cos(2 pi n x) at an array of x, from the even
+    coefficient row c_-K..c_K of e(k x); x is reduced mod 1 first."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    K = len(c) // 2
+    phases = np.cos(2.0 * np.pi * np.outer(np.arange(1, K + 1), np.mod(xs, 1.0)))
+    return c[K] + (2.0 * c[K + 1:]) @ phases
+
+
 def reduce(z: Point):
     """Reduce z to the standard fundamental domain {|x| <= 1/2, |z| >= 1}.
 
@@ -234,19 +243,13 @@ class EisensteinEvaluator:
 
     def eval_row(self, y: float, xs) -> np.ndarray:
         """Full E(x + iy, 1/2 + iT) for an array of x at one height y."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        coef = self._mode_coefficients(y)
-        ns = np.arange(1, len(coef) + 1)
-        # e(nx) + e(-nx) = 2 cos(2 pi n x); argument reduced mod 1 first
-        phases = 2.0 * np.cos(2.0 * np.pi * np.outer(ns, np.mod(xs, 1.0)))
-        return self.constant_term(y) + coef @ phases
+        c = self.row_coefficients(y)
+        c[len(c) // 2] = self.constant_term(y)
+        return cosine_series(c, xs)
 
     def eval_row_trunc(self, y: float, xs) -> np.ndarray:
         """Truncated series: constant term dropped above y = A."""
-        vals = self.eval_row(y, xs)
-        if y > self.setup.A:
-            vals = vals - self.constant_term(y)
-        return vals
+        return cosine_series(self.row_coefficients(y), xs)
 
     def eval_E(self, z: Point) -> complex:
         """E(z, 1/2 + iT); z is reduced to the fundamental domain first."""
@@ -304,12 +307,8 @@ class RealSEvaluator:
         return np.concatenate([half[::-1], [const], half])
 
     def eval_row(self, y: float, xs, A: float | None = None) -> np.ndarray:
-        """E(x+iy, s) for an x array; subtracts the constant term if y > A."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        coef = self.row_coefficients(y, A)
-        nm = len(coef) // 2
-        phases = np.cos(2.0 * np.pi * np.outer(np.arange(1, nm + 1), np.mod(xs, 1.0)))
-        return coef[nm] + (2.0 * coef[nm + 1:]) @ phases
+        """E(x+iy, s) for an x array; drops the constant term if y > A."""
+        return cosine_series(self.row_coefficients(y, A), xs)
 
 
 def lattice_sum_reference(z: Point, s: float) -> float:

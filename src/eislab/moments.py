@@ -11,7 +11,9 @@ height A, and at any caller-supplied breakpoints, since the truncated series
 is discontinuous across y = A) whose density follows the Bessel oscillation
 scale ~ T/y per factor.  Error estimates are Richardson-style: the whole
 integral is redone with doubled y node density and the difference is
-reported; no asymptotic error model is assumed.
+reported; no asymptotic error model is assumed.  An average over A against a
+bump h is a row weight: E_A keeps its constant term e(y) exactly when A >= y,
+so the averaged row is m |E|^4 + (hhat(0) - m) |E - e|^4, m = int_{A >= y} h.
 
 Closed forms: the exact two-parameter truncated-moment identity
 
@@ -52,6 +54,7 @@ from eislab.specfun import (
     phi_log_deriv_critical,
     scattering,
 )
+from eislab.weights import Bump
 
 FOURTH_MOMENT_CONSTANT = 36.0 / math.pi  # predicted log^2 T coefficient
 
@@ -209,6 +212,13 @@ def maass_selberg_limit(T: float, A: float) -> complex:
 # moments of the truncated series
 # ---------------------------------------------------------------------------
 
+def _p4_p2(c, y: float) -> np.ndarray:
+    """Row integrals of |g|^4 and g^2 at height y from g's coefficients c."""
+    b = _abs_sq(c)
+    return np.array([section_integral(np.convolve(b, b), y),
+                     section_integral(np.convolve(c, c), y)])
+
+
 def _integrate_moment(row_fn, setup: SpectralSetup, ev: EisensteinEvaluator, splits):
     """``integrate_rows`` on the moment grid of E_A at height setup.T.
 
@@ -244,13 +254,8 @@ def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
     ev = EisensteinEvaluator(setup, policy)
     T = setup.T
 
-    def row_fn(y):
-        c = ev.row_coefficients(y)
-        b = _abs_sq(c)
-        return np.array([section_integral(np.convolve(b, b), y),
-                         section_integral(np.convolve(c, c), y)])
-
-    val, est = _integrate_moment(row_fn, setup, ev, (setup.A,))
+    val, est = _integrate_moment(lambda y: _p4_p2(ev.row_coefficients(y), y),
+                                 setup, ev, (setup.A,))
 
     m4 = float(val[0].real)
     second = complex(val[1])
@@ -318,55 +323,39 @@ def h_window_norm_sq(setup: SpectralSetup) -> float:
 @dataclass(frozen=True)
 class SmoothedMomentResult:
     value: float          # int h(A) ||E_A||_4^4 dA over the bump support
+    second: complex       # int h(A) int_F E_A^2 dmu dA
     hhat0: float          # int h = T^(-alpha/2)
     i_split: tuple        # (I1, I2, I3) of the fixed-B band decomposition
     direct: float         # hhat0 * ||E_B||_4^4, the band-split comparator
-    reports: tuple        # per-node MomentReports
 
 
-def smoothed_fourth_moment(setup: SpectralSetup, bump) -> SmoothedMomentResult:
-    """Average of the fourth moment against the bump in the truncation height.
-
-    Also computes the three-band split of hhat(0) ||E_B||_4^4 at the bump's
-    center (below / across / above the support shell) as a partition
-    diagnostic; the three bands must reassemble to the direct value.
+def smoothed_fourth_moment(setup: SpectralSetup, bump: Bump) -> SmoothedMomentResult:
+    """int h(A) int_F |E_A|^4 and E_A^2 dmu dA in one sweep, exact in A: rows of
+    one evaluator at A = B + d, weighted by m = ``bump.mass_above(y)``.  The
+    sweep also splits hhat(0) ||E_B||_4^4 into bands below / across / above the
+    support, which must add up to ``direct``, a separate ``fourth_moment`` at B.
     """
-    from eislab.weights import Bump, bump_h  # local import to avoid a cycle
-
     if not isinstance(bump, Bump):
         raise TypeError("smoothed_fourth_moment needs a weights.Bump")
     if abs(bump.B - setup.B) > 1e-12 or abs(bump.T - setup.T) > 1e-12:
         raise DomainError("bump and setup disagree on (B, T)")
-    delta = bump.half_width
-    nodes, wts = gl_nodes(bump.B - delta, bump.B + delta, 4)
-    reports = []
-    acc = 0.0
-    for A_i, w_i in zip(nodes, wts):
-        res = fourth_moment(SpectralSetup(T=setup.T, A=float(A_i), B=setup.B,
-                                          alpha=setup.alpha),
-                            tol=math.inf)
-        reports.append(res.report)
-        acc += w_i * bump_h(float(A_i), bump) * res.report.value
+    B, delta, hhat0 = bump.B, bump.half_width, bump.hhat0
+    top = SpectralSetup(T=setup.T, A=B + delta, B=B, alpha=setup.alpha)
+    ev = EisensteinEvaluator(top)
 
-    # fixed-B band split: the integrand below/within/above the shell is the
-    # same |E_B|^4, so the three bands must add back to the direct moment
-    ev = EisensteinEvaluator(SpectralSetup(T=setup.T, A=setup.B, B=setup.B,
-                                           alpha=setup.alpha))
+    def row_fn(y):
+        c = ev.row_coefficients(y)
+        full = _p4_p2(c, y)
+        c[len(c) // 2] = 0.0
+        cut = _p4_p2(c, y)
+        m = bump.mass_above(y)
+        e_b4 = full[0] if y <= B else cut[0]
+        bands = e_b4 * np.array([y <= B - delta, B - delta < y <= B + delta, y > B + delta])
+        return np.concatenate([m * full + (hhat0 - m) * cut, bands])
 
-    def band(lo, hi):
-        def row_fn(y):
-            if not (lo < y <= hi):
-                return np.zeros(1)
-            b = _abs_sq(ev.row_coefficients(y))
-            return np.array([section_integral(np.convolve(b, b), y)])
-        # the grid spans y up to setup's own A-dependent height, not B's
-        val, _ = _integrate_moment(row_fn, setup, ev, (lo, hi, setup.B))
-        return float(val[0].real)
-
-    hhat0 = setup.T ** (-setup.alpha / 2.0)
-    i1 = hhat0 * band(0.0, bump.B - delta)
-    i2 = hhat0 * band(bump.B - delta, bump.B + delta)
-    i3 = hhat0 * band(bump.B + delta, math.inf)
-    direct = hhat0 * band(0.0, math.inf)
-    return SmoothedMomentResult(value=acc, hhat0=hhat0, i_split=(i1, i2, i3),
-                                direct=direct, reports=tuple(reports))
+    val, _ = _integrate_moment(row_fn, top, ev, (B - delta, B + delta, B))
+    direct = fourth_moment(SpectralSetup(T=setup.T, A=B, B=B, alpha=setup.alpha),
+                           tol=math.inf).report.value
+    return SmoothedMomentResult(value=float(val[0].real), second=complex(val[1]), hhat0=hhat0,
+                                i_split=tuple(hhat0 * float(v.real) for v in val[2:]),
+                                direct=hhat0 * direct)

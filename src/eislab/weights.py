@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from eislab.errors import ConvergenceError, DomainError
-from eislab.quadrature import panel_nodes
+from eislab.quadrature import gl_nodes, panel_nodes
 from eislab.specfun import (
     DEFAULT_POLICY,
     PrecisionPolicy,
@@ -75,6 +75,16 @@ class Bump:
     @property
     def scale(self) -> float:
         return self.hhat0 / (self.half_width * MOLLIFIER_MASS)
+
+    def mass_above(self, y: float) -> float:
+        """int_{A >= y} h(A) dA.  A = B + d tanh s makes h dA = scale d e^(-cosh^2 s)
+        sech^2 s ds, below 1e-44 past |s| = 3, so 48 Gauss-Legendre nodes on
+        [atanh((y - B) / d), 3] give the mass to 5e-15 of hhat0."""
+        u = (y - self.B) / self.half_width
+        lo = -3.0 if u <= -1.0 else 3.0 if u >= 1.0 else min(max(math.atanh(u), -3.0), 3.0)
+        s, w = gl_nodes(lo, 3.0, 48)  # lo = 3 gives zero weights: no mass above the support
+        ch2 = np.cosh(s) ** 2
+        return float(self.scale * self.half_width * np.sum(w * np.exp(-ch2) / ch2))
 
 
 def bump_h(A, bump: Bump):

@@ -1,5 +1,6 @@
 """Fundamental-domain quadrature and the moment pipeline."""
 
+import functools
 import math
 from types import SimpleNamespace
 
@@ -10,7 +11,8 @@ from eislab import moments
 from eislab.eisenstein import EisensteinEvaluator, Point, RealSEvaluator, SpectralSetup
 from eislab.errors import DegenerateParameterError, ToleranceError
 from eislab.specfun import phi_log, scattering
-from eislab.weights import Bump
+from eislab.quadrature import panel_nodes
+from eislab.weights import Bump, bump_h
 
 from helpers import dense_gl, section_quadrature
 
@@ -193,11 +195,16 @@ class TestFourthMoment:
             max(base.report.est_error, 1e-10 * base.report.value) * 4 + 1e-9
 
 
+@functools.lru_cache(maxsize=None)
+def _smoothed(T):
+    setup = SpectralSetup(T=T, A=2.0, B=2.0, alpha=0.009)
+    bump = Bump(B=2.0, alpha=0.009, T=T)
+    return setup, bump, moments.smoothed_fourth_moment(setup, bump)
+
+
 @pytest.fixture(scope="module")
 def smoothed():
-    setup = SpectralSetup(T=10.0, A=2.0, B=2.0, alpha=0.009)
-    bump = Bump(B=2.0, alpha=0.009, T=10.0)
-    return setup, bump, moments.smoothed_fourth_moment(setup, bump)
+    return _smoothed(10.0)
 
 
 class TestSmoothedMoment:
@@ -206,14 +213,27 @@ class TestSmoothedMoment:
         _, _, res = smoothed
         assert sum(res.i_split) == pytest.approx(res.direct, rel=1e-8)
 
-    def test_close_to_center_value(self, smoothed):
+    def test_matches_composite_average_in_A(self, smoothed):
+        # second path: 8 panels x 4 Gauss-Legendre nodes in A, one
+        # fourth_moment per node; measured 1.8e-5 (a 4-node rule misses by 2.8e-2)
         setup, bump, res = smoothed
-        center = moments.fourth_moment(
-            SpectralSetup(T=10.0, A=2.0), tol=math.inf).report.value
-        # tolerance from the measured A-sensitivity over the support
-        vals = [r.value for r in res.reports]
-        sens = max(vals) - min(vals)
-        assert abs(res.value - res.hhat0 * center) <= res.hhat0 * sens
+        As, wA = dense_gl(bump.B - bump.half_width, bump.B + bump.half_width, 8, order=4)
+        ref = sum(w * bump_h(A, bump) * moments.fourth_moment(
+            SpectralSetup(T=setup.T, A=float(A)), tol=math.inf).report.value
+            for A, w in zip(As, wA))
+        assert res.value == pytest.approx(ref, rel=1e-4)
+
+    @pytest.mark.parametrize("T", [10.0, 25.0])
+    def test_second_matches_closed_form_average(self, T):
+        # int h(A) maass_selberg_limit(T, A) dA on A = B + d tanh s; the closed
+        # form oscillates like A^(2iT), so the rule is dense (624 nodes).
+        # Measured 3.1e-14 and 6.9e-14; a 4-node rule in A misses by 3.3e-2 and 2.0e-2.
+        _, bump, res = _smoothed(T)
+        s, w = panel_nodes(-3.0, 3.0, 80.0, 8.0)
+        dA_h = bump.scale * bump.half_width * w * np.exp(-np.cosh(s) ** 2) / np.cosh(s) ** 2
+        ref = sum(wt * moments.maass_selberg_limit(T, bump.B + bump.half_width * math.tanh(si))
+                  for si, wt in zip(s, dA_h))
+        assert abs(res.second - ref) <= 1e-10 * abs(ref)
 
     def test_shell_difference_bounded(self):
         # with disjoint truncations, E_B - E_A equals the constant term on the

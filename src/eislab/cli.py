@@ -146,10 +146,10 @@ def cmd_moment_sweep(cfg: RunConfig) -> int:
             print(f"moment-sweep: p=2 row (T={T}, A={A}) off closed form by {rel2:.2e}",
                   file=sys.stderr)
             hard_error = 1
-        for rep in (res.second_report, res.report):
+        for rep, gauss in ((res.second_report, ""), (res.report, repr(res.gaussian_ratio))):
             rows.append(f"{T!r},{A!r},{rep.p},{rep.value!r},{rep.est_error!r},"
-                        f"{rep.prediction!r},{rep.ratio!r}")
-    _emit_csv(cfg.out, "T,A,p,value,err,prediction,ratio", rows)
+                        f"{rep.prediction!r},{rep.ratio!r},{gauss}")
+    _emit_csv(cfg.out, "T,A,p,value,err,prediction,ratio,gaussian_ratio", rows)
     if cfg.out != "-":
         _emit_plot_script(cfg.out)
     return hard_error
@@ -166,6 +166,7 @@ def _emit_plot_script(csv_path: str):
         "set ylabel 'moment / prediction'\n"
         f"plot '{Path(csv_path).name}' skip 2 "
         "using 1:($3 == 4 ? $7 : 1/0) with points pt 7 title 'p=4 ratio', "
+        "'' skip 2 using 1:($3 == 4 ? $8 : 1/0) with points pt 6 title 'p=4 Gaussian ratio', "
         "1 with lines dt 2 title 'limit'\n")
 
 

@@ -323,6 +323,7 @@ def h_window_norm_sq(setup: SpectralSetup) -> float:
 @dataclass(frozen=True)
 class SmoothedMomentResult:
     value: float          # int h(A) ||E_A||_4^4 dA over the bump support
+    est_error: float      # Richardson estimate of value's y-quadrature error
     second: complex       # int h(A) int_F E_A^2 dmu dA
     hhat0: float          # int h = T^(-alpha/2)
     i_split: tuple        # (I1, I2, I3) of the fixed-B band decomposition
@@ -337,8 +338,8 @@ def smoothed_fourth_moment(setup: SpectralSetup, bump: Bump) -> SmoothedMomentRe
     """
     if not isinstance(bump, Bump):
         raise TypeError("smoothed_fourth_moment needs a weights.Bump")
-    if abs(bump.B - setup.B) > 1e-12 or abs(bump.T - setup.T) > 1e-12:
-        raise DomainError("bump and setup disagree on (B, T)")
+    if max(abs(bump.B - setup.B), abs(bump.T - setup.T), abs(bump.alpha - setup.alpha)) > 1e-12:
+        raise DomainError("bump and setup disagree on (B, T, alpha)")
     B, delta, hhat0 = bump.B, bump.half_width, bump.hhat0
     top = SpectralSetup(T=setup.T, A=B + delta, B=B, alpha=setup.alpha)
     ev = EisensteinEvaluator(top)
@@ -353,9 +354,10 @@ def smoothed_fourth_moment(setup: SpectralSetup, bump: Bump) -> SmoothedMomentRe
         bands = e_b4 * np.array([y <= B - delta, B - delta < y <= B + delta, y > B + delta])
         return np.concatenate([m * full + (hhat0 - m) * cut, bands])
 
-    val, _ = _integrate_moment(row_fn, top, ev, (B - delta, B + delta, B))
+    val, est = _integrate_moment(row_fn, top, ev, (B - delta, B + delta, B))
     direct = fourth_moment(SpectralSetup(T=setup.T, A=B, B=B, alpha=setup.alpha),
                            tol=math.inf).report.value
-    return SmoothedMomentResult(value=float(val[0].real), second=complex(val[1]), hhat0=hhat0,
+    return SmoothedMomentResult(value=float(val[0].real), est_error=float(est[0]),
+                                second=complex(val[1]), hhat0=hhat0,
                                 i_split=tuple(hhat0 * float(v.real) for v in val[2:]),
                                 direct=hhat0 * direct)

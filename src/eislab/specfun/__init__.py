@@ -23,6 +23,7 @@ from eislab.specfun.bessel import (
     bessel_j_transform_kernel_many,
     kuznetsov_kernel,
     kuznetsov_kernel_even_many,
+    kuznetsov_kernel_transform,
 )
 
 __all__ = [
@@ -45,4 +46,5 @@ __all__ = [
     "bessel_j_transform_kernel_many",
     "kuznetsov_kernel",
     "kuznetsov_kernel_even_many",
+    "kuznetsov_kernel_transform",
 ]

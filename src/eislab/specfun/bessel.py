@@ -51,6 +51,15 @@ all w > 0 and real t.  Pointwise, 2i J_{2it}/sinh(pi t) itself is *not* real;
 only this even part is, and the even part is the only combination the
 trace-formula integrals against even test functions ever see.  Tails are
 again handled by rotation to Im s = +pi/2.
+
+``kuznetsov_kernel_transform(xs, ts, a)`` returns sum_t a_t K(x, t) for many
+x at once with the t- and s-integrals swapped, since the t-sums
+G(s) = sum_t a_t e^(+-2its) do not depend on x.  Every x shares one real-leg
+panel grid, its rotation point rounded up to a panel edge, so G is computed
+once and an x costs O(N_s) cosines.  On the vertical legs s1 + ir,
+G = B @ e^(+-2it s1) with B[r, t] = a_t e^(-+2tr): one matrix product for all
+x.  The growing sign's rows are scaled by e^(-2 t_max r), folded back into
+the leg factor, so |B| <= |a| and nothing overflows.  Horizontal legs stay per x.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ from __future__ import annotations
 import numpy as np
 
 from eislab.errors import DomainError
-from eislab.quadrature import panel_nodes
+from eislab.quadrature import _GL_ORDER, panel_nodes
 from eislab.specfun.policy import DEFAULT_POLICY, PrecisionPolicy
 
 _FLOOR_EXP = 745.0  # e^-745 ~ 5e-324: a result whose scale is below it is 0.0
@@ -127,6 +136,25 @@ def bessel_k_scaled(T: float, y: float, policy: PrecisionPolicy = DEFAULT_POLICY
 # Kuznetsov kernel
 # ---------------------------------------------------------------------------
 
+def _contour(w: float, tmax: float, edges=None):
+    """Rotation point s1 = asinh(M/w), M = max(4 tmax, 20), or the next of
+    ``edges`` above it (the shift is exact for any s1), and the end x_end of
+    each leg Im s = pi/2 of e^(i sg 2ts), where e^(-w sinh x - sg pi t) is
+    e^-50 below scale: returns s1, {sg: x_end}."""
+    s1 = float(np.arcsinh(max(4.0 * tmax, 20.0) / w))
+    if edges is not None:
+        s1 = float(edges[min(np.searchsorted(edges, s1), len(edges) - 1)])
+    ends = {sg: 50.0 + max(-sg, 0.0) * np.pi * tmax for sg in (1.0, -1.0)}
+    return s1, {sg: float(np.arcsinh(e / w)) for sg, e in ends.items() if w * np.sinh(s1) < e}
+
+
+def _horizontal_leg(w, s1, x_end, sg, ts, tmax, os):
+    """int_{s1}^{x_end} of e^(-w sinh x - sg pi t + i sg 2 t x), one row per t."""
+    n, wt = panel_nodes(s1, x_end, 2.0 * tmax + w * np.cosh(x_end), os)
+    expo = (-w * np.sinh(n))[None, :] + 1j * sg * 2.0 * np.outer(ts, n) - sg * np.pi * ts[:, None]
+    return np.real(np.exp(expo) @ wt)
+
+
 def _kernel_even_many(w: float, ts: np.ndarray) -> np.ndarray:
     """(4/pi) int_0^inf cos(w cosh s) cos(2 t s) ds for an array of t >= 0.
 
@@ -135,13 +163,10 @@ def _kernel_even_many(w: float, ts: np.ndarray) -> np.ndarray:
     """
     os = DEFAULT_POLICY.bessel_freq_oversample
     tmax = float(np.max(ts))
-    M = max(4.0 * tmax, 20.0)
-    s1 = float(np.arcsinh(M / w))
-    sh1, ch1 = np.sinh(s1), np.cosh(s1)
+    s1, legs = _contour(w, tmax)
     total = np.zeros_like(ts, dtype=float)
     # real leg
-    bw = w * sh1 + 2.0 * tmax
-    n, wt = panel_nodes(0.0, s1, bw, os)
+    n, wt = panel_nodes(0.0, s1, w * np.sinh(s1) + 2.0 * tmax, os)
     wc = w * np.cosh(n)
     c2 = np.cos(np.outer(ts, 2.0 * n))
     # cos(wc + 2ts) + cos(wc - 2ts) = 2 cos(wc) cos(2ts)
@@ -151,20 +176,12 @@ def _kernel_even_many(w: float, ts: np.ndarray) -> np.ndarray:
     # leg factor and the per-t phase can individually leave double range at
     # large t even though their product never does.
     for sg in (+1.0, -1.0):
-        bw_v = w * ch1 + 2.0 * tmax
-        n, wt = panel_nodes(0.0, np.pi / 2, bw_v, os)
+        n, wt = panel_nodes(0.0, np.pi / 2, w * np.cosh(s1) + 2.0 * tmax, os)
         zz = s1 + 1j * n
         expo = (1j * w * np.cosh(zz))[None, :] + 1j * sg * 2.0 * np.outer(ts, zz)
         total += np.real(np.exp(expo) @ (1j * wt))
-        # horizontal: s = x + i pi/2, integrand e^{-w sinh x - sg pi t + i sg 2 t x}
-        target = 50.0 + max(-sg, 0.0) * np.pi * tmax
-        if w * sh1 < target:
-            xmax = float(np.arcsinh(target / w))
-            bw_h = 2.0 * tmax + w * np.cosh(xmax)
-            n, wt = panel_nodes(s1, xmax, bw_h, os)
-            expo = (-w * np.sinh(n))[None, :] \
-                + 1j * sg * 2.0 * np.outer(ts, n) - sg * np.pi * ts[:, None]
-            total += np.real(np.exp(expo) @ wt)
+        if sg in legs:
+            total += _horizontal_leg(w, s1, legs[sg], sg, ts, tmax, os)
     return (2.0 / np.pi) * total
 
 
@@ -176,6 +193,43 @@ def kuznetsov_kernel_even_many(x: float, ts):
     if (ts < 0).any():
         raise DomainError("t array must be nonnegative (kernel is even in t)")
     return _kernel_even_many(4.0 * np.pi * x, ts)
+
+
+def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
+    """sum_t a_t K(x, t) for every x of ``xs``, K the even kernel at t >= 0,
+    by the contracted transform of the module docstring."""
+    xs, ts, a = (np.asarray(v, dtype=float) for v in (xs, ts, a))
+    if (xs <= 0.0).any() or (ts < 0).any():
+        raise DomainError("kuznetsov_kernel_transform needs x > 0 and t >= 0")
+    os = DEFAULT_POLICY.bessel_freq_oversample
+    tmax = float(np.max(ts))
+    ws = 4.0 * np.pi * xs
+    raw = np.array([_contour(w, tmax)[0] for w in ws])
+    # real leg: one panel grid for every x, 10 % above the widest bandwidth
+    # w cosh(s1) + 2 tmax, each s1 rounded up to one of its panel edges
+    n, wt = panel_nodes(0.0, float(raw.max()), 1.1 * (float(np.max(ws * np.cosh(raw)))
+                                                    + 2.0 * tmax), os)
+    edges = np.linspace(0.0, float(raw.max()), n.size // _GL_ORDER + 1)
+    geo = [_contour(w, tmax, edges) for w in ws]
+    s1 = np.array([g[0] for g in geo])
+    g_real = wt * (np.cos(np.outer(n, 2.0 * ts)) @ a)
+    inside = n[None, :] < s1[:, None]
+    total = 2.0 * (np.cos(np.outer(ws, np.cosh(n))) * inside) @ g_real
+    # vertical legs s1 + i r: sum_t a_t e^(i sg 2t(s1 + ir)) = (B @ e^(i sg 2t s1))[r]
+    # with B[r, t] = a_t e^(-sg 2tr); the growing sign's rows carry
+    # e^(-2 tmax r), so |B| <= |a|, and the leg factor takes e^(2 tmax r) back
+    r, wr = panel_nodes(0.0, np.pi / 2, float(np.max(ws * np.cosh(s1))) + 2.0 * tmax, os)
+    phase = np.exp(2j * np.outer(ts, s1))
+    for sg in (1.0, -1.0):
+        lift = (1.0 - sg) * tmax * r
+        rows = np.exp(-sg * 2.0 * np.outer(r, ts) - lift[:, None]) * a[None, :]
+        leg = np.exp(1j * ws[:, None] * np.cosh(s1[:, None] + 1j * r[None, :]) + lift[None, :])
+        g_vert = rows @ (phase if sg > 0 else phase.conj())
+        total += np.real(((1j * wr) * leg * g_vert.T).sum(axis=1))
+    for j, (w, (s1j, legs)) in enumerate(zip(ws, geo)):
+        for sg, x_end in legs.items():
+            total[j] += a @ _horizontal_leg(w, s1j, x_end, sg, ts, tmax, os)
+    return (2.0 / np.pi) * total
 
 
 def kuznetsov_kernel(x: float, t: float) -> complex:

@@ -37,7 +37,7 @@ from eislab.quadrature import panel_nodes
 from eislab.specfun import (
     DEFAULT_POLICY,
     bessel_j_transform_kernel_many,
-    kuznetsov_kernel_even_many,
+    kuznetsov_kernel_transform,
     log_gamma,
     xi_log,
     zeta,
@@ -313,6 +313,15 @@ class KuznetsovReport(NamedTuple):
     basis_gap: float          # geometric - spectral, attributed to missing forms
 
 
+def _kernel_weights(phi: TestFunction, x_min: float):
+    """Nodes t and weights a_t of int K(x, t) tanh(pi t) t phi(t) dt / pi for every
+    x >= x_min, resolving the kernel's t-phase rate 2 asinh(2t/w), w = 4 pi x_min."""
+    t_cut = phi.support_cut
+    bw = 2.0 * float(np.arcsinh(2.0 * t_cut / (4.0 * math.pi * x_min))) + 10.0
+    nn, ww = panel_nodes(0.0, t_cut, bw, DEFAULT_POLICY.bessel_freq_oversample, min_panels=10)
+    return nn, 2.0 * ww * np.tanh(np.pi * nn) * nn * phi(nn) / (2.0 * np.pi)
+
+
 def kuznetsov_two_sides(n: int, m: int, phi: TestFunction, forms,
                         c_max: int = 100) -> KuznetsovReport:
     """Evaluate both sides of the trace formula for (n, m) over a given basis.
@@ -349,36 +358,26 @@ def kuznetsov_two_sides(n: int, m: int, phi: TestFunction, forms,
     # geometric side
     dstar = np.tanh(np.pi * nodes) * nodes * phi(nodes)
     delta = float((1.0 if n == m else 0.0) * 2.0 * np.sum(wts * dstar) / (2.0 * np.pi ** 2))
-    kloos = 0.0
     root = math.sqrt(n * m)
-
-    def kernel_integral(c: int) -> float:
-        # the kernel's t-phase rate is 2 asinh(2t/w), w = 4 pi root/c
-        w_arg = 4.0 * math.pi * root / c
-        bw_c = 2.0 * float(np.arcsinh(2.0 * t_cut / w_arg)) + 10.0
-        nn, ww = panel_nodes(0.0, t_cut, bw_c, os, min_panels=10)
-        kernel = kuznetsov_kernel_even_many(root / c, nn)
-        dst = np.tanh(np.pi * nn) * nn * phi(nn)
-        return float(2.0 * np.sum(ww * kernel * dst) / (2.0 * np.pi))
-
-    for c in range(1, c_max + 1):
-        S = arith.kloosterman(n, m, c)
-        if S == 0.0:
-            continue
-        kloos += S / c * kernel_integral(c)
-    geometric = delta + kloos
-
     # tail: Weil-bound envelope summed over a fixed absolute sampling grid,
     # so the estimate is non-increasing in c_max by construction
-    tail = 0.0
     grid = [int(math.ceil(8 * 1.2 ** k)) for k in range(40)]
     grid = sorted({c for c in grid if c_max < c <= 16 * c_max})
+    kl = {c: arith.kloosterman(n, m, c) for c in range(1, c_max + 1)}
+    cs = [c for c, S in kl.items() if S != 0.0] + grid
+    kernel_integral = dict(zip(cs, kuznetsov_kernel_transform(
+        root / np.array(cs, dtype=float), *_kernel_weights(phi, root / max(cs))).tolist()))
+
+    kloos = sum(S / c * kernel_integral[c] for c, S in kl.items() if S != 0.0)
+    geometric = delta + kloos
+
+    tail = 0.0
     for lo, hi in zip(grid[:-1], grid[1:]):
-        tail += arith.weil_bound(n, m, lo) / lo * abs(kernel_integral(lo)) * (hi - lo)
+        tail += arith.weil_bound(n, m, lo) / lo * abs(kernel_integral[lo]) * (hi - lo)
     if grid:
         last = grid[-1]
         # geometric-envelope remainder past the sampled range
-        tail += 4.0 * arith.weil_bound(n, m, last) / last * abs(kernel_integral(last)) * last
+        tail += 4.0 * arith.weil_bound(n, m, last) / last * abs(kernel_integral[last]) * last
 
     scale = max(abs(spectral), abs(geometric), 1e-30)
     return KuznetsovReport(

@@ -51,15 +51,19 @@ class TestMomentSweepCommand:
         r = run_cli(["moment-sweep", "--T", "10", "--A", "1.5,2", "--out", str(out)])
         assert r.returncode == 0
         lines = out.read_text().splitlines()
-        assert lines[1] == "T,A,p,value,err,prediction,ratio"
+        assert lines[1] == "T,A,p,value,err,prediction,ratio,gaussian_ratio"
         rows = [ln.split(",") for ln in lines[2:]]
         assert {row[2] for row in rows} == {"2", "4"}
-        import math
         for row in rows:
             if row[2] == "4":
                 assert float(row[5]) == pytest.approx(
                     (36 / math.pi) * math.log(float(row[0])) ** 2, rel=1e-12)
                 assert float(row[6]) > 0 and math.isfinite(float(row[6]))
+                res = moments.fourth_moment(SpectralSetup(T=float(row[0]), A=float(row[1])),
+                                            tol=math.inf)
+                assert row[7] == repr(res.gaussian_ratio)
+            else:
+                assert row[7] == ""
         gp = tmp_path / "sweep.gp"
         assert gp.exists() and "logscale" in gp.read_text()
 

@@ -9,7 +9,7 @@ import pytest
 
 from eislab import moments
 from eislab.eisenstein import EisensteinEvaluator, Point, RealSEvaluator, SpectralSetup
-from eislab.errors import DegenerateParameterError, ToleranceError
+from eislab.errors import DegenerateParameterError, DomainError, ToleranceError
 from eislab.specfun import phi_log, scattering
 from eislab.quadrature import panel_nodes
 from eislab.weights import Bump, bump_h
@@ -212,6 +212,18 @@ class TestSmoothedMoment:
     def test_band_partition_reassembles(self, smoothed):
         _, _, res = smoothed
         assert sum(res.i_split) == pytest.approx(res.direct, rel=1e-8)
+
+    def test_alpha_mismatch_raises(self):
+        # hhat0 and the row weights come from the bump, so a setup whose alpha
+        # differs would otherwise be ignored without a word
+        setup = SpectralSetup(T=10.0, A=2.0, B=2.0, alpha=0.009)
+        with pytest.raises(DomainError, match="alpha"):
+            moments.smoothed_fourth_moment(setup, Bump(B=2.0, alpha=0.008, T=10.0))
+
+    def test_est_error_finite_positive(self, smoothed):
+        # the y-grid Richardson estimate of the p=4 value; 3.2e-12 of 44.47 today
+        _, _, res = smoothed
+        assert math.isfinite(res.est_error) and 0.0 < res.est_error < 1e-4 * res.value
 
     def test_matches_composite_average_in_A(self, smoothed):
         # second path: 8 panels x 4 Gauss-Legendre nodes in A, one

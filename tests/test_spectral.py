@@ -9,7 +9,12 @@ import pytest
 
 from eislab import arith, spectral, weights
 from eislab.errors import MissingEigenvalueError, ValidationError
-from eislab.specfun import log_gamma, stirling_gamma_main_log
+from eislab.specfun import (
+    kuznetsov_kernel_even_many,
+    kuznetsov_kernel_transform,
+    log_gamma,
+    stirling_gamma_main_log,
+)
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "maass_forms.csv"
 
@@ -180,6 +185,20 @@ class TestKuznetsov:
         assert math.copysign(1, rep.spectral_side) == math.copysign(1, rep.geometric_side)
         assert abs(rep.spectral_side) < 10 * abs(rep.geometric_side) + 1.0
         assert abs(rep.geometric_side) < 10 * abs(rep.spectral_side) + 1.0
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 2)])
+    def test_contracted_transform_matches_per_c_kernel(self, n, m):
+        # every c <= 50 and every tail-grid point of c_max = 25 and 50, on the
+        # t nodes and weights of the c_max = 50 call; the largest |I| is 0.34
+        phi = spectral.TestFunction(kind="gaussian", width=8.0)
+        tail = {math.ceil(8 * 1.2 ** k) for k in range(40)}
+        cs = sorted(set(range(1, 51)) | {c for c in tail if 25 < c <= 800})
+        root = math.sqrt(n * m)
+        ts, a = spectral._kernel_weights(phi, root / max(cs))
+        xs = root / np.array(cs, dtype=float)
+        got = kuznetsov_kernel_transform(xs, ts, a)
+        ref = np.array([a @ kuznetsov_kernel_even_many(x, ts) for x in xs])
+        assert np.max(np.abs(got - ref)) < 1e-13
 
     def test_tail_monotone_under_doubling(self, fixture_forms):
         phi = spectral.TestFunction(kind="gaussian", width=8.0)

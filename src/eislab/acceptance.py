@@ -83,24 +83,40 @@ def criterion_3() -> CriterionResult:
                        "(gate: <=0.15 at 200 and improving)", t0)
 
 
+def fourth_moment_gates(worst_p2, ratios, gaussian) -> dict:
+    """Criterion 4's gates on its sweep: the worst p = 2 error, the finite
+    positive log^2 ratios (``ratios[T]``, one per A), the log^2 ratio spread,
+    which must shrink from T = 10 to 50, and |Gaussian ratio - 1| at A = 2
+    (``gaussian[T]``), which must too."""
+    spread = {T: max(v) - min(v) for T, v in ratios.items()}
+    dev = {T: abs(g - 1.0) for T, g in gaussian.items()}
+    return {
+        "p2": worst_p2 <= P2_SWEEP_TOL,
+        "finite": all(np.isfinite(r) and r > 0 for v in ratios.values() for r in v),
+        "spread": spread[50.0] < spread[10.0],
+        "gaussian": dev[50.0] < dev[10.0],
+    }
+
+
 def criterion_4() -> CriterionResult:
     """Fourth-moment sweep: p=2 closed-form agreement, p=4 ratio table."""
     t0 = time.time()
-    ratios = {}
+    ratios, gaussian = {}, {}
     worst_p2 = 0.0
-    finite = True
     for T in (10.0, 25.0, 50.0):
         for A in (1.5, 2.0, 3.0):
             res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf)
             worst_p2 = max(worst_p2, moments.second_moment_error(res)[1])
-            r = res.report.ratio
-            finite &= bool(np.isfinite(r) and r > 0)
-            ratios.setdefault(T, []).append(r)
+            ratios.setdefault(T, []).append(res.report.ratio)
+            if A == 2.0:
+                gaussian[T] = res.gaussian_ratio
+    ok = all(fourth_moment_gates(worst_p2, ratios, gaussian).values())
     spread = {T: max(v) - min(v) for T, v in ratios.items()}
-    ok = (worst_p2 <= P2_SWEEP_TOL) and finite and (spread[50.0] < spread[10.0])
     detail = (f"p2 worst rel={worst_p2:.2e} (gate {P2_SWEEP_TOL:.0e}); ratio spreads "
               f"T=10: {spread[10.0]:.3f}, T=25: {spread[25.0]:.3f}, "
-              f"T=50: {spread[50.0]:.3f} (gate: T=50 < T=10)")
+              f"T=50: {spread[50.0]:.3f} (gate: T=50 < T=10); |gaussian ratio-1| at A=2 "
+              f"T=10: {abs(gaussian[10.0] - 1.0):.3f}, T=50: {abs(gaussian[50.0] - 1.0):.3f} "
+              f"(gate: T=50 < T=10)")
     return _result(4, "fourth-moment pipeline", ok, detail, t0)
 
 

@@ -75,18 +75,22 @@ def divisors(m: int):
     return _table(m)
 
 
-def tau_gen(m: int, gamma: float) -> float:
-    """Generalized divisor function m^(-i gamma) sum_{a|m} a^(2 i gamma).
+def tau_gen(m: int, gamma):
+    """Generalized divisor function m^(-i gamma) sum_{a|m} a^(2 i gamma), for a
+    number gamma or elementwise over an array of them.
 
     Real valued, even in gamma, bounded by the divisor count d(m).
     """
     if m < 1:
         raise DomainError(f"tau_gen needs m >= 1, got {m}")
+    g = np.asarray(gamma, dtype=float)
     a = np.array(divisors(m), dtype=float)
-    val = np.exp(-1j * gamma * math.log(m)) * np.sum(np.exp(2j * gamma * np.log(a)))
-    if not abs(val.imag) < 1e-12 * max(1.0, abs(val.real)):
-        raise InvariantError(f"tau_gen({m}, {gamma}) is not real: {val}")
-    return float(val.real)
+    val = np.exp(-1j * g * math.log(m)) * np.sum(np.exp(2j * g[..., None] * np.log(a)), axis=-1)
+    real = np.abs(val.imag) < 1e-12 * np.maximum(1.0, np.abs(val.real))
+    if not real.all():
+        i = np.flatnonzero(~real)[0]
+        raise InvariantError(f"tau_gen({m}, {g.flat[i]}) is not real: {val.flat[i]}")
+    return val.real if g.ndim else float(val.real)
 
 
 def tau_gen_many(n_max: int, gamma: float) -> np.ndarray:

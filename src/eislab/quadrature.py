@@ -43,8 +43,12 @@ def panel_nodes(a: float, b: float, bandwidth: float, oversample: float = 8.0,
     bandwidth = max(bandwidth, 1.0)
     width = 2.0 * np.pi * _GL_ORDER / (oversample * bandwidth)
     npanels = max(min_panels, int(np.ceil((b - a) / width)))
+    return edge_nodes(np.linspace(a, b, npanels + 1))
+
+
+def edge_nodes(edges):
+    """Composite 16-point GL nodes and weights on the panels between ``edges``."""
     x, w = _gl_rule(_GL_ORDER)
-    edges = np.linspace(a, b, npanels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     return (mid + half * x).ravel(), (half * w).ravel()

@@ -54,12 +54,24 @@ again handled by rotation to Im s = +pi/2.
 
 ``kuznetsov_kernel_transform(xs, ts, a)`` returns sum_t a_t K(x, t) for many
 x at once with the t- and s-integrals swapped, since the t-sums
-G(s) = sum_t a_t e^(+-2its) do not depend on x.  Every x shares one real-leg
-panel grid, its rotation point rounded up to a panel edge, so G is computed
-once and an x costs O(N_s) cosines.  On the vertical legs s1 + ir,
-G = B @ e^(+-2it s1) with B[r, t] = a_t e^(-+2tr): one matrix product for all
-x.  The growing sign's rows are scaled by e^(-2 t_max r), folded back into
-the leg factor, so |B| <= |a| and nothing overflows.  Horizontal legs stay per x.
+G(s) = sum_t a_t e^(+-2its) do not depend on x.  Every t-sum is taken on a
+grid of equal 16-node panels, whose nodes are s = mid_p + half x_j, so
+e^(2its) = e^(2it mid_p) e^(2it half x_j) and G on the whole grid is one
+(panels x N_t) @ (N_t x 16) product: (panels + 16) N_t exponentials instead
+of one per node and t.  The product t mid_p is carried to twice double
+precision, because its rounding is shared by a panel's 16 nodes.
+
+* Real leg: every x shares one panel grid, its rotation point s1 rounded up
+  to a panel edge, so G is computed once and an x costs O(N_s) cosines.
+* Vertical legs s1 + ir: G = B @ e^(+-2it s1) with B[r, t] = a_t e^(-+2tr),
+  B factored by panel as above: one matrix product for all x.  The growing
+  sign's rows are scaled by e^(-2 t_max r), folded back into the leg factor,
+  so |B| <= |a| and nothing overflows.
+* Horizontal legs s + i pi/2, s >= s1: one panel grid per sign, its panel
+  width a divisor of the real leg's so every s1 is one of its edges, carries
+  H(s) = sum_t a_t e^(-+pi t) e^(+-2its).  The growing sign's H is scaled by
+  e^(-pi t_max), which the leg factor e^(pi t_max - w sinh s) takes back.
+  An x costs O(N_s) real exponentials.
 """
 
 from __future__ import annotations
@@ -67,7 +79,7 @@ from __future__ import annotations
 import numpy as np
 
 from eislab.errors import DomainError
-from eislab.quadrature import _GL_ORDER, panel_nodes
+from eislab.quadrature import _GL_ORDER, _gl_rule, edge_nodes, panel_nodes
 from eislab.specfun.policy import DEFAULT_POLICY, PrecisionPolicy
 
 _FLOOR_EXP = 745.0  # e^-745 ~ 5e-324: a result whose scale is below it is 0.0
@@ -195,6 +207,31 @@ def kuznetsov_kernel_even_many(x: float, ts):
     return _kernel_even_many(4.0 * np.pi * x, ts)
 
 
+def _two_product(a, b):
+    """a b = p + e exactly, p = fl(a b): Dekker's product by Veltkamp splitting."""
+    def split(v):
+        big = 134217729.0 * v  # 2^27 + 1
+        hi = big - (big - v)
+        return hi, v - hi
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _panel_exp(edges, k, unit=1.0):
+    """e^(unit k_t s) at the nodes s = mid_p + half x_j of the equal 16-node
+    panels between ``edges``, as the factors e^(unit k_t mid_p) and
+    e^(unit k_t half x_j) whose product is the (p, j, t) value: (panels + 16)
+    x len(k) exponentials in place of one per node and t.  k_t mid_p is kept to
+    twice double precision: its rounding, 1e-13 at a phase of 1e3, would be
+    shared by a panel's 16 nodes and so would not average out."""
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[-1] - edges[0]) / (edges.size - 1)
+    p, err = _two_product(mid[:, None], k[None, :])
+    return (np.exp(unit * p) * (1.0 + unit * err),
+            np.exp(unit * np.outer(half * _gl_rule(_GL_ORDER)[0], k)))
+
+
 def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
     """sum_t a_t K(x, t) for every x of ``xs``, K the even kernel at t >= 0,
     by the contracted transform of the module docstring."""
@@ -212,23 +249,46 @@ def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
     edges = np.linspace(0.0, float(raw.max()), n.size // _GL_ORDER + 1)
     geo = [_contour(w, tmax, edges) for w in ws]
     s1 = np.array([g[0] for g in geo])
-    g_real = wt * (np.cos(np.outer(n, 2.0 * ts)) @ a)
+    em, ex = _panel_exp(edges, 2.0 * ts, 1j)
+    g_real = wt * ((em * a) @ ex.T).real.ravel()
     inside = n[None, :] < s1[:, None]
     total = 2.0 * (np.cos(np.outer(ws, np.cosh(n))) * inside) @ g_real
     # vertical legs s1 + i r: sum_t a_t e^(i sg 2t(s1 + ir)) = (B @ e^(i sg 2t s1))[r]
-    # with B[r, t] = a_t e^(-sg 2tr); the growing sign's rows carry
-    # e^(-2 tmax r), so |B| <= |a|, and the leg factor takes e^(2 tmax r) back
+    # with B[r, t] = a_t e^(-sg 2tr), factored by panel; the growing sign's rows
+    # carry e^(-2 tmax r), so |B| <= |a|, and the leg factor takes e^(2 tmax r) back
     r, wr = panel_nodes(0.0, np.pi / 2, float(np.max(ws * np.cosh(s1))) + 2.0 * tmax, os)
+    r_edges = np.linspace(0.0, np.pi / 2, r.size // _GL_ORDER + 1)
     phase = np.exp(2j * np.outer(ts, s1))
     for sg in (1.0, -1.0):
         lift = (1.0 - sg) * tmax * r
-        rows = np.exp(-sg * 2.0 * np.outer(r, ts) - lift[:, None]) * a[None, :]
+        em, ex = _panel_exp(r_edges, -sg * 2.0 * ts - (1.0 - sg) * tmax)
+        rows = ((em * a)[:, None, :] * ex[None, :, :]).reshape(r.size, ts.size)
         leg = np.exp(1j * ws[:, None] * np.cosh(s1[:, None] + 1j * r[None, :]) + lift[None, :])
-        g_vert = rows @ (phase if sg > 0 else phase.conj())
+        g_vert = rows @ phase.real + (1j * sg) * (rows @ phase.imag)
         total += np.real(((1j * wr) * leg * g_vert.T).sum(axis=1))
-    for j, (w, (s1j, legs)) in enumerate(zip(ws, geo)):
-        for sg, x_end in legs.items():
-            total[j] += a @ _horizontal_leg(w, s1j, x_end, sg, ts, tmax, os)
+    # horizontal legs s + i pi/2, s >= s1: one grid per sign whose panels split
+    # the real leg's, so every s1 is an edge of it, at the widest bandwidth
+    # 2 tmax + w cosh(x_end) of its legs, carrying H(s) = sum_t a_t
+    # e^(-sg pi t + i sg 2ts); the growing sign's H carries e^(-pi tmax), which
+    # the leg factor e^(pi tmax - w sinh s) takes back.  An x runs from its s1
+    # to the grid's end, past its own x_end where the factor is e^-50 below scale
+    for sg in (1.0, -1.0):
+        on = np.array([sg in g[1] for g in geo])
+        if not on.any():
+            continue
+        ends = np.array([g[1][sg] for g in geo if sg in g[1]])
+        lo, step = float(s1[on].min()), float(edges[1])
+        need = 2.0 * np.pi * _GL_ORDER / (os * float(np.max(
+            2.0 * tmax + ws[on] * np.cosh(ends))))
+        split, span = int(np.ceil(step / need)), int(np.ceil((ends.max() - lo) / step))
+        h_edges = np.linspace(lo, lo + span * step, split * span + 1)
+        h, wh = edge_nodes(h_edges)
+        lift = 0.5 * (1.0 - sg) * np.pi * tmax
+        em, ex = _panel_exp(h_edges, sg * 2.0 * ts, 1j)
+        g_horz = wh * ((em * (a * np.exp(-sg * np.pi * ts - lift))) @ ex.T).ravel()
+        expo = np.where(h[None, :] > s1[on, None],
+                        lift - ws[on, None] * np.sinh(h[None, :]), -np.inf)
+        total[on] += np.real(np.exp(expo) @ g_horz)
     return (2.0 / np.pi) * total
 
 

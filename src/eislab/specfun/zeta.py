@@ -32,65 +32,71 @@ _BERNOULLI_2K = np.array([
     7.0 / 6, -3617.0 / 510, 43867.0 / 798, -174611.0 / 330, 854513.0 / 138,
     -236364091.0 / 2730, 8553103.0 / 6, -23749461029.0 / 870,
 ])
-_FACT_2K = np.array([math.factorial(2 * k) for k in range(1, 15)], dtype=float)
 _EM_TERMS = 14
+_TWO_K = 2.0 * np.arange(1, _EM_TERMS + 1)
+_EM_COEF = _BERNOULLI_2K / np.array([math.factorial(2 * k) for k in range(1, _EM_TERMS + 1)],
+                                    dtype=float)
 
 
-def _euler_maclaurin(s: complex, derivs: int):
-    if abs(s - 1.0) < 1e-12:
+def _euler_maclaurin(s: np.ndarray, derivs: int):
+    """The Euler-Maclaurin sums at every point of the 1-d complex array s, each
+    with its own N; the n-sum is one len(s) x max(N) table, masked past each N."""
+    if (np.abs(s - 1.0) < 1e-12).any():
         raise PoleError("zeta pole at s = 1")
-    N = int(2 * max(25.0, abs(s.imag)))
-    n = np.arange(1, N)
+    N = (2 * np.maximum(25.0, np.abs(s.imag))).astype(int)
+    n = np.arange(1, N.max())
     ln = np.log(n)
-    npow = np.exp(-s * ln)
-    z0 = npow.sum()
-    z1 = -(ln * npow).sum()
-    z2 = (ln * ln * npow).sum()
+    npow = np.where(n[None, :] < N[:, None], np.exp(-np.outer(s, ln)), 0.0)
     lnN = np.log(N)
     NmS = np.exp(-s * lnN)
     sm1 = s - 1.0
-    # boundary terms N^{1-s}/(s-1) + N^{-s}/2 and their s-derivatives
-    z0 += NmS * N / sm1 + NmS / 2
-    z1 += -lnN * NmS * N / sm1 - NmS * N / sm1 ** 2 - lnN * NmS / 2
-    z2 += (lnN ** 2 * NmS * N / sm1 + 2 * lnN * NmS * N / sm1 ** 2
-           + 2 * NmS * N / sm1 ** 3 + lnN ** 2 * NmS / 2)
+    # Bernoulli tail: the B_2k term carries the Pochhammer product (s)_{2k-1}
+    # of f_j = s + j, j < 2k - 1: every other column of one running product
+    f = s[:, None] + np.arange(2 * _EM_TERMS - 1)
+    P = np.cumprod(f, axis=1)[:, ::2]
+    E = np.exp(-(s[:, None] + _TWO_K - 1) * lnN[:, None])
+    # n-sum, boundary terms N^{1-s}/(s-1) + N^{-s}/2 and tail, summed left to
+    # right: for Re s < 0 they are O(N^(1 - Re s)) and cancel, so the order
+    # sets the last digits
+    z0 = np.cumsum(np.column_stack([npow.sum(axis=1) + (NmS * N / sm1 + NmS / 2),
+                                    _EM_COEF * P * E]), axis=1)[:, -1]
+    if derivs == 0:
+        return z0
+    # s-derivatives, term by term
+    z1 = -(ln * npow).sum(axis=1) + (-lnN * NmS * N / sm1 - NmS * N / sm1 ** 2
+                                     - lnN * NmS / 2)
+    z2 = (ln * ln * npow).sum(axis=1) + (lnN ** 2 * NmS * N / sm1 + 2 * lnN * NmS * N / sm1 ** 2
+                                         + 2 * NmS * N / sm1 ** 3 + lnN ** 2 * NmS / 2)
+    cE = _EM_COEF * E
     for k in range(1, _EM_TERMS + 1):
-        j = np.arange(0, 2 * k - 1)
-        f = s + j
-        P = np.prod(f)
-        c = _BERNOULLI_2K[k - 1] / _FACT_2K[k - 1]
-        E = np.exp(-(s + 2 * k - 1) * lnN)
-        z0 += c * P * E
-        if derivs == 0:
-            continue
-        if np.min(np.abs(f)) > 1e-9:
-            S1 = np.sum(1.0 / f)
-            PS1 = P * S1
-            PS2 = P * (S1 ** 2 - np.sum(1.0 / f ** 2))
+        fk, Pk = f[:, :2 * k - 1], P[:, k - 1]
+        if (np.abs(fk) > 1e-9).all():
+            S1 = np.sum(1.0 / fk, axis=1)
+            PS1 = Pk * S1
+            PS2 = Pk * (S1 ** 2 - np.sum(1.0 / fk ** 2, axis=1))
         else:
             # a Pochhammer factor vanishes (s at a nonpositive integer):
             # leave-one-out products keep the derivatives finite
-            m = len(f)
-            PS1 = sum(np.prod(np.delete(f, i)) for i in range(m))
-            PS2 = sum(np.prod(np.delete(f, (i, l)))
+            m = fk.shape[1]
+            PS1 = sum(np.prod(np.delete(fk, i, axis=1), axis=1) for i in range(m))
+            PS2 = sum(np.prod(np.delete(fk, (i, l), axis=1), axis=1)
                       for i in range(m) for l in range(m) if l != i)
-        z1 += c * E * (PS1 - P * lnN)
-        z2 += c * E * (PS2 - 2 * PS1 * lnN + P * lnN ** 2)
-    if derivs == 0:
-        return z0
+        z1 += cE[:, k - 1] * (PS1 - Pk * lnN)
+        z2 += cE[:, k - 1] * (PS2 - 2 * PS1 * lnN + Pk * lnN ** 2)
     return z0, z1, z2
 
 
 def zeta(s):
-    """Riemann zeta(s), Euler-Maclaurin, for Re(s) >= -2, |Im s| <= 1e5."""
-    s = complex(s)
-    return _euler_maclaurin(s, derivs=0)
+    """Riemann zeta(s), Euler-Maclaurin, for Re(s) >= -2, |Im s| <= 1e5; s a
+    number or an array, with an array of the same shape returned for an array."""
+    s = np.asarray(s, dtype=complex)
+    z = _euler_maclaurin(s.ravel(), derivs=0)
+    return z.reshape(s.shape) if s.ndim else z[0]
 
 
 def zeta_with_derivatives(s):
     """(zeta(s), zeta'(s), zeta''(s)) from differentiated Euler-Maclaurin."""
-    s = complex(s)
-    return _euler_maclaurin(s, derivs=2)
+    return tuple(z[0] for z in _euler_maclaurin(np.array([complex(s)]), derivs=2))
 
 
 def zeta_log_derivs(s):

@@ -47,3 +47,15 @@ def test_kuznetsov_one_sided_gate_can_fail():
     # within the tail it still passes
     edge = under[:2] + [_kuznetsov_report(3.5, 2.6, 1.0)]
     assert acceptance.kuznetsov_gates(edge)["one_sided"]
+
+
+def test_fourth_moment_gaussian_gate_can_fail():
+    ratios = {10.0: [0.70, 0.77, 0.92], 25.0: [2.26, 2.35, 2.69], 50.0: [0.28, 0.38, 0.46]}
+    # gaussian_ratio at A = 2: |ratio - 1| is 0.614 at T = 10 and 0.271 at T = 50
+    measured = {10.0: 1.614, 25.0: 1.20, 50.0: 1.271}
+    assert all(acceptance.fourth_moment_gates(1e-6, ratios, measured).values())
+    swapped = dict(measured)
+    swapped[10.0], swapped[50.0] = measured[50.0], measured[10.0]
+    gates = acceptance.fourth_moment_gates(1e-6, ratios, swapped)
+    assert not gates["gaussian"]
+    assert gates["p2"] and gates["finite"] and gates["spread"]

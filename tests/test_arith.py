@@ -32,6 +32,15 @@ class TestTauGen:
         assert v == pytest.approx(arith.tau_gen(m, -g), abs=1e-9)
         assert abs(v) <= len(arith.divisors(m)) + 1e-9
 
+    @pytest.mark.parametrize("m", [1, 2, 6, 12])
+    def test_array_gamma_matches_scalar(self, m):
+        g = np.linspace(-51.0, 51.0, 205)
+        vals = arith.tau_gen(m, g)
+        assert vals.shape == g.shape
+        # to rounding: numpy's vector exp may differ from its scalar one by an ulp
+        scalar = np.array([arith.tau_gen(m, x) for x in g])
+        assert np.max(np.abs(vals - scalar)) <= 1e-15 * len(arith.divisors(m))
+
     def test_vectorized_matches_scalar(self):
         g = 3.7
         many = arith.tau_gen_many(50, g)

@@ -56,11 +56,14 @@ def test_package_has_no_assert_statements():
 
 
 _CORRUPT_DIVISORS = """
+import numpy as np
+
 from eislab import arith
 from eislab.errors import InvariantError
 
 arith.divisors = lambda m: [1, 2] if m == 3 else []
-for call in (lambda: arith.tau_gen(3, 1.7), lambda: arith.kloosterman(1, 1, 5)):
+for call in (lambda: arith.tau_gen(3, 1.7), lambda: arith.tau_gen(3, np.array([0.0, 1.7])),
+             lambda: arith.kloosterman(1, 1, 5)):
     try:
         call()
     except InvariantError as exc:
@@ -78,6 +81,8 @@ def test_corrupted_divisors_raise_typed_errors_under_optimize():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert lines[0].startswith("InvariantError: tau_gen(3, 1.7) is not real")
-    assert lines[1].startswith("InvariantError: Weil bound violated")
+    # the array form checks every element: gamma = 0 is real, 1.7 is not
+    assert lines[1].startswith("InvariantError: tau_gen(3, 1.7) is not real")
+    assert lines[2].startswith("InvariantError: Weil bound violated")

@@ -137,6 +137,18 @@ class TestZeta:
     def test_pole_raises(self):
         with pytest.raises(PoleError):
             zeta(1.0)
+        with pytest.raises(PoleError):
+            zeta(np.array([2.0, 1.0]))
+
+    def test_array_matches_scalar_and_mpmath(self):
+        # the 1-line heights of the Kuznetsov continuous term, t in (0, 51]
+        s = 1.0 + 2j * np.linspace(0.0, 51.0, 256)[1:]
+        z = zeta(s)
+        scalar = np.array([zeta(v) for v in s])
+        assert np.max(np.abs(z - scalar) / np.abs(scalar)) < 1e-14
+        hp = np.array([oracles.hp_zeta(v) for v in s])
+        assert np.max(np.abs(z - hp) / np.abs(hp)) < 1e-12
+        assert np.array_equal(zeta(s.reshape(5, 51)), z.reshape(5, 51))
 
     @given(st.floats(-2.0, 4.0), st.floats(-80.0, 80.0))
     @settings(max_examples=25)

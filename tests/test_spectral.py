@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eislab import arith, spectral, weights
+from eislab import arith, oracles, spectral, weights
 from eislab.errors import MissingEigenvalueError, ValidationError
+from eislab.quadrature import panel_nodes
 from eislab.specfun import (
     kuznetsov_kernel_even_many,
     kuznetsov_kernel_transform,
@@ -17,6 +18,9 @@ from eislab.specfun import (
 )
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "maass_forms.csv"
+CS_TO_50 = tuple(sorted(set(range(1, 51))
+                        | {c for c in (math.ceil(8 * 1.2 ** k) for k in range(40))
+                           if 25 < c <= 800}))
 
 
 @pytest.fixture(scope="module")
@@ -159,9 +163,17 @@ def fixture_forms():
     return spectral.ingest_forms(str(DATA))
 
 
+@pytest.fixture(scope="module")
+def mpmath_zeta_grid():
+    """Twice the node density of the continuous term at width 8 (bandwidth 32,
+    oversample 16), with mpmath's |zeta(1 + 2it)|^2 at each node."""
+    t, w = panel_nodes(0.0, spectral.TestFunction(width=8.0).support_cut, 32.0, 16.0,
+                       min_panels=24)
+    return t, w, np.array([abs(oracles.hp_zeta(1.0 + 2j * tt)) ** 2 for tt in t])
+
+
 class TestKuznetsov:
     def test_delta_term_two_resolutions(self, fixture_forms):
-        from eislab.quadrature import panel_nodes
         phi = spectral.TestFunction(kind="gaussian", width=8.0)
         vals = []
         for os in (8.0, 16.0):
@@ -187,15 +199,44 @@ class TestKuznetsov:
         assert abs(rep.geometric_side) < 10 * abs(rep.spectral_side) + 1.0
 
     @pytest.mark.parametrize("n, m", [(1, 1), (1, 2)])
-    def test_contracted_transform_matches_per_c_kernel(self, n, m):
-        # every c <= 50 and every tail-grid point of c_max = 25 and 50, on the
-        # t nodes and weights of the c_max = 50 call; the largest |I| is 0.34
+    def test_continuous_term_against_mpmath_zeta(self, fixture_forms, mpmath_zeta_grid, n, m):
+        # the same integral on twice the node density, from mpmath's zeta and
+        # tau(k, t) = sum_{ab = k} (a/b)^(it), the divisor-sum definition
         phi = spectral.TestFunction(kind="gaussian", width=8.0)
-        tail = {math.ceil(8 * 1.2 ** k) for k in range(40)}
-        cs = sorted(set(range(1, 51)) | {c for c in tail if 25 < c <= 800})
+        rep = spectral.kuznetsov_two_sides(n, m, phi, fixture_forms, c_max=1)
+        t, w, zeta_sq = mpmath_zeta_grid
+
+        def tau(k):
+            return sum(np.cos(t * math.log(a / (k // a)))
+                       for a in range(1, k + 1) if k % a == 0)
+
+        ref = 2.0 * np.sum(w * tau(n) * tau(m) / zeta_sq * phi(t)) / (2.0 * np.pi)
+        assert abs(rep.continuous_term - ref) < 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("width, n, m, cs", [
+        # every c <= 50 and every tail-grid point of c_max = 25 and 50; the
+        # largest |I| is 0.34
+        pytest.param(8.0, 1, 1, CS_TO_50, id="1-1"),
+        pytest.param(8.0, 1, 2, CS_TO_50, id="1-2"),
+        # t_max = 126: the widest phases of the real and vertical legs
+        pytest.param(20.0, 1, 1, (1, 3, 40), id="width20"),
+    ])
+    def test_contracted_transform_matches_per_c_kernel(self, width, n, m, cs):
+        # on the t nodes and weights of a call whose largest c is max(cs)
+        phi = spectral.TestFunction(kind="gaussian", width=width)
         root = math.sqrt(n * m)
         ts, a = spectral._kernel_weights(phi, root / max(cs))
         xs = root / np.array(cs, dtype=float)
+        got = kuznetsov_kernel_transform(xs, ts, a)
+        ref = np.array([a @ kuznetsov_kernel_even_many(x, ts) for x in xs])
+        assert np.max(np.abs(got - ref)) < 1e-13
+
+    def test_contracted_transform_horizontal_legs(self):
+        # Gaussian weights of width 1.5 or more leave both horizontal legs
+        # below 1e-19, so the test above cannot see them.  Flat weights on
+        # t <= 5 give every x both legs, carrying up to 1e-11 and 7.5e-5.
+        ts, a = panel_nodes(0.0, 5.0, 10.0, 8.0)
+        xs = 1.0 / np.array([1.0, 3.0, 40.0])
         got = kuznetsov_kernel_transform(xs, ts, a)
         ref = np.array([a @ kuznetsov_kernel_even_many(x, ts) for x in xs])
         assert np.max(np.abs(got - ref)) < 1e-13

@@ -10,6 +10,8 @@ quadrature.
 import sys
 import time
 
+import numpy as np
+
 from eislab import oracles
 from eislab.specfun import bessel_k_scaled, kuznetsov_kernel, kuznetsov_kernel_transform
 
@@ -21,9 +23,8 @@ def main() -> int:
     # empty; y = 1.5e-8 and 1e-4 are the small arguments of the Mellin paths
     for T in (0.0, 5.0, 30.0, 100.0, 104.0, 106.0, 200.0, 300.0):
         small_y = (1.5e-8, 1e-4) if T <= 30.0 else ()
-        for y in small_y + (0.5, 5.0, 0.6 * T + 1, max(T - 2, 1.0), T + 1, T + 30,
-                            2 * T + 50):
-            got = bessel_k_scaled(T, y)
+        ys = small_y + (0.5, 5.0, 0.6 * T + 1, max(T - 2, 1.0), T + 1, T + 30, 2 * T + 50)
+        for y, got in zip(ys, bessel_k_scaled(T, np.array(ys))):
             ref = oracles.hp_bessel_k_scaled_fast(T, y)
             if abs(ref) > 1e-250:
                 rel = abs(got - ref) / abs(ref)

@@ -94,13 +94,24 @@ def tau_gen(m: int, gamma):
 
 
 def tau_gen_many(n_max: int, gamma: float) -> np.ndarray:
-    """tau_gen(n, gamma) for n = 1..n_max via one sieve pass."""
-    out = np.zeros(n_max + 1, dtype=complex)
-    for d in range(1, n_max + 1):
-        out[d::d] += np.exp(2j * gamma * math.log(d))
-    n = np.arange(0, n_max + 1, dtype=float)
+    """tau_gen(n, gamma) for n = 1..n_max (index 0 unused).
+
+    sum_{d | n} d^(2 i gamma) by 2 isqrt(n_max) strided adds in O(n_max)
+    memory: each d <= s = isqrt(n_max) is added to its multiples d, 2d, ...
+    by one slice, and each cofactor j <= s adds every d > s with d j <= n_max
+    to j d by one slice of step j.
+    """
+    n = np.arange(n_max + 1, dtype=float)
     n[0] = 1.0
-    out *= np.exp(-1j * gamma * np.log(n))
+    logs = np.log(n)
+    e = np.exp(2j * gamma * logs)
+    out = np.zeros(n_max + 1, dtype=complex)
+    s = math.isqrt(n_max)
+    for d in range(1, s + 1):
+        out[d::d] += e[d]
+    for j in range(1, s + 1):
+        out[j * (s + 1):j * (n_max // j) + 1:j] += e[s + 1:n_max // j + 1]
+    out *= np.exp(-1j * gamma * logs)
     if not np.max(np.abs(out.imag[1:])) < 1e-9:
         raise InvariantError(f"tau_gen_many({n_max}, {gamma}) is not real")
     return out.real[:]

@@ -91,12 +91,14 @@ _CHEB_DEG = 24       # polynomial degree of every table panel
 _CHEB_TOL = 1e-14    # stop rule: a panel's last three coefficients, relative to the peak
 _CHEB_MIN_WIDTH = 2.0 ** -6  # far below the table's K_{iT} wavelengths, >= 34 / T
 _CHEB_THETA = np.pi * (np.arange(_CHEB_DEG + 1) + 0.5) / (_CHEB_DEG + 1)
+_CHEB_NODES = np.cos(_CHEB_THETA)
 _CHEB_FIT = (2.0 / (_CHEB_DEG + 1)) * np.cos(np.outer(np.arange(_CHEB_DEG + 1), _CHEB_THETA))
 _CHEB_FIT[0] *= 0.5
 
 
 class ChebyshevTable:
-    """Piecewise degree-24 Chebyshev interpolant of a scalar f on [lo, hi].
+    """Piecewise degree-24 Chebyshev interpolant of f on [lo, hi]; f maps an
+    array of points to the array of its values, one call per panel.
 
     Panels are bisected until their last three coefficients are at most
     1e-14 of the running peak |f| (Trefethen, ATAP, ch. 8), which only
@@ -110,7 +112,7 @@ class ChebyshevTable:
         while todo:  # depth first, left half first, so panels come out in order
             a, b = todo.pop()
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            vals = np.array([f(mid + half * t) for t in np.cos(_CHEB_THETA)])
+            vals = f(mid + half * _CHEB_NODES)
             self.peak = max(self.peak, float(np.max(np.abs(vals))))
             coef = _CHEB_FIT @ vals
             if np.max(np.abs(coef[-3:])) <= _CHEB_TOL * self.peak:
@@ -182,9 +184,10 @@ class EisensteinEvaluator:
     Rows on the moment grid, sqrt(3)/2 <= y <= ``moment_y_max(setup)``, take
     their modes from one ``ChebyshevTable`` of ``bessel_k_scaled(T, .)``,
     accurate to about 1e-14 of the peak |K| and built on the first such row;
-    rows at other heights call ``bessel_k_scaled`` once per mode.  Evaluation
-    mutates the object (the table, and ``_tau`` grows when a row needs more
-    modes), so concurrent callers must not share one evaluator unlocked.
+    a row at another height makes one array call of ``bessel_k_scaled`` for
+    all its modes.  Evaluation mutates the object (the table, and ``_tau``
+    grows when a row needs more modes), so concurrent callers must not share
+    one evaluator unlocked.
     """
 
     def __init__(self, setup: SpectralSetup, policy: PrecisionPolicy = DEFAULT_POLICY):
@@ -229,7 +232,7 @@ class EisensteinEvaluator:
                     self.cutoff_margin + 2.0 * math.pi * self._y_top)
             ks = self._k_table(args)
         else:
-            ks = np.array([bessel_k_scaled(T, u, self.policy) for u in args])
+            ks = bessel_k_scaled(T, args, self.policy)
         return self.mode_prefactor * math.sqrt(y) * self._tau[1:nm + 1] * ks
 
     def row_coefficients(self, y: float) -> np.ndarray:

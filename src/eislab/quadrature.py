@@ -29,6 +29,13 @@ def gl_nodes(a: float, b: float, order: int):
     return mid + half * x, half * w
 
 
+def panel_count(a, b, bandwidth, oversample: float = 8.0, min_panels: int = 2):
+    """Number of equal 16-node panels on [a, b] that carry at least
+    ``oversample`` nodes per wavelength of ``bandwidth``; elementwise."""
+    width = 2.0 * np.pi * _GL_ORDER / (oversample * np.maximum(bandwidth, 1.0))
+    return np.maximum(min_panels, np.ceil((b - a) / width).astype(int))
+
+
 def panel_nodes(a: float, b: float, bandwidth: float, oversample: float = 8.0,
                 min_panels: int = 2):
     """Composite 16-point GL nodes on [a, b] resolving a given bandwidth.
@@ -40,10 +47,35 @@ def panel_nodes(a: float, b: float, bandwidth: float, oversample: float = 8.0,
     """
     if b <= a:
         return np.empty(0), np.empty(0)
-    bandwidth = max(bandwidth, 1.0)
-    width = 2.0 * np.pi * _GL_ORDER / (oversample * bandwidth)
-    npanels = max(min_panels, int(np.ceil((b - a) / width)))
-    return edge_nodes(np.linspace(a, b, npanels + 1))
+    return edge_nodes(panel_edges(a, b, bandwidth, oversample, min_panels))
+
+
+def panel_edges(a: float, b: float, bandwidth: float, oversample: float = 8.0,
+                min_panels: int = 2) -> np.ndarray:
+    """The panel edges of ``panel_nodes`` on [a, b], b > a."""
+    return np.linspace(a, b, int(panel_count(a, b, bandwidth, oversample, min_panels)) + 1)
+
+
+def ragged_panel_nodes(a, b, bandwidth, oversample: float = 8.0):
+    """``panel_nodes`` on many intervals [a_i, b_i] at once.
+
+    Returns the nodes and weights of every interval, concatenated, and the
+    index i of each node, for summing per interval with ``np.bincount``.
+    Each interval's edges are np.linspace's bit for bit, k (b - a)/n + a
+    with the last edge b itself, so its nodes are the ones ``panel_nodes``
+    gives it; an interval with b_i <= a_i has none.
+    """
+    a, b, bandwidth = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                            for v in (a, b, bandwidth)))
+    count = np.where(b > a, panel_count(a, b, bandwidth, oversample), 0)
+    owner = np.repeat(np.arange(a.size), count)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    step, base = ((b - a) / np.maximum(count, 1))[owner], a[owner]
+    lo = k * step + base
+    hi = np.where(k + 1 == count[owner], b[owner], (k + 1) * step + base)
+    x, w = _gl_rule(_GL_ORDER)
+    mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel(), np.repeat(owner, _GL_ORDER)
 
 
 def edge_nodes(edges):
@@ -52,6 +84,31 @@ def edge_nodes(edges):
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def _two_product(a, b):
+    """a b = p + e exactly, p = fl(a b): Dekker's product by Veltkamp splitting."""
+    def split(v):
+        big = 134217729.0 * v  # 2^27 + 1
+        hi = big - (big - v)
+        return hi, v - hi
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _panel_exp(edges, k, unit=1.0):
+    """e^(unit k_t s) at the nodes s = mid_p + half x_j of the equal 16-node
+    panels between ``edges``, as the factors e^(unit k_t mid_p) and
+    e^(unit k_t half x_j) whose product is the (p, j, t) value: (panels + 16)
+    x len(k) exponentials in place of one per node and t.  k_t mid_p is kept to
+    twice double precision: its rounding, 1e-13 at a phase of 1e3, would be
+    shared by a panel's 16 nodes and so would not average out."""
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[-1] - edges[0]) / (edges.size - 1)
+    p, err = _two_product(mid[:, None], k[None, :])
+    return (np.exp(unit * p) * (1.0 + unit * err),
+            np.exp(unit * np.outer(half * _gl_rule(_GL_ORDER)[0], k)))
 
 
 def pairwise_sum(values) -> complex:

@@ -38,6 +38,15 @@ nodes per oscillation.  Two separate thresholds bound the work:
   below e^-745 (``_FLOOR_EXP``, the double-precision underflow) is
   returned as 0.0, an absolute floor under 1e-280.
 
+``y`` may be an array.  Its values are split between the two paths and
+taken 64 at a time (``_BLOCK``), which bounds the transient node arrays.
+Each contour leg of a block is one ragged batch: every y's panels on its
+own interval are built in one set of array operations
+(``quadrature.ragged_panel_nodes``, whose edges are np.linspace's bit for
+bit), the integrand is evaluated on all nodes at once, and ``np.bincount``
+sums the nodes of each y in order.  A y's value therefore does not depend on
+the other y of the call, and a scalar call is a batch of one.
+
 Kuznetsov kernel
 ----------------
 ``kuznetsov_kernel(x, t)`` returns the t-even part of (2i/sinh(pi t)) J_{2it}(4 pi x),
@@ -79,55 +88,52 @@ from __future__ import annotations
 import numpy as np
 
 from eislab.errors import DomainError
-from eislab.quadrature import _GL_ORDER, _gl_rule, edge_nodes, panel_nodes
+from eislab.quadrature import _GL_ORDER, _panel_exp, edge_nodes, panel_nodes, ragged_panel_nodes
 from eislab.specfun.policy import DEFAULT_POLICY, PrecisionPolicy
 
 _FLOOR_EXP = 745.0  # e^-745 ~ 5e-324: a result whose scale is below it is 0.0
 _TAIL_CUT = 45.0    # a leg ends where its integrand is e^-45 below the result's scale
+_BLOCK = 64         # y values per ragged batch, which bounds the transient node arrays
 
 
-def _k_scaled_oscillatory(T: float, y: float, policy: PrecisionPolicy) -> float:
+def _k_scaled_oscillatory(T: float, y: np.ndarray, policy: PrecisionPolicy) -> np.ndarray:
     os = policy.bessel_freq_oversample
     M = max(2.0 * T, 30.0)
-    u1 = float(np.arccosh(M / y)) if M / y > 1.0 else 0.0
-    total = 0.0
-    if u1 > 0.0:
-        bw = max(T, M - T)
-        n, w = panel_nodes(0.0, u1, bw, os)
-        total += float(np.sum(w * np.cos(T * n - y * np.sinh(n))))
-    sh1 = np.sinh(u1)
+    u1 = np.arccosh(np.maximum(M / y, 1.0))  # 0 where M <= y: no real leg
+    total = np.zeros(y.size)
+    n, w, i = ragged_panel_nodes(0.0, u1, max(T, M - T), os)
+    total += np.bincount(i, w * np.cos(T * n - y[i] * np.sinh(n)), y.size)
     # vertical leg u = u1 - i r: |integrand| = exp(-(y cosh(u1) sin r - T r)) <= 1
-    bw_v = y * sh1 + T
-    n, w = panel_nodes(0.0, np.pi / 2, bw_v, os)
-    theta = T * (u1 - 1j * n) - y * np.sinh(u1 - 1j * n)
-    total += float(np.real(np.sum(w * np.exp(1j * theta) * (-1j))))
+    n, w, i = ragged_panel_nodes(0.0, np.pi / 2, y * np.sinh(u1) + T, os)
+    theta = T * (u1[i] - 1j * n) - y[i] * np.sinh(u1[i] - 1j * n)
+    total += np.bincount(i, np.real(w * np.exp(1j * theta) * (-1j)), y.size)
     # horizontal leg u = x - i pi/2: integrand e^{iTx} e^{T pi/2 - y cosh x}
     cap = (T * np.pi / 2 + _TAIL_CUT) / y
-    if cap > np.cosh(u1):
-        xmax = float(np.arccosh(cap))
-        bw_h = T + y * np.sinh(xmax)
-        n, w = panel_nodes(u1, xmax, bw_h, os)
-        total += float(np.real(np.sum(
-            w * np.exp(1j * T * n) * np.exp(T * np.pi / 2 - y * np.cosh(n)))))
+    xmax = np.where(cap > np.cosh(u1), np.arccosh(np.maximum(cap, 1.0)), u1)
+    n, w, i = ragged_panel_nodes(u1, xmax, T + y * np.sinh(xmax), os)
+    total += np.bincount(i, np.real(
+        w * np.exp(1j * T * n) * np.exp(T * np.pi / 2 - y[i] * np.cosh(n))), y.size)
     return total
 
 
-def _k_scaled_decay(T: float, y: float, policy: PrecisionPolicy) -> float:
+def _k_scaled_decay(T: float, y: np.ndarray, policy: PrecisionPolicy) -> np.ndarray:
     os = policy.bessel_freq_oversample
-    p = float(np.sqrt((y - T) * (y + T)))
-    pref = T * float(np.arccos(T / y)) if T > 0 else 0.0
-    if pref - p < -_FLOOR_EXP:
-        return 0.0  # below the 1e-280 absolute floor
-    chmax = 1.0 + (_TAIL_CUT + max(pref - p, 0.0)) / p
-    umax = float(np.arccosh(chmax))
-    bw = p * np.sinh(umax) + T * (np.cosh(umax) - 1.0)
-    n, w = panel_nodes(0.0, umax, bw, os)
-    vals = np.exp(pref - p * np.cosh(n)) * np.cos(T * (np.sinh(n) - n))
-    return float(np.sum(w * vals))
+    p = np.sqrt((y - T) * (y + T))
+    pref = T * np.arccos(T / y) if T > 0 else np.zeros(y.size)
+    # a scale below e^-745 leaves an empty leg: 0.0, under the 1e-280 floor
+    chmax = 1.0 + (_TAIL_CUT + np.maximum(pref - p, 0.0)) / p
+    umax = np.where(pref - p < -_FLOOR_EXP, 0.0, np.arccosh(chmax))
+    n, w, i = ragged_panel_nodes(0.0, umax, p * np.sinh(umax) + T * (np.cosh(umax) - 1.0), os)
+    vals = np.exp(pref[i] - p[i] * np.cosh(n)) * np.cos(T * (np.sinh(n) - n))
+    return np.bincount(i, w * vals, y.size)
 
 
-def bessel_k_scaled(T: float, y: float, policy: PrecisionPolicy = DEFAULT_POLICY) -> float:
-    """e^(pi T/2) K_{iT}(y) for T >= 0, y > 0; real.
+def bessel_k_scaled(T: float, y, policy: PrecisionPolicy = DEFAULT_POLICY):
+    """e^(pi T/2) K_{iT}(y) for T >= 0 and y > 0; real.
+
+    ``y`` is a number, for which a float is returned, or an array, for which
+    an array of its shape is returned; each value is the one a lone call
+    with that y gives, bit for bit.  Any y <= 0 raises DomainError.
 
     Relative error below 1e-9 wherever the value exceeds ~1e-280, as
     surveyed against mpmath's besselk by scripts/kernel_accuracy_survey.py;
@@ -136,12 +142,19 @@ def bessel_k_scaled(T: float, y: float, policy: PrecisionPolicy = DEFAULT_POLICY
     the result, where the integrand is e^-45 below its scale, and the
     1e-280 floor is a separate, absolute cut.
     """
-    if y <= 0.0:
-        raise DomainError(f"bessel_k_scaled requires y > 0, got {y}")
+    ys = np.asarray(y, dtype=float)
+    if not np.all(ys > 0.0):
+        raise DomainError(f"bessel_k_scaled requires y > 0, got {np.min(ys)}")
     T = abs(float(T))  # K_{iT} = K_{-iT}
-    if y >= T + 3.0 * max(T, 1.0) ** (1.0 / 3.0):
-        return _k_scaled_decay(T, y, policy)
-    return _k_scaled_oscillatory(T, y, policy)
+    flat = ys.ravel()
+    out = np.empty(flat.size)
+    decay = flat >= T + 3.0 * max(T, 1.0) ** (1.0 / 3.0)
+    for path, idx in ((_k_scaled_decay, np.flatnonzero(decay)),
+                      (_k_scaled_oscillatory, np.flatnonzero(~decay))):
+        for i0 in range(0, idx.size, _BLOCK):
+            blk = idx[i0:i0 + _BLOCK]
+            out[blk] = path(T, flat[blk], policy)
+    return out.reshape(ys.shape) if ys.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -205,31 +218,6 @@ def kuznetsov_kernel_even_many(x: float, ts):
     if (ts < 0).any():
         raise DomainError("t array must be nonnegative (kernel is even in t)")
     return _kernel_even_many(4.0 * np.pi * x, ts)
-
-
-def _two_product(a, b):
-    """a b = p + e exactly, p = fl(a b): Dekker's product by Veltkamp splitting."""
-    def split(v):
-        big = 134217729.0 * v  # 2^27 + 1
-        hi = big - (big - v)
-        return hi, v - hi
-    p = a * b
-    (ah, al), (bh, bl) = split(a), split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _panel_exp(edges, k, unit=1.0):
-    """e^(unit k_t s) at the nodes s = mid_p + half x_j of the equal 16-node
-    panels between ``edges``, as the factors e^(unit k_t mid_p) and
-    e^(unit k_t half x_j) whose product is the (p, j, t) value: (panels + 16)
-    x len(k) exponentials in place of one per node and t.  k_t mid_p is kept to
-    twice double precision: its rounding, 1e-13 at a phase of 1e3, would be
-    shared by a panel's 16 nodes and so would not average out."""
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[-1] - edges[0]) / (edges.size - 1)
-    p, err = _two_product(mid[:, None], k[None, :])
-    return (np.exp(unit * p) * (1.0 + unit * err),
-            np.exp(unit * np.outer(half * _gl_rule(_GL_ORDER)[0], k)))
 
 
 def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:

@@ -91,11 +91,22 @@ class MaassForm:
         return self
 
 
+def _smallest_prime_factors(n_max: int) -> np.ndarray:
+    """spf[n] = the smallest prime factor of n, for 2 <= n <= n_max."""
+    spf = np.arange(n_max + 1)
+    for p in range(2, math.isqrt(n_max) + 1):
+        if spf[p] == p:
+            block = spf[p * p::p]
+            block[block == np.arange(p * p, n_max + 1, p)] = p
+    return spf
+
+
 def hecke_fill(prime_eigenvalues: dict, n_max: int) -> dict:
     """Extend lambda(p) data to all n <= n_max with every prime factor known.
 
-    Prime powers follow lambda(p^(k+1)) = lambda(p) lambda(p^k) - lambda(p^(k-1));
-    coprime indices multiply.
+    The keys of ``prime_eigenvalues`` are primes.  Prime powers follow
+    lambda(p^(k+1)) = lambda(p) lambda(p^k) - lambda(p^(k-1)); coprime
+    indices multiply.
     """
     lam = {1: 1.0}
     for p, lp in prime_eigenvalues.items():
@@ -104,19 +115,26 @@ def hecke_fill(prime_eigenvalues: dict, n_max: int) -> dict:
             lam[power] = cur
             prev, cur = cur, lp * cur - prev
             power *= p
+    rank = {p: r for r, p in enumerate(prime_eigenvalues)}
+    spf = _smallest_prime_factors(n_max).tolist()
     for n in range(2, n_max + 1):
         if n in lam:
             continue
-        rest, val, ok = n, 1.0, True
-        for p in prime_eigenvalues:
-            q = 1
+        # the prime powers q || n, found by the sieve and multiplied in the
+        # order of ``prime_eigenvalues``, as the trial division took them
+        factors, rest = [], n
+        while rest > 1:
+            p, q = spf[rest], 1
             while rest % p == 0:
                 rest //= p
                 q *= p
-            if q > 1:
-                val *= lam[q]
-        if rest == 1:
-            lam[n] = val
+            factors.append((rank.get(p, -1), q))
+        if min(factors)[0] < 0:
+            continue  # a prime factor without an eigenvalue
+        val = 1.0
+        for _, q in sorted(factors):
+            val *= lam[q]
+        lam[n] = val
     return lam
 
 
@@ -206,28 +224,22 @@ def afe_pair(form: MaassForm, T: float, sigma: float = 1.0, *, tail_tol: float =
     if form.n_max < n_need:
         raise MissingEigenvalueError(
             f"AFE needs eigenvalues to n = {n_need}, form has {form.n_max}")
-    taus = arith.tau_gen_many(n_need, T)
-    ks = np.arange(1, int(math.isqrt(n_need)) + 1)
-    xs_all = sorted({int(k * k * n) for k in ks for n in range(1, n_need // (k * k) + 1)})
-    xs_arr = np.array(xs_all, dtype=float)
+    # every x = k^2 n <= n_need is an integer, so the weights are indexed by x - 1
+    xs = np.arange(1, n_need + 1)
     # e^(smoother w^2) is below e^(-46) past this height on the line Re w = sigma
     height = max(10.0, math.sqrt(46.0 / smoother + sigma * sigma) + 3.0)
-    vp, vm = contour_weights(xs_arr, t, T, a, sigma, height, smoother)
-    vp_at = dict(zip(xs_all, vp))
-    vm_at = dict(zip(xs_all, vm))
+    vp, vm = contour_weights(xs, t, T, a, sigma, height, smoother)
+    lam = np.array([form.eigenvalue(n) for n in range(1, n_need + 1)])
+    coef = lam * arith.tau_gen_many(n_need, T)[1:]
+    ph_n = np.exp((-0.5 + 1j * T) * np.log(xs))
     total = 0.0 + 0.0j
-    for k in ks:
-        k2 = int(k * k)
-        ns = np.arange(1, n_need // k2 + 1)
-        lam = np.array([form.eigenvalue(int(n)) for n in ns])
-        coef = lam * taus[1:len(ns) + 1]
-        ph_n = np.exp((-0.5 + 1j * T) * np.log(ns))
-        wplus = np.array([vp_at[int(k2 * n)] for n in ns])
-        wminus = np.array([vm_at[int(k2 * n)] for n in ns])
+    for k in range(1, math.isqrt(n_need) + 1):
+        m = n_need // (k * k)
+        at = k * k * xs[:m] - 1
         kfac_p = np.exp((-1.0 + 2j * T) * math.log(k))
         kfac_m = np.exp((-1.0 - 2j * T) * math.log(k))
-        total += kfac_p * np.sum(coef * ph_n * wplus)
-        total += kfac_m * np.sum(coef * np.conj(ph_n) * wminus)
+        total += kfac_p * np.sum(coef[:m] * ph_n[:m] * vp[at])
+        total += kfac_m * np.sum(coef[:m] * np.conj(ph_n[:m]) * vm[at])
     return complex(total)
 
 

@@ -29,7 +29,14 @@ from typing import NamedTuple
 import numpy as np
 
 from eislab.errors import ConvergenceError, DomainError
-from eislab.quadrature import gl_nodes, panel_nodes
+from eislab.quadrature import (
+    _GL_ORDER,
+    _panel_exp,
+    edge_nodes,
+    gl_nodes,
+    panel_edges,
+    panel_nodes,
+)
 from eislab.specfun import (
     DEFAULT_POLICY,
     PrecisionPolicy,
@@ -127,6 +134,27 @@ def _exp_outer_apply(a: np.ndarray, b: np.ndarray, vs) -> list:
         for out, v in zip(outs, vs):
             out[i0:i0 + 2048] = block @ v
         del block  # freed before the next block is built
+    return outs
+
+
+def _contour_apply(lnx: np.ndarray, sigma: float, edges: np.ndarray, cores) -> list:
+    """[sum_w x^(-w) core(w) for core in cores] at every x = e^lnx, over the
+    nodes w = sigma + i s, s = mid_p + half u_j, of the 16-node panels
+    between ``edges`` (``quadrature.edge_nodes``).
+
+    x^(-w) = x^(-sigma) e^(-i lnx mid_p) e^(-i lnx half u_j) is factored by
+    panel (``quadrature._panel_exp``): (panels + 16) exponentials per x in
+    place of one per node.  x is taken 2048 at a time, which bounds the
+    memory.
+    """
+    mats = [np.reshape(c, (-1, _GL_ORDER)) for c in cores]
+    outs = [np.empty(len(lnx), dtype=complex) for _ in cores]
+    for i0 in range(0, len(lnx), 2048):
+        lb = lnx[i0:i0 + 2048]
+        em, ex = _panel_exp(edges, lb, -1j)
+        scale = np.exp(-sigma * lb)
+        for out, m in zip(outs, mats):
+            out[i0:i0 + 2048] = scale * np.einsum("pn,pn->n", em, m @ ex)
     return outs
 
 
@@ -309,12 +337,13 @@ def contour_weights(xs: np.ndarray, t: float, T: float, a: float, sigma: float,
     """
     lnx = np.log(xs)
     bw = float(np.max(lnx)) + 2.0 * sigma * smoother + 4.0
-    nodes, wts = panel_nodes(-height, height, bw, DEFAULT_POLICY.bessel_freq_oversample,
-                             min_panels=8)
+    edges = panel_edges(-height, height, bw, DEFAULT_POLICY.bessel_freq_oversample,
+                        min_panels=8)
+    nodes, wts = edge_nodes(edges)
     w = sigma + 1j * nodes
     cores = [np.exp(smoother * w * w + _g_ratio_log(w, t, T, a, sT)) / w * (wts / (2.0 * np.pi))
              for sT in (+1.0, -1.0)]
-    vp, vm = _exp_outer_apply(-lnx, w, cores)
+    vp, vm = _contour_apply(lnx, sigma, edges, cores)
     return vp, vm
 
 
@@ -368,12 +397,13 @@ def weight_Vcal_pm(x, t: float, T: float, bump: Bump, sigma: float = 0.75) -> Vc
     vmax = min(h_cap, gamma_cap)
     lx_max = float(np.max(np.log(np.maximum(xv, 1.0))))
     bw = lx_max + 24.0 / bump.half_width + 12.0
-    nodes, wts = panel_nodes(-vmax, vmax, bw, DEFAULT_POLICY.bessel_freq_oversample,
-                             min_panels=16)
+    edges = panel_edges(-vmax, vmax, bw, DEFAULT_POLICY.bessel_freq_oversample,
+                        min_panels=16)
+    nodes, wts = edge_nodes(edges)
     s = sigma + 1j * nodes
     plus_i, minus_i = weight_Hcal_pm(s, t, T, bump)
     cores = [integ / s * (wts / (2.0 * np.pi)) for integ in (plus_i, minus_i)]
-    vp, vm = _exp_outer_apply(-np.log(xv), s, cores)
+    vp, vm = _contour_apply(np.log(xv), sigma, edges, cores)
     if vp.size == 1:
         vp, vm = complex(vp[0]), complex(vm[0])
     tail = 0.0
@@ -428,9 +458,8 @@ def leading_terms(s: complex, t: float, T: float, bump: Bump) -> LeadingTerms:
 # ---------------------------------------------------------------------------
 
 def _scaled_kk(y, T: float, t: float, policy: PrecisionPolicy):
-    """e^(pi(T+t)/2) K_{iT}(y) K_{it}(y), vectorized over y."""
-    return np.array([bessel_k_scaled(T, float(yy), policy)
-                     * bessel_k_scaled(t, float(yy), policy) for yy in np.atleast_1d(y)])
+    """e^(pi(T+t)/2) K_{iT}(y) K_{it}(y) at an array of y."""
+    return bessel_k_scaled(T, y, policy) * bessel_k_scaled(t, y, policy)
 
 
 def g_lower_incomplete(x: float, T: float, t: float,

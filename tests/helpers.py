@@ -27,8 +27,8 @@ def eval_E_independent(z, T: float, extra_margin: float = 2.0,
     y, x = z.y, z.x
     n_max = int(math.ceil(extra_margin * (T + 10 * T ** (1 / 3) + 40) / (2 * math.pi * y)))
     total = (y ** 0.5) * (np.exp(1j * T * math.log(y)) + c * np.exp(-1j * T * math.log(y)))
-    for n in range(1, n_max + 1):
-        k = bessel_k_scaled(T, 2 * math.pi * n * y, policy)
+    ks = bessel_k_scaled(T, 2 * math.pi * np.arange(1, n_max + 1) * y, policy)
+    for n, k in enumerate(ks, start=1):
         total += pref * math.sqrt(y) * tau_gen(n, T) * k * 2 * math.cos(2 * math.pi * n * x)
     return complex(total)
 

@@ -47,6 +47,18 @@ class TestTauGen:
         for m in (1, 7, 12, 49, 50):
             assert many[m] == pytest.approx(arith.tau_gen(m, g), rel=1e-10)
 
+    @pytest.mark.parametrize("g", [3.7, 13.78])
+    def test_sieve_matches_divisor_sums(self, g):
+        # isqrt(5000) = 70 splits the sieve: divisors up to 70 are added by
+        # one slice each, larger ones by one slice per cofactor.  Every n is
+        # checked: primes (4999), squares (4900 = 70^2, 4489), and n whose
+        # divisors lie on both sides (4970 = 70 * 71, 71, 5000)
+        many = arith.tau_gen_many(5000, g)
+        assert many.shape == (5001,)
+        for m in range(1, 5001):
+            ref = arith.tau_gen(m, g)
+            assert abs(many[m] - ref) <= 1e-12 * len(arith.divisors(m)), m
+
 
 class TestSigma:
     def test_divisor_count(self):

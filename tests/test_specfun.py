@@ -275,6 +275,23 @@ class TestBesselK:
         with pytest.raises(DomainError):
             bessel_k_scaled(5.0, -1.0)
 
+    @pytest.mark.parametrize("T", [0.0, 3.0, 50.0, 104.0, 106.0, 150.0])
+    def test_array_matches_scalar_calls(self, T):
+        # each array value is the lone call's, bit for bit: y from the Mellin
+        # paths' 1e-8 past the turning point, and T + 900, whose scale is
+        # below e^-745 and so underflows to 0.0
+        ys = np.append(np.geomspace(1e-8, T + 200.0, 300), T + 900.0)
+        got = bessel_k_scaled(T, ys)
+        assert got.shape == ys.shape and got[-1] == 0.0
+        assert np.array_equal(got, [bessel_k_scaled(T, y) for y in ys])
+        assert np.array_equal(bessel_k_scaled(T, ys.reshape(7, 43)), got.reshape(7, 43))
+        assert isinstance(bessel_k_scaled(T, 2.0), float)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_array_domain(self, bad):
+        with pytest.raises(DomainError):
+            bessel_k_scaled(5.0, np.array([1.0, 2.0, bad, 3.0]))
+
 
 def test_kernel_accuracy_survey_passes():
     # scripts/kernel_accuracy_survey.py exits 0 when both kernels stay below

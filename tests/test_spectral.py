@@ -115,6 +115,42 @@ class TestAFE:
         val = spectral.afe_pair(form, 3.0, tail_tol=1e-6)
         assert np.isfinite(abs(val))
 
+    def test_hecke_fill_matches_trial_division(self):
+        # the sieve must give the trial division's dict bit for bit: the same
+        # keys in the same order, each product taken in the order of the
+        # given primes, also when that order is shuffled or primes are missing
+        def trial_division(prime_eigenvalues, n_max):
+            lam = {1: 1.0}
+            for p, lp in prime_eigenvalues.items():
+                power, prev, cur = p, 1.0, lp
+                while power <= n_max:
+                    lam[power] = cur
+                    prev, cur = cur, lp * cur - prev
+                    power *= p
+            for n in range(2, n_max + 1):
+                if n in lam:
+                    continue
+                rest, val = n, 1.0
+                for p in prime_eigenvalues:
+                    q = 1
+                    while rest % p == 0:
+                        rest //= p
+                        q *= p
+                    if q > 1:
+                        val *= lam[q]
+                if rest == 1:
+                    lam[n] = val
+            return lam
+
+        n_max = 2000
+        primes = [p for p in range(2, n_max + 1)
+                  if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        order = np.random.default_rng(7).permutation(len(primes))
+        for keys in (primes, [primes[i] for i in order], [primes[i] for i in order[:200]]):
+            data = {p: 2.0 * math.cos(2.399963 * p) for p in keys}
+            got = spectral.hecke_fill(data, n_max)
+            assert list(got.items()) == list(trial_division(data, n_max).items())
+
     def test_short_odd_form_guarded(self):
         lam = spectral.hecke_fill({2: -1.068333, 3: -0.456197, 5: -0.290673,
                                    7: 0.776463}, 10)

@@ -9,6 +9,7 @@ import pytest
 
 from eislab import oracles, weights
 from eislab.errors import DomainError
+from eislab.quadrature import panel_nodes
 from eislab.specfun import PrecisionPolicy
 from eislab.weights import Bump, WeightContour
 
@@ -215,6 +216,25 @@ class TestContourWeights:
         base = weights.weight_Vcal_pm(1.0, 60.0, 50.0, bump50)
         assert abs(base.plus) * 50.0 < 100.0
         assert base.tail_estimate < 1e-8
+
+    @pytest.mark.parametrize("parity_a", [0.5, 1.5])
+    @pytest.mark.parametrize("smoother", [1.0, 0.5])
+    def test_factored_contour_weights_match_dense_exponentials(self, parity_a, smoother):
+        # x^(-w) factored by panel against exp(outer(-log x, w)) on the same
+        # nodes, at the AFE's contour for x = 1..20000 and x = 10^6
+        t, T, sigma = 9.5337, 3.0, 1.0
+        height = max(10.0, math.sqrt(46.0 / smoother + sigma * sigma) + 3.0)
+        xs = np.append(np.arange(1.0, 20001.0), 1e6)
+        vp, vm = weights.contour_weights(xs, t, T, parity_a, sigma, height, smoother)
+        bw = math.log(1e6) + 2.0 * sigma * smoother + 4.0
+        nodes, wts = panel_nodes(-height, height, bw, 8.0, min_panels=8)
+        w = sigma + 1j * nodes
+        for got, sT in ((vp, 1.0), (vm, -1.0)):
+            core = (np.exp(smoother * w * w + weights._g_ratio_log(w, t, T, parity_a, sT))
+                    / w * (wts / (2.0 * np.pi)))
+            ref = np.concatenate([np.exp(np.outer(-np.log(xs[i:i + 2000]), w)) @ core
+                                  for i in range(0, xs.size, 2000)])
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestMellinPair:

@@ -1,16 +1,15 @@
 """Integer-arithmetic kernels: divisor sums, Kloosterman sums, Hecke utilities.
 
-Divisor lists come from a sieve up to a configured limit, with trial-division
-factorization as the fallback above it.  Kloosterman sums are evaluated by
-direct O(c) enumeration over invertible residues with the inverse from the
-extended gcd (``pow(x, -1, c)``); that is comfortably fast for the moduli a
-desk-scale trace-formula check ever touches.
+Divisor lists come from trial-division factorization, and divisor sums over
+a whole range 1..n_max from one strided sieve.  Kloosterman sums are
+evaluated by direct O(c) enumeration over invertible residues with the
+inverse from the extended gcd (``pow(x, -1, c)``); that is comfortably fast
+for the moduli a desk-scale trace-formula check ever touches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,36 +17,10 @@ from eislab.errors import DomainError, InvariantError, MissingEigenvalueError
 from eislab.specfun import zeta
 
 
-@dataclass
-class DivisorTable:
-    """Sieved divisor lists for 1..limit, grown on demand."""
-
-    limit: int = 10_000
-    divisors: list = field(default_factory=list, repr=False)
-
-    def __post_init__(self):
-        if self.limit < 1:
-            raise ValueError("limit must be positive")
-        self._sieve(self.limit)
-
-    def _sieve(self, limit: int):
-        divs = [[] for _ in range(limit + 1)]
-        for d in range(1, limit + 1):
-            for m in range(d, limit + 1, d):
-                divs[m].append(d)
-        self.divisors = divs
-        self.limit = limit
-
-    def __call__(self, m: int):
-        """Sorted list of positive divisors of m."""
-        if m < 1:
-            raise DomainError(f"divisors need m >= 1, got {m}")
-        if m <= self.limit:
-            return self.divisors[m]
-        return _divisors_by_factorization(m)
-
-
-def _divisors_by_factorization(m: int):
+def divisors(m: int):
+    """Sorted list of the positive divisors of m, by trial-division factorization."""
+    if m < 1:
+        raise DomainError(f"divisors need m >= 1, got {m}")
     factors = {}
     n = m
     d = 2
@@ -62,17 +35,6 @@ def _divisors_by_factorization(m: int):
     for p, e in factors.items():
         divs = [dd * p ** k for dd in divs for k in range(e + 1)]
     return sorted(divs)
-
-
-_table = DivisorTable(limit=1024)
-
-
-def divisors(m: int):
-    """Divisors of m from the shared table (sieve grows up to 10^5)."""
-    global _table
-    if m > _table.limit and m <= 100_000:
-        _table = DivisorTable(limit=max(2 * _table.limit, m))
-    return _table(m)
 
 
 def tau_gen(m: int, gamma):
@@ -94,35 +56,15 @@ def tau_gen(m: int, gamma):
 
 
 def tau_gen_many(n_max: int, gamma: float) -> np.ndarray:
-    """tau_gen(n, gamma) for n = 1..n_max (index 0 unused).
-
-    sum_{d | n} d^(2 i gamma) by 2 isqrt(n_max) strided adds in O(n_max)
-    memory: each d <= s = isqrt(n_max) is added to its multiples d, 2d, ...
-    by one slice, and each cofactor j <= s adds every d > s with d j <= n_max
-    to j d by one slice of step j.
-    """
+    """tau_gen(n, gamma) for n = 1..n_max (index 0 unused): n^(-i gamma)
+    times ``sigma_complex_many(n_max, 2 i gamma)``."""
     n = np.arange(n_max + 1, dtype=float)
     n[0] = 1.0
-    logs = np.log(n)
-    e = np.exp(2j * gamma * logs)
-    out = np.zeros(n_max + 1, dtype=complex)
-    s = math.isqrt(n_max)
-    for d in range(1, s + 1):
-        out[d::d] += e[d]
-    for j in range(1, s + 1):
-        out[j * (s + 1):j * (n_max // j) + 1:j] += e[s + 1:n_max // j + 1]
-    out *= np.exp(-1j * gamma * logs)
+    out = sigma_complex_many(n_max, 2j * gamma)
+    out *= np.exp(-1j * gamma * np.log(n))
     if not np.max(np.abs(out.imag[1:])) < 1e-9:
         raise InvariantError(f"tau_gen_many({n_max}, {gamma}) is not real")
-    return out.real[:]
-
-
-def sigma_complex(m: int, a: complex) -> complex:
-    """sum_{d|m} d^a for complex exponent a."""
-    if m < 1:
-        raise DomainError(f"sigma_complex needs m >= 1, got {m}")
-    d = np.array(divisors(m), dtype=float)
-    return complex(np.sum(np.exp(complex(a) * np.log(d))))
+    return out.real
 
 
 def weil_bound(n: int, m: int, c: int) -> float:
@@ -159,11 +101,21 @@ def kloosterman(n: int, m: int, c: int) -> float:
 
 
 def sigma_complex_many(n_max: int, a: complex) -> np.ndarray:
-    """sigma_a(n) for n = 0..n_max (index 0 unused) via sieve."""
+    """sigma_a(n) = sum_{d | n} d^a for n = 1..n_max (index 0 unused), complex a.
+
+    2 isqrt(n_max) strided adds in O(n_max) memory: each d <= s = isqrt(n_max)
+    is added to its multiples d, 2d, ... by one slice, and each cofactor
+    j <= s adds every d > s with d j <= n_max to j d by one slice of step j.
+    """
+    n = np.arange(n_max + 1, dtype=float)
+    n[0] = 1.0
+    e = np.exp(complex(a) * np.log(n))
     out = np.zeros(n_max + 1, dtype=complex)
-    a = complex(a)
-    for d in range(1, n_max + 1):
-        out[d::d] += np.exp(a * math.log(d))
+    s = math.isqrt(n_max)
+    for d in range(1, s + 1):
+        out[d::d] += e[d]
+    for j in range(1, s + 1):
+        out[j * (s + 1):j * (n_max // j) + 1:j] += e[s + 1:n_max // j + 1]
     return out
 
 

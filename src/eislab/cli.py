@@ -5,7 +5,9 @@ Configuration is plain key=value text (no structured-markup dependency) plus
 command-line overrides; every CSV opens with a ``#`` comment carrying an
 ISO-8601 timestamp.  Identical configuration reproduces byte-identical CSVs
 when SOURCE_DATE_EPOCH is set (the conventional override for embedded
-timestamps); grid cells are computed and emitted in sorted key order.
+timestamps); grid cells are computed and emitted in sorted key order.  A
+subcommand accepts only the settings it reads: any other flag or config key
+is a usage error, exit code 2.
 """
 
 from __future__ import annotations
@@ -63,27 +65,24 @@ def _load_config_file(path: str) -> dict:
 
 
 def build_config(args) -> RunConfig:
+    """The --config file's settings, then the flags over them.  Only the
+    subcommand's own keys (``args.keys``) are accepted in the file."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, val in _load_config_file(args.config).items():
-            if key in ("T", "A"):
-                setattr(cfg, key, _parse_float_list(val))
-            elif key == "tol":
-                cfg.tol = float(val)
-            elif key in ("out", "forms"):
-                setattr(cfg, key, val)
-            elif key == "quick":
-                cfg.quick = val.lower() in ("1", "true", "yes")
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-    for key in ("T", "A"):
-        if getattr(args, key, None) is not None:
-            setattr(cfg, key, _parse_float_list(getattr(args, key)))
-    for key in ("tol", "out", "forms"):
-        if getattr(args, key, None) is not None:
-            setattr(cfg, key, getattr(args, key))
-    if getattr(args, "quick", False):
-        cfg.quick = True
+    settings = _load_config_file(args.config) if args.config else {}
+    for key, val in settings.items():
+        if key not in args.keys:
+            raise ValueError(f"config key {key!r} is not read by {args.command}")
+        if key in ("T", "A"):
+            val = _parse_float_list(val)
+        elif key == "tol":
+            val = float(val)
+        elif key == "quick":
+            val = val.lower() in ("1", "true", "yes")
+        setattr(cfg, key, val)
+    for key in args.keys:
+        val = getattr(args, key)
+        if val is not None and val is not False:
+            setattr(cfg, key, _parse_float_list(val) if key in ("T", "A") else val)
     return cfg.validate()
 
 
@@ -215,14 +214,27 @@ def cmd_acceptance(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key=value configuration file")
-    sub.add_argument("--T", help="comma-separated spectral heights")
-    sub.add_argument("--A", help="comma-separated truncation heights")
-    sub.add_argument("--tol", type=float, help="tolerance gate")
-    sub.add_argument("--out", help="output CSV path ('-' for stdout)")
-    sub.add_argument("--forms", help="Maass-form CSV path")
-    sub.add_argument("--quick", action="store_true", help="sub-minute subset")
+_FLAGS = {
+    "T": dict(help="comma-separated spectral heights"),
+    "A": dict(help="comma-separated truncation heights"),
+    "tol": dict(type=float, help="tolerance gate"),
+    "out": dict(help="output CSV path ('-' for stdout)"),
+    "forms": dict(help="Maass-form CSV path"),
+    "quick": dict(action="store_true", help="sub-minute subset"),
+}
+
+# each subcommand with the settings it reads, as flags and as --config keys
+_COMMANDS = [
+    ("maass-selberg", cmd_maass_selberg, ("T", "A", "tol", "out"),
+     "closed-form vs quadrature second-moment comparisons"),
+    ("moment-sweep", cmd_moment_sweep, ("T", "A", "out"),
+     "second and fourth moments over a (T, A) grid"),
+    ("weights-audit", cmd_weights_audit, ("out",),
+     "weight-function support/decay/contour checks"),
+    ("kuznetsov", cmd_kuznetsov, ("forms", "quick", "out"),
+     "two-sided trace-formula closure report"),
+    ("acceptance", cmd_acceptance, ("quick",), "run the acceptance suite"),
+]
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -230,20 +242,12 @@ def make_parser() -> argparse.ArgumentParser:
         prog="eislab",
         description="Numerical laboratory for truncated Eisenstein series moments")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn, doc in [
-        ("maass-selberg", cmd_maass_selberg,
-         "closed-form vs quadrature second-moment comparisons"),
-        ("moment-sweep", cmd_moment_sweep,
-         "second and fourth moments over a (T, A) grid"),
-        ("weights-audit", cmd_weights_audit,
-         "weight-function support/decay/contour checks"),
-        ("kuznetsov", cmd_kuznetsov,
-         "two-sided trace-formula closure report"),
-        ("acceptance", cmd_acceptance, "run the acceptance suite"),
-    ]:
+    for name, fn, keys, doc in _COMMANDS:
         sub = subs.add_parser(name, help=doc)
-        _add_common(sub)
-        sub.set_defaults(fn=fn)
+        sub.add_argument("--config", help="key=value configuration file")
+        for key in keys:
+            sub.add_argument(f"--{key}", **_FLAGS[key])
+        sub.set_defaults(fn=fn, keys=keys)
     return parser
 
 

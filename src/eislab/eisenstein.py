@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kv as _kv_real
 
-from eislab.arith import sigma_complex, tau_gen_many
+from eislab.arith import sigma_complex_many, tau_gen_many
 from eislab.errors import ConvergenceError, DomainError
 from eislab.specfun import (
     DEFAULT_POLICY,
@@ -60,22 +60,16 @@ class Point:
 
 @dataclass(frozen=True)
 class SpectralSetup:
-    """Parameter bundle: spectral height T, truncation A, bump center B, alpha."""
+    """Parameter bundle: spectral height T and truncation height A."""
 
     T: float
     A: float
-    B: float = 2.0
-    alpha: float = 0.009
 
     def __post_init__(self):
         if not self.T > 0:
             raise ValueError("T must be positive")
         if not self.A > 1:
             raise ValueError("truncation parameter A must exceed 1")
-        if not self.B > 1:
-            raise ValueError("bump center B must exceed 1")
-        if not 0 < self.alpha < 0.01:
-            raise ValueError("alpha must lie in (0, 1/100)")
 
 
 _FLOOR_Y = math.sqrt(3.0) / 2.0
@@ -303,7 +297,7 @@ class RealSEvaluator:
         nm = self.n_max(y)
         ns = np.arange(1, nm + 1)
         kvals = _kv_real(self.s - 0.5, 2.0 * np.pi * ns * y)
-        sig = np.array([sigma_complex(int(n), 1.0 - 2.0 * self.s).real for n in ns])
+        sig = sigma_complex_many(nm, 1.0 - 2.0 * self.s)[1:].real
         # cos(2 pi n x) = (e(nx) + e(-nx)) / 2
         half = 0.5 * self.pref * ns ** (self.s - 0.5) * sig * math.sqrt(y) * kvals
         const = self.constant_term(y) if A is None or y <= A else 0.0

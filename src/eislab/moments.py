@@ -330,18 +330,17 @@ class SmoothedMomentResult:
     direct: float         # hhat0 * ||E_B||_4^4, the band-split comparator
 
 
-def smoothed_fourth_moment(setup: SpectralSetup, bump: Bump) -> SmoothedMomentResult:
-    """int h(A) int_F |E_A|^4 and E_A^2 dmu dA in one sweep, exact in A: rows of
-    one evaluator at A = B + d, weighted by m = ``bump.mass_above(y)``.  The
-    sweep also splits hhat(0) ||E_B||_4^4 into bands below / across / above the
-    support, which must add up to ``direct``, a separate ``fourth_moment`` at B.
+def smoothed_fourth_moment(bump: Bump) -> SmoothedMomentResult:
+    """int h(A) int_F |E_A|^4 and E_A^2 dmu dA at the bump's T, in one sweep,
+    exact in A: rows of one evaluator at A = B + d, weighted by
+    m = ``bump.mass_above(y)``.  The sweep also splits hhat(0) ||E_B||_4^4
+    into bands below / across / above the support, which must add up to
+    ``direct``, a separate ``fourth_moment`` at B.
     """
     if not isinstance(bump, Bump):
         raise TypeError("smoothed_fourth_moment needs a weights.Bump")
-    if max(abs(bump.B - setup.B), abs(bump.T - setup.T), abs(bump.alpha - setup.alpha)) > 1e-12:
-        raise DomainError("bump and setup disagree on (B, T, alpha)")
     B, delta, hhat0 = bump.B, bump.half_width, bump.hhat0
-    top = SpectralSetup(T=setup.T, A=B + delta, B=B, alpha=setup.alpha)
+    top = SpectralSetup(T=bump.T, A=B + delta)
     ev = EisensteinEvaluator(top)
 
     def row_fn(y):
@@ -355,8 +354,7 @@ def smoothed_fourth_moment(setup: SpectralSetup, bump: Bump) -> SmoothedMomentRe
         return np.concatenate([m * full + (hhat0 - m) * cut, bands])
 
     val, est = _integrate_moment(row_fn, top, ev, (B - delta, B + delta, B))
-    direct = fourth_moment(SpectralSetup(T=setup.T, A=B, B=B, alpha=setup.alpha),
-                           tol=math.inf).report.value
+    direct = fourth_moment(SpectralSetup(T=bump.T, A=B), tol=math.inf).report.value
     return SmoothedMomentResult(value=float(val[0].real), est_error=float(est[0]),
                                 second=complex(val[1]), hhat0=hhat0,
                                 i_split=tuple(hhat0 * float(v.real) for v in val[2:]),

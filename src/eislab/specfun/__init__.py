@@ -20,8 +20,6 @@ from eislab.specfun.zeta import (
 )
 from eislab.specfun.bessel import (
     bessel_k_scaled,
-    bessel_j_transform_kernel_many,
-    kuznetsov_kernel,
     kuznetsov_kernel_even_many,
     kuznetsov_kernel_transform,
 )
@@ -43,8 +41,6 @@ __all__ = [
     "zeta_log_derivs",
     "zeta_with_derivatives",
     "bessel_k_scaled",
-    "bessel_j_transform_kernel_many",
-    "kuznetsov_kernel",
     "kuznetsov_kernel_even_many",
     "kuznetsov_kernel_transform",
 ]

@@ -49,7 +49,8 @@ the other y of the call, and a scalar call is a batch of one.
 
 Kuznetsov kernel
 ----------------
-``kuznetsov_kernel(x, t)`` returns the t-even part of (2i/sinh(pi t)) J_{2it}(4 pi x),
+``kuznetsov_kernel_even_many(x, ts)`` returns, over an array of t >= 0, the
+t-even part of (2i/sinh(pi t)) J_{2it}(4 pi x),
 
     i (J_{2it}(w) - J_{-2it}(w)) / sinh(pi t) = (4/pi) int_0^inf cos(w cosh s) cos(2 t s) ds
 
@@ -59,7 +60,9 @@ e^(pi t) scales cancel identically, leaving an O(1) real integrand valid for
 all w > 0 and real t.  Pointwise, 2i J_{2it}/sinh(pi t) itself is *not* real;
 only this even part is, and the even part is the only combination the
 trace-formula integrals against even test functions ever see.  Tails are
-again handled by rotation to Im s = +pi/2.
+again handled by rotation to Im s = +pi/2.  It evaluates one x at a time and
+is kept as the reference that the tests and the benchmark check the
+transform below against; the library's own callers use the transform.
 
 ``kuznetsov_kernel_transform(xs, ts, a)`` returns sum_t a_t K(x, t) for many
 x at once with the t- and s-integrals swapped, since the t-sums
@@ -88,7 +91,14 @@ from __future__ import annotations
 import numpy as np
 
 from eislab.errors import DomainError
-from eislab.quadrature import _GL_ORDER, _panel_exp, edge_nodes, panel_nodes, ragged_panel_nodes
+from eislab.quadrature import (
+    _GL_ORDER,
+    _panel_exp,
+    edge_nodes,
+    panel_edges,
+    panel_nodes,
+    ragged_panel_nodes,
+)
 from eislab.specfun.policy import DEFAULT_POLICY, PrecisionPolicy
 
 _FLOOR_EXP = 745.0  # e^-745 ~ 5e-324: a result whose scale is below it is 0.0
@@ -180,12 +190,19 @@ def _horizontal_leg(w, s1, x_end, sg, ts, tmax, os):
     return np.real(np.exp(expo) @ wt)
 
 
-def _kernel_even_many(w: float, ts: np.ndarray) -> np.ndarray:
-    """(4/pi) int_0^inf cos(w cosh s) cos(2 t s) ds for an array of t >= 0.
+def kuznetsov_kernel_even_many(x: float, ts):
+    """Even part of the trace-formula kernel at one x > 0 over an array of t >= 0:
+    (4/pi) int_0^inf cos(w cosh s) cos(2 t s) ds, w = 4 pi x.
 
     One leg geometry is chosen from max(t), so the node grids are shared
     across the whole t array.
     """
+    if x <= 0.0:
+        raise DomainError(f"kuznetsov kernel requires x > 0, got {x}")
+    ts = np.asarray(ts, dtype=float)
+    if (ts < 0).any():
+        raise DomainError("t array must be nonnegative (kernel is even in t)")
+    w = 4.0 * np.pi * x
     os = DEFAULT_POLICY.bessel_freq_oversample
     tmax = float(np.max(ts))
     s1, legs = _contour(w, tmax)
@@ -210,16 +227,6 @@ def _kernel_even_many(w: float, ts: np.ndarray) -> np.ndarray:
     return (2.0 / np.pi) * total
 
 
-def kuznetsov_kernel_even_many(x: float, ts):
-    """Even part of the trace-formula kernel at fixed x over an array of t >= 0."""
-    if x <= 0.0:
-        raise DomainError(f"kuznetsov kernel requires x > 0, got {x}")
-    ts = np.asarray(ts, dtype=float)
-    if (ts < 0).any():
-        raise DomainError("t array must be nonnegative (kernel is even in t)")
-    return _kernel_even_many(4.0 * np.pi * x, ts)
-
-
 def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
     """sum_t a_t K(x, t) for every x of ``xs``, K the even kernel at t >= 0,
     by the contracted transform of the module docstring."""
@@ -232,9 +239,9 @@ def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
     raw = np.array([_contour(w, tmax)[0] for w in ws])
     # real leg: one panel grid for every x, 10 % above the widest bandwidth
     # w cosh(s1) + 2 tmax, each s1 rounded up to one of its panel edges
-    n, wt = panel_nodes(0.0, float(raw.max()), 1.1 * (float(np.max(ws * np.cosh(raw)))
-                                                    + 2.0 * tmax), os)
-    edges = np.linspace(0.0, float(raw.max()), n.size // _GL_ORDER + 1)
+    edges = panel_edges(0.0, float(raw.max()), 1.1 * (float(np.max(ws * np.cosh(raw)))
+                                                      + 2.0 * tmax), os)
+    n, wt = edge_nodes(edges)
     geo = [_contour(w, tmax, edges) for w in ws]
     s1 = np.array([g[0] for g in geo])
     em, ex = _panel_exp(edges, 2.0 * ts, 1j)
@@ -244,8 +251,8 @@ def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
     # vertical legs s1 + i r: sum_t a_t e^(i sg 2t(s1 + ir)) = (B @ e^(i sg 2t s1))[r]
     # with B[r, t] = a_t e^(-sg 2tr), factored by panel; the growing sign's rows
     # carry e^(-2 tmax r), so |B| <= |a|, and the leg factor takes e^(2 tmax r) back
-    r, wr = panel_nodes(0.0, np.pi / 2, float(np.max(ws * np.cosh(s1))) + 2.0 * tmax, os)
-    r_edges = np.linspace(0.0, np.pi / 2, r.size // _GL_ORDER + 1)
+    r_edges = panel_edges(0.0, np.pi / 2, float(np.max(ws * np.cosh(s1))) + 2.0 * tmax, os)
+    r, wr = edge_nodes(r_edges)
     phase = np.exp(2j * np.outer(ts, s1))
     for sg in (1.0, -1.0):
         lift = (1.0 - sg) * tmax * r
@@ -279,27 +286,3 @@ def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
         total[on] += np.real(np.exp(expo) @ g_horz)
     return (2.0 / np.pi) * total
 
-
-def kuznetsov_kernel(x: float, t: float) -> complex:
-    """t-even part of (2i/sinh(pi t)) J_{2it}(4 pi x); real for real t, x.
-
-    Returned as complex per the library convention for spectral kernels; the
-    imaginary part is identically zero.
-    """
-    if x <= 0.0:
-        raise DomainError(f"kuznetsov_kernel requires x > 0, got {x}")
-    if t == 0.0:
-        raise DomainError("kuznetsov_kernel requires t != 0 (limit exists but is not taken here)")
-    val = _kernel_even_many(4.0 * np.pi * x, np.array([abs(float(t))]))[0]
-    return complex(val)
-
-
-def bessel_j_transform_kernel_many(x: float, ts):
-    """Even combination (J_{2it} - J_{-2it})(2 pi x) / cosh(pi t) over t >= 0.
-
-    Equals -i tanh(pi t) times the even kernel at half the argument scale;
-    used by the oscillatory-transform diagnostics.
-    """
-    ts = np.asarray(ts, dtype=float)
-    ker = _kernel_even_many(2.0 * np.pi * x, ts)
-    return -1j * np.tanh(np.pi * ts) * ker

@@ -482,20 +482,11 @@ def g_lower_incomplete(x: float, T: float, t: float,
 
 
 def g_mellin_closed(s: complex, T: float, t: float) -> complex:
-    """G(s) = (2^(s - 5/2 + iT) / s) prod_pm Gamma((s + 1/2 + 2iT pm it)/2)
-    Gamma((s + 1/2 pm it)/2) / Gamma(s + 1/2 + iT)."""
+    """G(s) = int_0^inf g(x) x^(s-1) dx, which is
+    ``mellin_barnes_kk_closed(s + 1/2 + iT, T, t) / s`` by swapping the x and y
+    integrals."""
     s = complex(s)
-    acc = (s - 2.5 + 1j * T) * math.log(2.0) - np.log(s)
-    for sgn in (+1.0, -1.0):
-        acc = acc + log_gamma((s + 0.5 + 2j * T + 1j * sgn * t) / 2.0)
-        acc = acc + log_gamma((s + 0.5 + 1j * sgn * t) / 2.0)
-    acc = acc - log_gamma(s + 0.5 + 1j * T)
-    return complex(np.exp(acc))
-
-
-def g_mellin_pair(x: float, s: complex, t: float, T: float):
-    """(g(x) by quadrature, G(s) in closed form)."""
-    return g_lower_incomplete(x, T, t), g_mellin_closed(s, T, t)
+    return mellin_barnes_kk_closed(s + 0.5 + 1j * T, T, t) / s
 
 
 def g_mellin_numeric(s: complex, T: float, t: float) -> complex:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eislab import arith
+from eislab.errors import DomainError
 from eislab.specfun import zeta
 
 
@@ -62,16 +63,25 @@ class TestTauGen:
 
 class TestSigma:
     def test_divisor_count(self):
-        assert arith.sigma_complex(6, 0.0) == pytest.approx(4.0)
+        assert arith.sigma_complex_many(6, 0.0)[6] == pytest.approx(4.0)
 
     def test_sigma_one(self):
-        assert arith.sigma_complex(12, 1.0) == pytest.approx(28.0)
+        assert arith.sigma_complex_many(12, 1.0)[12] == pytest.approx(28.0)
 
     def test_tau_identity(self):
         m, T = 12, 3.7
-        lhs = arith.sigma_complex(m, 2j * T) * np.exp(-1j * T * math.log(m))
+        lhs = arith.sigma_complex_many(m, 2j * T)[m] * np.exp(-1j * T * math.log(m))
         assert lhs.real == pytest.approx(arith.tau_gen(m, T), rel=1e-10)
         assert abs(lhs.imag) < 1e-10
+
+    @pytest.mark.parametrize("a", [-3.0, 0.5 - 2.0j])
+    def test_sieve_matches_divisor_sums(self, a):
+        # isqrt(400) = 20 splits the sieve, as in the tau_gen_many test
+        many = arith.sigma_complex_many(400, a)
+        assert many.shape == (401,)
+        for m in range(1, 401):
+            ref = sum(complex(d) ** a for d in arith.divisors(m))
+            assert abs(many[m] - ref) <= 1e-13 * max(1.0, abs(ref)) * len(arith.divisors(m)), m
 
 
 class TestKloosterman:
@@ -165,12 +175,9 @@ class TestHeckeRelation:
             arith.hecke_relation_check({1: 1.0, 2: 1.5}, 2, 2)
 
 
-def test_divisor_table_exhaustive():
-    table = arith.DivisorTable(limit=200)
-    for m in (1, 17, 96, 200):
-        divs = table(m)
-        assert all(m % d == 0 for d in divs)
-        assert divs == sorted(d for d in range(1, m + 1) if m % d == 0)
-    # beyond the sieve limit: factorization fallback
-    assert table(2 ** 5 * 3 ** 2 * 7) == sorted(
-        d for d in range(1, 2017) if 2016 % d == 0)
+def test_divisors_exhaustive():
+    for m in (1, 2, 17, 96, 200, 2 ** 5 * 3 ** 2 * 7, 4999, 4970):
+        divs = arith.divisors(m)
+        assert divs == [d for d in range(1, m + 1) if m % d == 0]
+    with pytest.raises(DomainError):
+        arith.divisors(0)

@@ -137,3 +137,31 @@ def test_wrong_phase_second_moment_fails_both_commands(monkeypatch, tmp_path):
 def test_invalid_values_exit_two():
     assert main(["maass-selberg", "--T", "5", "--A", "0.5"]) == 2
     assert main(["moment-sweep", "--T", "-3", "--A", "2"]) == 2
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown flag this way
+        return exc.code
+
+
+# a setting each subcommand does not read, with the rest of a valid, fast call
+UNREAD = [
+    ("moment-sweep", "tol", "1e-3", ["--T", "3", "--A", "2"]),
+    ("acceptance", "out", "x.csv", ["--quick"]),
+    ("weights-audit", "T", "10", []),
+    ("kuznetsov", "A", "2", ["--quick"]),
+    ("maass-selberg", "forms", "f.csv", ["--T", "5", "--A", "1.5"]),
+]
+
+
+@pytest.mark.parametrize("command, key, value, rest", UNREAD, ids=[u[0] for u in UNREAD])
+def test_unread_setting_is_usage_error(tmp_path, monkeypatch, command, key, value, rest):
+    # a flag or config key the subcommand would ignore stops it before any work
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code([command, *rest, f"--{key}", value]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert _exit_code([command, *rest, "--config", str(cfg)]) == 2
+    assert not (tmp_path / "x.csv").exists()

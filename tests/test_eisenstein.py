@@ -213,7 +213,7 @@ def test_setup_invariants():
     with pytest.raises(ValueError):
         SpectralSetup(T=10.0, A=0.9)
     with pytest.raises(ValueError):
-        SpectralSetup(T=10.0, A=2.0, alpha=0.5)
+        SpectralSetup(T=0.0, A=2.0)
     with pytest.raises(ValueError):
         SpectralSetup(T=-1.0, A=2.0)
 

@@ -9,7 +9,7 @@ import pytest
 
 from eislab import moments
 from eislab.eisenstein import EisensteinEvaluator, Point, RealSEvaluator, SpectralSetup
-from eislab.errors import DegenerateParameterError, DomainError, ToleranceError
+from eislab.errors import DegenerateParameterError, ToleranceError
 from eislab.specfun import phi_log, scattering
 from eislab.quadrature import panel_nodes
 from eislab.weights import Bump, bump_h
@@ -197,9 +197,8 @@ class TestFourthMoment:
 
 @functools.lru_cache(maxsize=None)
 def _smoothed(T):
-    setup = SpectralSetup(T=T, A=2.0, B=2.0, alpha=0.009)
     bump = Bump(B=2.0, alpha=0.009, T=T)
-    return setup, bump, moments.smoothed_fourth_moment(setup, bump)
+    return bump, moments.smoothed_fourth_moment(bump)
 
 
 @pytest.fixture(scope="module")
@@ -210,28 +209,21 @@ def smoothed():
 class TestSmoothedMoment:
 
     def test_band_partition_reassembles(self, smoothed):
-        _, _, res = smoothed
+        _, res = smoothed
         assert sum(res.i_split) == pytest.approx(res.direct, rel=1e-8)
-
-    def test_alpha_mismatch_raises(self):
-        # hhat0 and the row weights come from the bump, so a setup whose alpha
-        # differs would otherwise be ignored without a word
-        setup = SpectralSetup(T=10.0, A=2.0, B=2.0, alpha=0.009)
-        with pytest.raises(DomainError, match="alpha"):
-            moments.smoothed_fourth_moment(setup, Bump(B=2.0, alpha=0.008, T=10.0))
 
     def test_est_error_finite_positive(self, smoothed):
         # the y-grid Richardson estimate of the p=4 value; 3.2e-12 of 44.47 today
-        _, _, res = smoothed
+        _, res = smoothed
         assert math.isfinite(res.est_error) and 0.0 < res.est_error < 1e-4 * res.value
 
     def test_matches_composite_average_in_A(self, smoothed):
         # second path: 8 panels x 4 Gauss-Legendre nodes in A, one
         # fourth_moment per node; measured 1.8e-5 (a 4-node rule misses by 2.8e-2)
-        setup, bump, res = smoothed
+        bump, res = smoothed
         As, wA = dense_gl(bump.B - bump.half_width, bump.B + bump.half_width, 8, order=4)
         ref = sum(w * bump_h(A, bump) * moments.fourth_moment(
-            SpectralSetup(T=setup.T, A=float(A)), tol=math.inf).report.value
+            SpectralSetup(T=bump.T, A=float(A)), tol=math.inf).report.value
             for A, w in zip(As, wA))
         assert res.value == pytest.approx(ref, rel=1e-4)
 
@@ -240,7 +232,7 @@ class TestSmoothedMoment:
         # int h(A) maass_selberg_limit(T, A) dA on A = B + d tanh s; the closed
         # form oscillates like A^(2iT), so the rule is dense (624 nodes).
         # Measured 3.1e-14 and 6.9e-14; a 4-node rule in A misses by 3.3e-2 and 2.0e-2.
-        _, bump, res = _smoothed(T)
+        bump, res = _smoothed(T)
         s, w = panel_nodes(-3.0, 3.0, 80.0, 8.0)
         dA_h = bump.scale * bump.half_width * w * np.exp(-np.cosh(s) ** 2) / np.cosh(s) ** 2
         ref = sum(wt * moments.maass_selberg_limit(T, bump.B + bump.half_width * math.tanh(si))

@@ -163,6 +163,20 @@ class TestAFE:
         with pytest.raises(MissingEigenvalueError):
             spectral.afe_pair(short, 3.0)
 
+    def test_eigenvalue_gap_guarded(self, monkeypatch):
+        # the data reach past the cutoff (13,284 at T = 3) but lack lambda(7):
+        # the gap raises before any contour weight is computed
+        full = spectral.divisor_pseudoform(13.78, 20_000)
+        gap = spectral.MaassForm(t=full.t, parity="even",
+                                 hecke={n: v for n, v in full.hecke.items() if n != 7})
+
+        def no_weights(*args, **kwargs):
+            raise AssertionError("contour weights computed before the gap was found")
+
+        monkeypatch.setattr(spectral, "contour_weights", no_weights)
+        with pytest.raises(MissingEigenvalueError, match=r"lambda\(7\)"):
+            spectral.afe_pair(gap, 3.0)
+
 
 class TestRankinSelberg:
     def test_odd_vanishes(self):

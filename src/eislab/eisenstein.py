@@ -178,8 +178,8 @@ class EisensteinEvaluator:
     Rows on the moment grid, sqrt(3)/2 <= y <= ``moment_y_max(setup)``, take
     their modes from one ``ChebyshevTable`` of ``bessel_k_scaled(T, .)``,
     accurate to about 1e-14 of the peak |K| and built on the first such row;
-    a row at another height makes one array call of ``bessel_k_scaled`` for
-    all its modes.  Evaluation mutates the object (the table, and ``_tau``
+    rows at other heights take theirs from one array call of
+    ``bessel_k_scaled``.  Evaluation mutates the object (the table, and ``_tau``
     grows when a row needs more modes), so concurrent callers must not share
     one evaluator unlocked.
     """
@@ -199,44 +199,57 @@ class EisensteinEvaluator:
         self._y_top = moment_y_max(setup)
         self._k_table: ChebyshevTable | None = None
 
-    def n_max(self, y: float) -> int:
-        """Fourier cutoff: K_{iT}(2 pi n y) is negligible past this index."""
-        return max(1, int(math.ceil(self.cutoff_margin / (2.0 * math.pi * y))))
+    def n_max(self, y):
+        """Fourier cutoff: K_{iT}(2 pi n y) is negligible past this index;
+        an int for a scalar y, an int array for an array of y."""
+        n = np.maximum(1, np.ceil(self.cutoff_margin / (2.0 * np.pi * np.asarray(y, float))))
+        return int(n) if n.ndim == 0 else n.astype(int)
 
-    def constant_term(self, y: float) -> complex:
-        if y <= 0:
+    def constant_term(self, y):
+        """e(y) = y^(1/2+iT) + c y^(1/2-iT), at a height or an array of heights."""
+        y = np.asarray(y, float)
+        if np.any(y <= 0):
             raise DomainError("constant_term needs y > 0")
-        T = self.setup.T
-        ry = math.sqrt(y)
-        osc = complex(np.exp(1j * T * math.log(y)))
+        ry = np.sqrt(y)
+        osc = np.exp(1j * self.setup.T * np.log(y))
         return ry * osc + self.scattering_c * ry / osc
 
-    def _mode_coefficients(self, y: float) -> np.ndarray:
-        """Coefficient of e(n x) + e(-n x) for n = 1..n_max at height y."""
-        T = self.setup.T
-        nm = self.n_max(y)
-        if nm >= len(self._tau):
-            self._tau = tau_gen_many(nm, T)
-        args = 2.0 * math.pi * np.arange(1, nm + 1) * y
-        if _FLOOR_Y <= y <= self._y_top:
-            # 2 pi n_max(y) y < cutoff_margin + 2 pi y, so the row lies in the table
+    def row_coefficients(self, y) -> np.ndarray:
+        """Coefficients c_k of e(k x), k = -K..K, of E_A at height y, with the
+        constant term c_0 dropped above y = A, as in ``eval_row_trunc``.
+
+        For a scalar y, K = ``n_max(y)`` and the row has shape (2K+1,).  For
+        an array of y the rows form an (n_y, 2K+1) matrix with K the largest
+        cutoff; each row's modes past its own cutoff are zero.  All modes of
+        a call come from one table call, plus one ``bessel_k_scaled`` call
+        for the rows off the moment grid.
+        """
+        ys = np.atleast_1d(np.asarray(y, float))
+        nms = self.n_max(ys)
+        K = int(nms.max())
+        if K >= len(self._tau):
+            self._tau = tau_gen_many(K, self.setup.T)
+        ns = np.arange(1, K + 1)
+        live = ns <= nms[:, None]
+        args = (2.0 * np.pi * ns) * ys[:, None]
+        on_grid = (_FLOOR_Y <= ys) & (ys <= self._y_top)
+        ks = np.zeros(args.shape)
+        # 2 pi n_max(y) y < cutoff_margin + 2 pi y, so every live mode of a
+        # moment-grid row lies in the table
+        table = live & on_grid[:, None]
+        if table.any():
             if self._k_table is None:
                 self._k_table = ChebyshevTable(
-                    lambda u: bessel_k_scaled(T, u, self.policy), 2.0 * math.pi * _FLOOR_Y,
-                    self.cutoff_margin + 2.0 * math.pi * self._y_top)
-            ks = self._k_table(args)
-        else:
-            ks = bessel_k_scaled(T, args, self.policy)
-        return self.mode_prefactor * math.sqrt(y) * self._tau[1:nm + 1] * ks
-
-    def row_coefficients(self, y: float) -> np.ndarray:
-        """Coefficients c_k of e(k x), k = -n_max..n_max, of E_A at height y.
-
-        The constant term c_0 is dropped above y = A, as in ``eval_row_trunc``.
-        """
-        modes = self._mode_coefficients(y)
-        const = self.constant_term(y) if y <= self.setup.A else 0.0
-        return np.concatenate([modes[::-1], [const], modes])
+                    lambda u: bessel_k_scaled(self.setup.T, u, self.policy),
+                    2.0 * math.pi * _FLOOR_Y, self.cutoff_margin + 2.0 * math.pi * self._y_top)
+            ks[table] = self._k_table(args[table])
+        off = live & ~on_grid[:, None]
+        if off.any():
+            ks[off] = bessel_k_scaled(self.setup.T, args[off], self.policy)
+        modes = self.mode_prefactor * np.sqrt(ys)[:, None] * self._tau[1:K + 1] * ks
+        const = np.where(ys <= self.setup.A, self.constant_term(ys), 0.0)
+        rows = np.concatenate([modes[:, ::-1], const[:, None], modes], axis=1)
+        return rows[0] if np.ndim(y) == 0 else rows
 
     def eval_row(self, y: float, xs) -> np.ndarray:
         """Full E(x + iy, 1/2 + iT) for an array of x at one height y."""
@@ -285,23 +298,35 @@ class RealSEvaluator:
         self.phi_s = complex(np.exp(lp))
         self.pref = complex(4.0 * np.exp(-self.log_xi_2s))
 
-    def n_max(self, y: float) -> int:
-        # real-order K decays like e^{-2 pi n y}; 7/y puts the tail near 1e-17
-        return int(math.ceil(7.0 / y)) + 8
+    def n_max(self, y):
+        """Fourier cutoff, elementwise over an array of y: real-order K decays
+        like e^{-2 pi n y}, so 7/y puts the tail near 1e-17."""
+        n = np.ceil(7.0 / np.asarray(y, float)) + 8
+        return int(n) if n.ndim == 0 else n.astype(int)
 
-    def constant_term(self, y: float) -> float:
+    def constant_term(self, y):
         return y ** self.s + self.phi_s.real * y ** (1.0 - self.s)
 
-    def row_coefficients(self, y: float, A: float | None = None) -> np.ndarray:
-        """Coefficients c_k of e(k x), k = -n_max..n_max; c_0 = 0 if y > A."""
-        nm = self.n_max(y)
-        ns = np.arange(1, nm + 1)
-        kvals = _kv_real(self.s - 0.5, 2.0 * np.pi * ns * y)
-        sig = sigma_complex_many(nm, 1.0 - 2.0 * self.s)[1:].real
+    def row_coefficients(self, y, A: float | None = None) -> np.ndarray:
+        """Coefficients c_k of e(k x), k = -K..K; c_0 = 0 if y > A.
+
+        Shapes as for ``EisensteinEvaluator.row_coefficients``: one row for a
+        scalar y, a zero-padded (n_y, 2K+1) matrix for an array.
+        """
+        ys = np.atleast_1d(np.asarray(y, float))
+        nms = self.n_max(ys)
+        K = int(nms.max())
+        ns = np.arange(1, K + 1)
+        kvals = np.where(ns <= nms[:, None],
+                         _kv_real(self.s - 0.5, (2.0 * np.pi * ns) * ys[:, None]), 0.0)
+        sig = sigma_complex_many(K, 1.0 - 2.0 * self.s)[1:].real
         # cos(2 pi n x) = (e(nx) + e(-nx)) / 2
-        half = 0.5 * self.pref * ns ** (self.s - 0.5) * sig * math.sqrt(y) * kvals
-        const = self.constant_term(y) if A is None or y <= A else 0.0
-        return np.concatenate([half[::-1], [const], half])
+        half = 0.5 * self.pref * ns ** (self.s - 0.5) * sig * np.sqrt(ys)[:, None] * kvals
+        const = self.constant_term(ys)
+        if A is not None:
+            const = np.where(ys <= A, const, 0.0)
+        rows = np.concatenate([half[:, ::-1], const[:, None], half], axis=1)
+        return rows[0] if np.ndim(y) == 0 else rows
 
     def eval_row(self, y: float, xs, A: float | None = None) -> np.ndarray:
         """E(x+iy, s) for an x array; drops the constant term if y > A."""

@@ -6,6 +6,9 @@ here is a trigonometric polynomial in x whose coefficients follow from those
 of E_A by convolution, so its row integral is exact in coefficient space:
 the constant coefficient on the full strip above y = 1, and a closed-form
 arc weight on the section |x| >= sqrt(1 - y^2) below it (``section_integral``).
+Rows are arrays: a grid passes all its y nodes to one row function, which
+takes them in blocks sharing the FFT length L >= 8K + 1 of |E_A|^4, samples
+E_A at L points, forms the powers pointwise and transforms back, exactly.
 The y direction uses Gauss-Legendre panels (split at y = 1, at the truncation
 height A, and at any caller-supplied breakpoints, since the truncated series
 is discontinuous across y = A) whose density follows the Bessel oscillation
@@ -117,53 +120,99 @@ def build_grid(y_max: float, y_bandwidth, *, splits=(),
     return QuadratureGrid(panels)
 
 
-def section_integral(f, y: float) -> complex:
+def section_integral(f, y):
     """Integral of sum_k f_k e(k x), k = -K..K, over F's section at height y.
 
-    ``f`` holds f_-K..f_K.  The section is the strip |x| <= 1/2 for y >= 1,
-    which keeps f_0 alone, and the arcs sqrt(1 - y^2) <= |x| <= 1/2 below,
-    where e(k x) + e(-k x) integrates to -sin(2 pi k x_r) / (pi k).
+    ``f`` holds f_-K..f_K along its last axis and y broadcasts against the
+    other axes.  The section is the strip |x| <= 1/2 for y >= 1, which keeps
+    f_0 alone, and the arcs sqrt(1 - y^2) <= |x| <= 1/2 below, where
+    e(k x) + e(-k x) integrates to -sin(2 pi k x_r) / (pi k).
     """
-    if y < _FLOOR_Y:
-        raise DomainError(f"F has no section at height {y} < sqrt(3)/2")
-    K = len(f) // 2
-    if y >= 1.0:
-        return f[K]
-    xr = math.sqrt(1.0 - y * y)
+    y = np.asarray(y, float)
+    if np.any(y < _FLOOR_Y):
+        raise DomainError(f"F has no section at height {np.min(y)} < sqrt(3)/2")
+    f = np.asarray(f)
+    K = f.shape[-1] // 2
+    xr = np.sqrt(np.maximum(1.0 - y * y, 0.0))  # 0 from y = 1 up: the arc weights vanish
     ks = np.arange(1, K + 1)
-    arc = np.sin(2.0 * np.pi * ks * xr) / (np.pi * ks)
-    return f[K] * (1.0 - 2.0 * xr) - (f[K + 1:] + f[:K][::-1]) @ arc
+    arc = np.sin(2.0 * np.pi * ks * xr[..., None]) / (np.pi * ks)
+    pairs = f[..., K + 1:] + f[..., :K][..., ::-1]
+    return f[..., K] * (1.0 - 2.0 * xr) - np.einsum("...k,...k->...", pairs, arc)
 
 
-def _abs_sq(c) -> np.ndarray:
-    """Coefficients of |g|^2 from the coefficients c_-K..c_K of g."""
-    return np.convolve(c, c[::-1].conj())
+_FFT_ENTRIES = 8192  # samples per FFT block: bounds the row path's working memory
+
+
+def _fft_blocks(K):
+    """(L, row indices) blocks of rows with cutoffs K that share the FFT
+    length L of |g|^4, the least power of two >= 8K + 1, at most
+    _FFT_ENTRIES / L rows each."""
+    Ls = 2 ** np.ceil(np.log2(8 * K + 1)).astype(int)
+    for L in np.unique(Ls):
+        idx = np.flatnonzero(Ls == L)
+        step = max(1, _FFT_ENTRIES // L)
+        for start in range(0, idx.size, step):
+            yield int(L), idx[start:start + step]
+
+
+def _blocked_rows(n_max, block_fn):
+    """Row function for ``integrate_rows`` from ``block_fn(ys, L)``, which
+    returns the (len(ys), k) row integrals of a block of heights whose
+    cutoffs ``n_max(ys)`` share the FFT length L (see ``_fft_blocks``)."""
+
+    def row_fn(ys):
+        idx, vals = zip(*[(i, block_fn(ys[i], L)) for L, i in _fft_blocks(n_max(ys))])
+        out = np.empty((len(ys), vals[0].shape[1]), complex)
+        out[np.concatenate(idx)] = np.concatenate(vals)
+        return out
+
+    return row_fn
+
+
+def _samples(c, L: int) -> np.ndarray:
+    """g(j / L), j = 0..L-1, of each row g = sum_k c_k e(k x) of c (.., 2K+1)."""
+    K = c.shape[-1] // 2
+    spec = np.zeros(c.shape[:-1] + (L,), complex)
+    spec[..., :K + 1] = c[..., K:]
+    spec[..., L - K:] = c[..., :K]
+    return np.fft.ifft(spec, norm="forward")
+
+
+def _section_of_samples(h, y, M: int):
+    """``section_integral`` of functions sampled at L points along h's last
+    axis whose modes lie in -M..M, 2M < L, so the FFT back is exact."""
+    L = h.shape[-1]
+    coef = np.fft.fft(h, norm="forward")
+    return section_integral(coef[..., np.arange(-M, M + 1) % L], y)
 
 
 def _integrate_grid(row_fn, grid: QuadratureGrid):
-    """Sum of row_fn(y) dy / y^2 over the grid; row_fn(y) -> (k,) row integrals."""
-
-    def do_panel(panel: YPanel):
+    """Sum of row_fn(y) dy / y^2 over the grid: one row_fn call on all its y
+    nodes, sums per panel, then a pairwise sum over the panels."""
+    ys, ws = [], []
+    for panel in grid.panels:
         if panel.y1 <= 1.0 + 1e-12:
             # below y = 1 the section boundary sqrt(1-y^2) is root-singular;
             # y = sin(phi) makes the section width analytic in phi
             pn, pw = gl_nodes(math.asin(min(panel.y0, 1.0)),
                               math.asin(min(panel.y1, 1.0)), panel.order)
-            yn = np.sin(pn)
-            yw = pw * np.cos(pn)
+            yn, yw = np.sin(pn), pw * np.cos(pn)
         else:
             yn, yw = gl_nodes(panel.y0, panel.y1, panel.order)
-        return sum(row_fn(yy) * (wy / (yy * yy)) for yy, wy in zip(yn, yw))
-
-    return pairwise_sum([do_panel(p) for p in grid.panels])
+        ys.append(yn)
+        ws.append(yw / (yn * yn))
+    rows = np.asarray(row_fn(np.concatenate(ys))) * np.concatenate(ws)[:, None]
+    starts = np.cumsum([0] + [len(yn) for yn in ys[:-1]])
+    return pairwise_sum(np.add.reduceat(rows, starts, axis=0))
 
 
 def integrate_rows(row_fn, y_max: float, *, y_bandwidth, splits=(),
                    oversample: float = 8.0):
     """Integrate row integrals over F up to y_max with a refinement estimate.
 
-    ``row_fn(y)`` returns the x-integrals over F's section at height y of a
-    vector of integrands.  Returns (value_vector, est_error_vector): the
+    ``row_fn(ys)`` takes the array of a grid's y nodes and returns an
+    (len(ys), k) array: at each height, the x-integrals over F's section of
+    a vector of k integrands.  Returns (value_vector, est_error_vector): the
     value from the refined y grid and the coarse-vs-refined difference as the
     error estimate.
     """
@@ -212,11 +261,20 @@ def maass_selberg_limit(T: float, A: float) -> complex:
 # moments of the truncated series
 # ---------------------------------------------------------------------------
 
-def _p4_p2(c, y: float) -> np.ndarray:
-    """Row integrals of |g|^4 and g^2 at height y from g's coefficients c."""
-    b = _abs_sq(c)
-    return np.array([section_integral(np.convolve(b, b), y),
-                     section_integral(np.convolve(c, c), y)])
+def _p4_p2(c, y, L: int) -> np.ndarray:
+    """Row integrals of |g|^4 and g^2, an (n_y, 2) array, at heights y from
+    the coefficient rows c (n_y, 2K+1) of g: g at L >= 8K + 1 points, both
+    powers pointwise, one FFT back."""
+    g = _samples(c, L)
+    a = g.real ** 2 + g.imag ** 2
+    K = c.shape[-1] // 2
+    return _section_of_samples(np.stack([a * a, g * g]), y, 4 * K).T
+
+
+def moment_rows(ev: EisensteinEvaluator):
+    """Row function of ``fourth_moment``: the row integrals of |E_A|^4 and
+    E_A^2 at an array of heights, one evaluator call per FFT block."""
+    return _blocked_rows(ev.n_max, lambda ys, L: _p4_p2(ev.row_coefficients(ys), ys, L))
 
 
 def _integrate_moment(row_fn, setup: SpectralSetup, ev: EisensteinEvaluator, splits):
@@ -254,8 +312,7 @@ def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
     ev = EisensteinEvaluator(setup, policy)
     T = setup.T
 
-    val, est = _integrate_moment(lambda y: _p4_p2(ev.row_coefficients(y), y),
-                                 setup, ev, (setup.A,))
+    val, est = _integrate_moment(moment_rows(ev), setup, ev, (setup.A,))
 
     m4 = float(val[0].real)
     second = complex(val[1])
@@ -296,11 +353,13 @@ def real_s_pair_quadrature(s1: float, s2: float, A: float):
     e2 = RealSEvaluator(s2)
     y_max = A + 4.0
 
-    def row_fn(y):
-        c12 = np.convolve(e1.row_coefficients(y, A), e2.row_coefficients(y, A))
-        return np.array([section_integral(c12, y)])
+    def block(ys, L):
+        c1, c2 = e1.row_coefficients(ys, A), e2.row_coefficients(ys, A)
+        g12 = _samples(c1, L) * _samples(c2, L)
+        return _section_of_samples(g12, ys, c1.shape[1] - 1)[:, None]
 
-    val, est = integrate_rows(row_fn, y_max, y_bandwidth=lambda y: 30.0 / y, splits=(A,),
+    val, est = integrate_rows(_blocked_rows(e1.n_max, block), y_max,
+                              y_bandwidth=lambda y: 30.0 / y, splits=(A,),
                               oversample=DEFAULT_POLICY.bessel_freq_oversample)
     return complex(val[0]), float(est[0])
 
@@ -309,14 +368,12 @@ def h_window_norm_sq(setup: SpectralSetup) -> float:
     """<H_A, H_A> = int_{y > A} |2 e(y) E_A|^2 dmu by quadrature."""
     ev = EisensteinEvaluator(setup)
 
-    def row_fn(y):
+    def block(ys, L):
         # H_A = 2 e(y) E_A vanishes below A; above it Parseval on the full strip
-        if y <= setup.A:
-            return np.zeros(1)
-        c = ev.row_coefficients(y)
-        return np.array([4.0 * abs(ev.constant_term(y)) ** 2 * np.sum(np.abs(c) ** 2)])
+        norm = np.sum(np.abs(ev.row_coefficients(ys)) ** 2, axis=1)
+        return np.where(ys > setup.A, 4.0 * np.abs(ev.constant_term(ys)) ** 2 * norm, 0.0)[:, None]
 
-    val, _ = _integrate_moment(row_fn, setup, ev, (setup.A,))
+    val, _ = _integrate_moment(_blocked_rows(ev.n_max, block), setup, ev, (setup.A,))
     return float(val[0].real)
 
 
@@ -343,17 +400,19 @@ def smoothed_fourth_moment(bump: Bump) -> SmoothedMomentResult:
     top = SpectralSetup(T=bump.T, A=B + delta)
     ev = EisensteinEvaluator(top)
 
-    def row_fn(y):
-        c = ev.row_coefficients(y)
-        full = _p4_p2(c, y)
-        c[len(c) // 2] = 0.0
-        cut = _p4_p2(c, y)
-        m = bump.mass_above(y)
-        e_b4 = full[0] if y <= B else cut[0]
-        bands = e_b4 * np.array([y <= B - delta, B - delta < y <= B + delta, y > B + delta])
-        return np.concatenate([m * full + (hhat0 - m) * cut, bands])
+    def block(ys, L):
+        c = ev.row_coefficients(ys)
+        full = _p4_p2(c, ys, L)
+        c[:, c.shape[1] // 2] = 0.0
+        cut = _p4_p2(c, ys, L)
+        m = bump.mass_above(ys)[:, None]
+        e_b4 = np.where(ys <= B, full[:, 0], cut[:, 0])
+        bands = e_b4[:, None] * np.stack(
+            [ys <= B - delta, (B - delta < ys) & (ys <= B + delta), ys > B + delta], axis=1)
+        return np.concatenate([m * full + (hhat0 - m) * cut, bands], axis=1)
 
-    val, est = _integrate_moment(row_fn, top, ev, (B - delta, B + delta, B))
+    val, est = _integrate_moment(_blocked_rows(ev.n_max, block), top, ev,
+                                 (B - delta, B + delta, B))
     direct = fourth_moment(SpectralSetup(T=bump.T, A=B), tol=math.inf).report.value
     return SmoothedMomentResult(value=float(val[0].real), est_error=float(est[0]),
                                 second=complex(val[1]), hhat0=hhat0,

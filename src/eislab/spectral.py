@@ -75,11 +75,18 @@ class MaassForm:
     def validate(self, tol: float = 1e-4):
         if abs(self.hecke.get(1, 0.0) - 1.0) > 1e-9:
             raise ValidationError("lambda(1) must equal 1")
-        N = self.n_max
-        for n in sorted(self.hecke):
-            for m in sorted(self.hecke):
-                if n * m > N or n > m:
-                    continue
+        keys = sorted(self.hecke)
+        if keys[0] < 1:
+            raise ValidationError(f"Hecke index {keys[0]} is not positive")
+        N = keys[-1]
+        # every stored pair n <= m with n m <= N; the keys are sorted, so a
+        # row ends at the first m past N / n
+        for i, n in enumerate(keys):
+            if n * n > N:
+                break
+            for m in keys[i:]:
+                if n * m > N:
+                    break
                 try:
                     resid = arith.hecke_relation_check(self, n, m)
                 except MissingEigenvalueError:

@@ -83,15 +83,19 @@ class Bump:
     def scale(self) -> float:
         return self.hhat0 / (self.half_width * MOLLIFIER_MASS)
 
-    def mass_above(self, y: float) -> float:
-        """int_{A >= y} h(A) dA.  A = B + d tanh s makes h dA = scale d e^(-cosh^2 s)
-        sech^2 s ds, below 1e-44 past |s| = 3, so 48 Gauss-Legendre nodes on
-        [atanh((y - B) / d), 3] give the mass to 5e-15 of hhat0."""
-        u = (y - self.B) / self.half_width
-        lo = -3.0 if u <= -1.0 else 3.0 if u >= 1.0 else min(max(math.atanh(u), -3.0), 3.0)
-        s, w = gl_nodes(lo, 3.0, 48)  # lo = 3 gives zero weights: no mass above the support
+    def mass_above(self, y):
+        """int_{A >= y} h(A) dA, elementwise over an array of y.  A = B + d tanh s
+        makes h dA = scale d e^(-cosh^2 s) sech^2 s ds, below 1e-44 past
+        |s| = 3, so 48 Gauss-Legendre nodes on [atanh((y - B) / d), 3] give
+        the mass to 5e-15 of hhat0."""
+        u = np.clip((np.asarray(y, float) - self.B) / self.half_width, -1.0, 1.0)
+        with np.errstate(divide="ignore"):
+            lo = np.clip(np.arctanh(u), -3.0, 3.0)
+        # lo = 3 gives zero weights: no mass above the support
+        s, w = gl_nodes(lo[..., None], 3.0, 48)
         ch2 = np.cosh(s) ** 2
-        return float(self.scale * self.half_width * np.sum(w * np.exp(-ch2) / ch2))
+        m = self.scale * self.half_width * np.sum(w * np.exp(-ch2) / ch2, axis=-1)
+        return float(m) if m.ndim == 0 else m
 
 
 def bump_h(A, bump: Bump):

@@ -132,11 +132,24 @@ class TestBesselTable:
     def test_rows_off_the_moment_grid_use_the_scalar_kernel(self, y):
         # sqrt(3)/2 = 0.866 and moment_y_max = 15.4 bound the table's rows
         ev = EisensteinEvaluator(SpectralSetup(T=10.0, A=2.0))
-        got = ev._mode_coefficients(y)
+        got = ev.row_coefficients(y)[ev.n_max(y) + 1:]
         assert ev._k_table is None
         ns = np.arange(1, ev.n_max(y) + 1)
         ks = np.array([bessel_k_scaled(10.0, 2.0 * math.pi * n * y) for n in ns])
         assert np.array_equal(got, ev.mode_prefactor * math.sqrt(y) * ev._tau[1:len(ns) + 1] * ks)
+
+
+    def test_batched_rows_are_the_scalar_rows_zero_padded(self):
+        # one call across the table's range, with rows off it on both sides
+        ev = EisensteinEvaluator(SpectralSetup(T=10.0, A=2.0))
+        ys = np.array([0.8, 0.87, 1.0, 1.99, 2.01, 5.0, 20.0])
+        rows = ev.row_coefficients(ys)
+        K = rows.shape[1] // 2
+        assert K == ev.n_max(0.8)
+        for y, row in zip(ys, rows):
+            k = ev.n_max(y)
+            assert np.array_equal(row[K - k:K + k + 1], ev.row_coefficients(y))
+            assert not np.any(row[:K - k]) and not np.any(row[K + k + 1:])
 
 
 class TestTruncation:

@@ -22,8 +22,8 @@ class TestIntegrateF:
 
     def test_volume(self):
         # mu(F) = pi/3, with the region above y_max added analytically
-        def row_fn(y):
-            return np.array([moments.section_integral(np.ones(1), y)])
+        def row_fn(ys):
+            return moments.section_integral(np.ones((len(ys), 1)), ys)[:, None]
 
         val, est = moments.integrate_rows(row_fn, 1e6, y_bandwidth=lambda y: 30.0 / max(y, 1.0))
         assert val[0] + 1e-6 == pytest.approx(math.pi / 3, abs=1e-8)
@@ -32,8 +32,8 @@ class TestIntegrateF:
     def test_inverse_square(self):
         # int over F cap {y <= 10} of y^-2 dmu has an elementary closed form:
         # split at y=1; the arc section below height 1 integrates in closed form
-        def row_fn(y):
-            return np.array([moments.section_integral(np.ones(1), y) / y ** 2])
+        def row_fn(ys):
+            return (moments.section_integral(np.ones((len(ys), 1)), ys) / ys ** 2)[:, None]
 
         val, _ = moments.integrate_rows(row_fn, 10.0, y_bandwidth=lambda y: 30.0 / max(y, 1.0))
         # oracle via high-order 1-D quadrature of the exact section widths
@@ -44,6 +44,29 @@ class TestIntegrateF:
                      0.0), ys)
         upper = (1.0 / 3.0) * (1.0 - 10.0 ** -3)
         assert val[0] == pytest.approx(lower + upper, rel=1e-6)
+
+    @pytest.mark.parametrize("T", [10.0, 50.0])
+    def test_fourth_moment_evaluates_rows_per_block_not_per_node(self, T, monkeypatch):
+        # each grid's y nodes reach the evaluator in FFT blocks of up to
+        # 8192 / L rows, each node once; L is one of 16..256 here, so a grid
+        # takes at most 5 + n * 256 / 8192 calls, where a per-node loop takes n
+        calls, grids = [], []
+        rows, build = EisensteinEvaluator.row_coefficients, moments.build_grid
+
+        def counted(self, y):
+            calls.append(np.size(y))
+            return rows(self, y)
+
+        def recorded(*args, **kwargs):
+            grids.append(build(*args, **kwargs))
+            return grids[-1]
+
+        monkeypatch.setattr(EisensteinEvaluator, "row_coefficients", counted)
+        monkeypatch.setattr(moments, "build_grid", recorded)
+        moments.fourth_moment(SpectralSetup(T=T, A=2.0), tol=math.inf)
+        n_nodes = sum(p.order for g in grids for p in g.panels)
+        assert len(grids) == 2 and sum(calls) == n_nodes
+        assert len(calls) <= 2 * 5 + n_nodes * 256 / 8192
 
     def test_tolerance_error_carries_value(self):
         # the Richardson estimate of the p = 4 moment is 6.3e-7 at T = 25
@@ -63,18 +86,39 @@ class TestSectionIntegral:
     section is a few 1e-4 wide and the row's value cancels.
     """
 
+    # one call: at T = 50 the rows below y = 1.3 share the FFT length 256
+    # (K = 24..16) and straddle y = 1; those from 1.99 up share 128 and straddle A
+    YS = np.array([0.8661, 0.87, 0.95, 1.0, 1.3, 1.99, 2.01, 2.5])
+
+    @staticmethod
+    def _reference(ev, y):
+        """Per-row coefficient-space reference: convolutions, then
+        ``section_integral``, and the rows' Parseval scales."""
+        c = ev.row_coefficients(y)
+        b = np.convolve(c, np.conj(c[::-1]))  # coefficients of |E_A|^2
+        p4 = moments.section_integral(np.convolve(b, b), y)
+        sq = moments.section_integral(np.convolve(c, c), y)
+        return p4, sq, np.sum(np.abs(b) ** 2), np.sum(np.abs(c) ** 2)
+
     @pytest.mark.parametrize("T", [10.0, 25.0, 50.0])
     def test_moment_rows_match_dense_x_quadrature(self, T):
         ev = EisensteinEvaluator(SpectralSetup(T=T, A=2.0))
-        for y in (0.8661, 0.87, 0.95, 1.0, 1.3, 1.99, 2.01, 2.5):
-            c = ev.row_coefficients(y)
-            b = np.convolve(c, np.conj(c[::-1]))  # coefficients of |E_A|^2
-            p4 = moments.section_integral(np.convolve(b, b), y)
-            sq = moments.section_integral(np.convolve(c, c), y)
+        rows = moments.moment_rows(ev)(self.YS)
+        for y, (p4, sq) in zip(self.YS, rows):
+            _, _, scale4, scale2 = self._reference(ev, y)
             dense4 = section_quadrature(lambda xs: np.abs(ev.eval_row_trunc(y, xs)) ** 4, y)
             dense2 = section_quadrature(lambda xs: ev.eval_row_trunc(y, xs) ** 2, y)
-            assert abs(p4 - dense4) <= 1e-13 * np.sum(np.abs(b) ** 2), y
-            assert abs(sq - dense2) <= 1e-13 * np.sum(np.abs(c) ** 2), y
+            assert abs(p4 - dense4) <= 1e-13 * scale4, y
+            assert abs(sq - dense2) <= 1e-13 * scale2, y
+
+    @pytest.mark.parametrize("T", [10.0, 25.0, 50.0])
+    def test_moment_rows_match_per_row_convolutions(self, T):
+        ev = EisensteinEvaluator(SpectralSetup(T=T, A=2.0))
+        rows = moments.moment_rows(ev)(self.YS)
+        for y, (p4, sq) in zip(self.YS, rows):
+            ref4, ref2, scale4, scale2 = self._reference(ev, y)
+            assert abs(p4 - ref4) <= 1e-15 * scale4, y
+            assert abs(sq - ref2) <= 1e-15 * scale2, y
 
     def test_real_s_pair_row_matches_dense_x_quadrature(self):
         e1, e2 = RealSEvaluator(2.0), RealSEvaluator(3.0)

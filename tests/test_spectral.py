@@ -72,6 +72,42 @@ class TestIngest:
         assert forms[0].eigenvalue(-2) == pytest.approx(0.4)
 
 
+class TestValidate:
+    N = 2000
+    LAST = (44, 45)  # the largest checked pair: 44 * 46 and 45 * 45 exceed N
+
+    def test_checks_every_pair_n_le_m_with_nm_le_N_once(self, monkeypatch):
+        seen = []
+        check = arith.hecke_relation_check
+
+        def counted(form, n, m):
+            seen.append((n, m))
+            return check(form, n, m)
+
+        monkeypatch.setattr(arith, "hecke_relation_check", counted)
+        spectral.divisor_pseudoform(13.78, self.N).validate()
+        # the pairs of a loop over all stored (n, m), skipping n > m and n m > N
+        pairs = {(n, m) for n in range(1, self.N + 1) for m in range(n, self.N // n + 1)}
+        assert len(seen) == len(set(seen)) == len(pairs)
+        assert set(seen) == pairs and seen[-1] == self.LAST
+
+    def test_corruption_at_the_largest_pair_raises(self):
+        form = spectral.divisor_pseudoform(13.78, self.N)
+        n, m = self.LAST
+        form.hecke[n * m] += 1e-3
+        with pytest.raises(ValidationError):
+            form.validate()
+        # with the other relations on lambda(1980) unavailable, only (44, 45) can see it
+        sparse = spectral.MaassForm(t=form.t, parity="even",
+                                    hecke={k: form.hecke[k] for k in (1, n, m, n * m)})
+        with pytest.raises(ValidationError, match=r"\(n,m\)=\(44,45\)"):
+            sparse.validate()
+
+    def test_nonpositive_index_rejected(self):
+        with pytest.raises(ValidationError, match="not positive"):
+            spectral.MaassForm(t=5.0, parity="even", hecke={-2: 0.5, 1: 1.0}).validate()
+
+
 class TestAFE:
     def test_exact_oracle_midrange(self, pseudoform):
         # lambda(n) = tau(n, gamma) has L = zeta(s+i gamma) zeta(s-i gamma):

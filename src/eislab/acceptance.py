@@ -127,8 +127,8 @@ def weights_audit_checks():
     t, T = 60.0, 50.0
     bump = weights.Bump(B=2.0, alpha=0.009, T=T)
 
-    v1 = weights.weight_V_pm(100.0, t, T, "even", weights.WeightContour(1.0, 30.0))
-    v2 = weights.weight_V_pm(100.0, t, T, "even", weights.WeightContour(2.0, 30.0))
+    v1 = weights.weight_V_pm(100.0, t, T, "even", sigma=1.0)
+    v2 = weights.weight_V_pm(100.0, t, T, "even", sigma=2.0)
     inv_v = max(abs(v1[0] / v2[0] - 1.0), abs(v1[1] / v2[1] - 1.0))
     checks.append(("V contour", inv_v, 1e-7))
 
@@ -166,7 +166,7 @@ def weights_audit_checks():
     checks.append(("Hcal_pm envelope", cfit_hs, 100.0))
     cfit_v = 0.0
     for xx in (1.0, 10.0, 100.0, 1000.0):
-        vp, vm = weights.weight_V_pm(xx, t, T, "even", weights.WeightContour(1.0, 30.0))
+        vp, vm = weights.weight_V_pm(xx, t, T, "even")
         env = (abs(t) * math.sqrt(4 * T * T - t * t) / xx)
         cfit_v = max(cfit_v, max(abs(vp), abs(vm)) / env)
     checks.append(("V envelope", cfit_v, 100.0))

@@ -59,8 +59,12 @@ integrals once both Mehler-Sonine pieces are scaled against sinh(pi t); the
 e^(pi t) scales cancel identically, leaving an O(1) real integrand valid for
 all w > 0 and real t.  Pointwise, 2i J_{2it}/sinh(pi t) itself is *not* real;
 only this even part is, and the even part is the only combination the
-trace-formula integrals against even test functions ever see.  Tails are
-again handled by rotation to Im s = +pi/2.  It evaluates one x at a time and
+trace-formula integrals against even test functions ever see.  The contour
+runs along the real axis to s1 and up to s1 + i pi/2, with
+w sinh s1 = max(4 t_max, pi t_max + 50).  On the line Im s = pi/2 the
+integrand of either sign is e^(-w sinh x -+ pi t), at most e^-50 at x = s1
+for every t <= t_max and falling like e^(-w sinh x) past it, so the contour
+ends there.  ``kuznetsov_kernel_even_many`` evaluates one x at a time and
 is kept as the reference that the tests and the benchmark check the
 transform below against; the library's own callers use the transform.
 
@@ -79,11 +83,6 @@ precision, because its rounding is shared by a panel's 16 nodes.
   B factored by panel as above: one matrix product for all x.  The growing
   sign's rows are scaled by e^(-2 t_max r), folded back into the leg factor,
   so |B| <= |a| and nothing overflows.
-* Horizontal legs s + i pi/2, s >= s1: one panel grid per sign, its panel
-  width a divisor of the real leg's so every s1 is one of its edges, carries
-  H(s) = sum_t a_t e^(-+pi t) e^(+-2its).  The growing sign's H is scaled by
-  e^(-pi t_max), which the leg factor e^(pi t_max - w sinh s) takes back.
-  An x costs O(N_s) real exponentials.
 """
 
 from __future__ import annotations
@@ -92,7 +91,6 @@ import numpy as np
 
 from eislab.errors import DomainError
 from eislab.quadrature import (
-    _GL_ORDER,
     _panel_exp,
     edge_nodes,
     panel_edges,
@@ -171,23 +169,15 @@ def bessel_k_scaled(T: float, y, policy: PrecisionPolicy = DEFAULT_POLICY):
 # Kuznetsov kernel
 # ---------------------------------------------------------------------------
 
-def _contour(w: float, tmax: float, edges=None):
-    """Rotation point s1 = asinh(M/w), M = max(4 tmax, 20), or the next of
-    ``edges`` above it (the shift is exact for any s1), and the end x_end of
-    each leg Im s = pi/2 of e^(i sg 2ts), where e^(-w sinh x - sg pi t) is
-    e^-50 below scale: returns s1, {sg: x_end}."""
-    s1 = float(np.arcsinh(max(4.0 * tmax, 20.0) / w))
+def _contour(w: float, tmax: float, edges=None) -> float:
+    """Rotation point s1 = asinh(M/w), M = max(4 tmax, pi tmax + 50), or the
+    next of ``edges`` above it (the shift is exact for any s1).  At s1 + i pi/2
+    the integrand e^(-w sinh s1 -+ pi t) is below e^-50 for both signs and
+    every t <= tmax, so the contour ends there."""
+    s1 = float(np.arcsinh(max(4.0 * tmax, np.pi * tmax + 50.0) / w))
     if edges is not None:
         s1 = float(edges[min(np.searchsorted(edges, s1), len(edges) - 1)])
-    ends = {sg: 50.0 + max(-sg, 0.0) * np.pi * tmax for sg in (1.0, -1.0)}
-    return s1, {sg: float(np.arcsinh(e / w)) for sg, e in ends.items() if w * np.sinh(s1) < e}
-
-
-def _horizontal_leg(w, s1, x_end, sg, ts, tmax, os):
-    """int_{s1}^{x_end} of e^(-w sinh x - sg pi t + i sg 2 t x), one row per t."""
-    n, wt = panel_nodes(s1, x_end, 2.0 * tmax + w * np.cosh(x_end), os)
-    expo = (-w * np.sinh(n))[None, :] + 1j * sg * 2.0 * np.outer(ts, n) - sg * np.pi * ts[:, None]
-    return np.real(np.exp(expo) @ wt)
+    return s1
 
 
 def kuznetsov_kernel_even_many(x: float, ts):
@@ -205,7 +195,7 @@ def kuznetsov_kernel_even_many(x: float, ts):
     w = 4.0 * np.pi * x
     os = DEFAULT_POLICY.bessel_freq_oversample
     tmax = float(np.max(ts))
-    s1, legs = _contour(w, tmax)
+    s1 = _contour(w, tmax)
     total = np.zeros_like(ts, dtype=float)
     # real leg
     n, wt = panel_nodes(0.0, s1, w * np.sinh(s1) + 2.0 * tmax, os)
@@ -213,7 +203,7 @@ def kuznetsov_kernel_even_many(x: float, ts):
     c2 = np.cos(np.outer(ts, 2.0 * n))
     # cos(wc + 2ts) + cos(wc - 2ts) = 2 cos(wc) cos(2ts)
     total += 2.0 * (c2 * (np.cos(wc) * wt)[None, :]).sum(axis=1)
-    # rotated tails, sigma = +-1: int_{s1}^inf e^{i(w cosh s + sigma 2 t s)} ds.
+    # rotated tails, sigma = +-1: int_{s1}^{s1 + i pi/2} e^{i(w cosh s + sigma 2 t s)} ds.
     # Exponents are folded into one matrix before exponentiating: the shared
     # leg factor and the per-t phase can individually leave double range at
     # large t even though their product never does.
@@ -222,8 +212,6 @@ def kuznetsov_kernel_even_many(x: float, ts):
         zz = s1 + 1j * n
         expo = (1j * w * np.cosh(zz))[None, :] + 1j * sg * 2.0 * np.outer(ts, zz)
         total += np.real(np.exp(expo) @ (1j * wt))
-        if sg in legs:
-            total += _horizontal_leg(w, s1, legs[sg], sg, ts, tmax, os)
     return (2.0 / np.pi) * total
 
 
@@ -236,14 +224,13 @@ def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
     os = DEFAULT_POLICY.bessel_freq_oversample
     tmax = float(np.max(ts))
     ws = 4.0 * np.pi * xs
-    raw = np.array([_contour(w, tmax)[0] for w in ws])
+    raw = np.array([_contour(w, tmax) for w in ws])
     # real leg: one panel grid for every x, 10 % above the widest bandwidth
     # w cosh(s1) + 2 tmax, each s1 rounded up to one of its panel edges
     edges = panel_edges(0.0, float(raw.max()), 1.1 * (float(np.max(ws * np.cosh(raw)))
                                                       + 2.0 * tmax), os)
     n, wt = edge_nodes(edges)
-    geo = [_contour(w, tmax, edges) for w in ws]
-    s1 = np.array([g[0] for g in geo])
+    s1 = np.array([_contour(w, tmax, edges) for w in ws])
     em, ex = _panel_exp(edges, 2.0 * ts, 1j)
     g_real = wt * ((em * a) @ ex.T).real.ravel()
     inside = n[None, :] < s1[:, None]
@@ -261,28 +248,5 @@ def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
         leg = np.exp(1j * ws[:, None] * np.cosh(s1[:, None] + 1j * r[None, :]) + lift[None, :])
         g_vert = rows @ phase.real + (1j * sg) * (rows @ phase.imag)
         total += np.real(((1j * wr) * leg * g_vert.T).sum(axis=1))
-    # horizontal legs s + i pi/2, s >= s1: one grid per sign whose panels split
-    # the real leg's, so every s1 is an edge of it, at the widest bandwidth
-    # 2 tmax + w cosh(x_end) of its legs, carrying H(s) = sum_t a_t
-    # e^(-sg pi t + i sg 2ts); the growing sign's H carries e^(-pi tmax), which
-    # the leg factor e^(pi tmax - w sinh s) takes back.  An x runs from its s1
-    # to the grid's end, past its own x_end where the factor is e^-50 below scale
-    for sg in (1.0, -1.0):
-        on = np.array([sg in g[1] for g in geo])
-        if not on.any():
-            continue
-        ends = np.array([g[1][sg] for g in geo if sg in g[1]])
-        lo, step = float(s1[on].min()), float(edges[1])
-        need = 2.0 * np.pi * _GL_ORDER / (os * float(np.max(
-            2.0 * tmax + ws[on] * np.cosh(ends))))
-        split, span = int(np.ceil(step / need)), int(np.ceil((ends.max() - lo) / step))
-        h_edges = np.linspace(lo, lo + span * step, split * span + 1)
-        h, wh = edge_nodes(h_edges)
-        lift = 0.5 * (1.0 - sg) * np.pi * tmax
-        em, ex = _panel_exp(h_edges, sg * 2.0 * ts, 1j)
-        g_horz = wh * ((em * (a * np.exp(-sg * np.pi * ts - lift))) @ ex.T).ravel()
-        expo = np.where(h[None, :] > s1[on, None],
-                        lift - ws[on, None] * np.sinh(h[None, :]), -np.inf)
-        total[on] += np.real(np.exp(expo) @ g_horz)
     return (2.0 / np.pi) * total
 

@@ -231,9 +231,7 @@ def afe_pair(form: MaassForm, T: float, sigma: float = 1.0, *, tail_tol: float =
     lam = np.array([form.eigenvalue(n) for n in range(1, n_need + 1)])
     # every x = k^2 n <= n_need is an integer, so the weights are indexed by x - 1
     xs = np.arange(1, n_need + 1)
-    # e^(smoother w^2) is below e^(-46) past this height on the line Re w = sigma
-    height = max(10.0, math.sqrt(46.0 / smoother + sigma * sigma) + 3.0)
-    vp, vm = contour_weights(xs, t, T, a, sigma, height, smoother)
+    vp, vm = contour_weights(xs, t, T, a, sigma, smoother)
     coef = lam * arith.tau_gen_many(n_need, T)[1:]
     ph_n = np.exp((-0.5 + 1j * T) * np.log(xs))
     total = 0.0 + 0.0j

@@ -124,21 +124,20 @@ def bump_h_derivative(A, bump: Bump, k: int = 1):
     return float(sum(c * bump_h(A + o * h, bump) for c, o in zip(coefs, offs)) / h ** k)
 
 
-def _exp_outer_apply(a: np.ndarray, b: np.ndarray, vs) -> list:
-    """[exp(outer(a, b)) @ v for v in vs]: one line integral per entry of a,
-    sampled at the nodes b with weights v.
+def _exp_outer_apply(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(outer(a, b)) @ v: one line integral per entry of a, sampled at the
+    nodes b with weights v.
 
-    Rows are exponentiated 2048 at a time, in place, and each block serves
-    every v; one block is alive at a time, which bounds the memory.
+    Rows are exponentiated 2048 at a time, in place; one block is alive at a
+    time, which bounds the memory.
     """
-    outs = [np.empty(len(a), dtype=complex) for _ in vs]
+    out = np.empty(len(a), dtype=complex)
     for i0 in range(0, len(a), 2048):
         block = np.outer(a[i0:i0 + 2048], b)
         np.exp(block, out=block)
-        for out, v in zip(outs, vs):
-            out[i0:i0 + 2048] = block @ v
+        out[i0:i0 + 2048] = block @ v
         del block  # freed before the next block is built
-    return outs
+    return out
 
 
 def _contour_apply(lnx: np.ndarray, sigma: float, edges: np.ndarray, cores) -> list:
@@ -163,20 +162,21 @@ def _contour_apply(lnx: np.ndarray, sigma: float, edges: np.ndarray, cores) -> l
 
 
 def bump_transform(s, bump: Bump):
-    """h-tilde(s) = int h(A) (pi A)^(s-1) dA, vectorized over s.
+    """h-tilde(s) = int h(A) (pi A)^(s-1) dA, vectorized over s: a complex
+    for a number, an array of its shape for an array.
 
     (Not quite a Mellin transform: the pi sits inside the power.)
     """
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    s = np.asarray(s, dtype=complex)
     lo, hi = bump.B - bump.half_width, bump.B + bump.half_width
-    im_max = float(np.max(np.abs(s.imag))) if s.size else 0.0
+    im_max = float(np.max(np.abs(s.imag)))
     re_max = float(np.max(np.abs(s.real - 1.0)))
     # oscillation |Im s| / A plus mollifier structure ~ 24 / half_width
     bw = im_max / lo + re_max / lo + 24.0 / bump.half_width
     nodes, wts = panel_nodes(lo, hi, bw, DEFAULT_POLICY.bessel_freq_oversample,
                              min_panels=10)
-    vals = _exp_outer_apply(s - 1.0, np.log(np.pi * nodes), [bump_h(nodes, bump) * wts])[0]
-    return vals if vals.size > 1 else complex(vals[0])
+    vals = _exp_outer_apply(s.ravel() - 1.0, np.log(np.pi * nodes), bump_h(nodes, bump) * wts)
+    return vals.reshape(s.shape) if s.ndim else complex(vals[0])
 
 
 def bump_transform_decay_height(bump: Bump, sigma: float, tol: float) -> float:
@@ -266,15 +266,15 @@ def weight_Hcal(t: float, T: float, alpha: float = 0.009) -> complex:
 def weight_Hcal_pm(s, t: float, T: float, bump: Bump):
     """Both sign variants of the height-averaged gamma-ratio weight.
 
-    Returns (plus, minus), each vectorized over s.  The plus variant carries
+    Returns (plus, minus), each of s's shape.  The plus variant carries
     +2iT shifts in the numerator and Gamma(s + 1/2 + iT) below; the minus
     variant mirrors the sign of T.  Both include the bump-transform factor
     h-tilde(1 - s).
     """
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    s = np.asarray(s, dtype=complex)
     if np.any(s.real <= -0.5):
         raise DomainError("weight_Hcal_pm needs Re(s) > -1/2")
-    ht = np.atleast_1d(bump_transform(1.0 - s, bump))
+    ht = bump_transform(1.0 - s, bump)
     out = []
     for sT in (+1.0, -1.0):
         num = np.zeros_like(s)
@@ -285,23 +285,7 @@ def weight_Hcal_pm(s, t: float, T: float, bump: Bump):
                + log_gamma(0.5 + 1j * T) + log_gamma(0.5 + 1j * t))
         out.append(ht * np.exp(num - den))
     plus, minus = out
-    if plus.size == 1:
-        return complex(plus[0]), complex(minus[0])
-    return plus, minus
-
-
-@dataclass(frozen=True)
-class WeightContour:
-    """Vertical-line contour: abscissa sigma and |Im| cap."""
-
-    sigma: float
-    height: float
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise DomainError("contour abscissa must be positive")
-        if self.height <= 0:
-            raise DomainError("contour height must be positive")
+    return (plus, minus) if s.ndim else (complex(plus), complex(minus))
 
 
 def _g_ratio_log(w, t: float, T: float, a: float, sign_T: float):
@@ -330,15 +314,16 @@ def g_ratio(w, t: float, T: float, a: float = 0.5):
 
 
 def contour_weights(xs: np.ndarray, t: float, T: float, a: float, sigma: float,
-                    height: float, smoother: float = 1.0):
-    """(V_plus, V_minus) at an array of x >= 1 on one shared contour.
+                    smoother: float = 1.0):
+    """(V_plus, V_minus) at a 1-d array of x >= 1 on one shared contour.
 
     V_pm(x) = (1/2 pi i) int_(sigma) e^(smoother w^2) x^(-w) G_(pm,a)(w,t) dw/w,
-    truncated at |Im w| = ``height``; each caller supplies the truncation
-    rule that suits its smoother.  ``smoother`` = 1 is the production
-    weight; other values give independent smoothings of the same identity
-    for cross-checks.
+    truncated at |Im w| = max(10, sqrt(46/smoother + sigma^2) + 3), past
+    which e^(smoother w^2) is below e^-46.  ``smoother`` = 1 is the
+    production weight; other values give independent smoothings of the same
+    identity for cross-checks.
     """
+    height = max(10.0, math.sqrt(46.0 / smoother + sigma * sigma) + 3.0)
     lnx = np.log(xs)
     bw = float(np.max(lnx)) + 2.0 * sigma * smoother + 4.0
     edges = panel_edges(-height, height, bw, DEFAULT_POLICY.bessel_freq_oversample,
@@ -351,28 +336,23 @@ def contour_weights(xs: np.ndarray, t: float, T: float, a: float, sigma: float,
     return vp, vm
 
 
-def weight_V_pm(x, t: float, T: float, parity: str = "even",
-                contour: WeightContour | None = None):
-    """Gaussian-smoothed contour weights (V_plus, V_minus), vectorized in x.
+def weight_V_pm(x, t: float, T: float, parity: str = "even", sigma: float = 1.0):
+    """Gaussian-smoothed contour weights (V_plus, V_minus), each of x's shape.
 
     V_pm(x, t) = (1/2 pi i) int_(sigma) e^(w^2) x^(-w) G_(pm, a)(w, t) dw / w,
-    a = 1/2 for even parity and 3/2 for odd.  The vertical truncation is
-    max(30, 10 sqrt(log x)), far past the point where e^(w^2) has annihilated
-    the integrand.
+    a = 1/2 for even parity and 3/2 for odd, truncated as in
+    ``contour_weights``.
     """
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
+    if sigma <= 0:
+        raise DomainError("contour abscissa must be positive")
     a = 0.5 if parity == "even" else 1.5
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    xv = np.asarray(x, dtype=float)
     if np.any(xv < 1.0):
         raise DomainError("weight_V_pm is defined for x >= 1")
-    sigma = contour.sigma if contour is not None else 1.0
-    lx_max = float(np.max(np.log(xv)))
-    vmax = contour.height if contour is not None else max(30.0, 10.0 * math.sqrt(max(lx_max, 1.0)))
-    vp, vm = contour_weights(xv, t, T, a, sigma, vmax)
-    if vp.size > 1:
-        return vp, vm
-    return complex(vp[0]), complex(vm[0])
+    return tuple(v.reshape(xv.shape) if xv.ndim else complex(v[0])
+                 for v in contour_weights(xv.ravel(), t, T, a, sigma))
 
 
 class VcalResult(NamedTuple):
@@ -391,7 +371,7 @@ def weight_Vcal_pm(x, t: float, T: float, bump: Bump, sigma: float = 0.75) -> Vc
     where the gamma ratio's own e^(-pi(|Im s|-t)/2) decay has taken over); the
     estimated tail is recorded in the result.
     """
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    xv = np.asarray(x, dtype=float)
     if np.any(xv < 1.0):
         raise DomainError("weight_Vcal_pm is defined for x >= 1")
     h_cap = bump_transform_decay_height(bump, sigma, _VCAL_TAIL_TOL)
@@ -407,9 +387,8 @@ def weight_Vcal_pm(x, t: float, T: float, bump: Bump, sigma: float = 0.75) -> Vc
     s = sigma + 1j * nodes
     plus_i, minus_i = weight_Hcal_pm(s, t, T, bump)
     cores = [integ / s * (wts / (2.0 * np.pi)) for integ in (plus_i, minus_i)]
-    vp, vm = _contour_apply(np.log(xv), sigma, edges, cores)
-    if vp.size == 1:
-        vp, vm = complex(vp[0]), complex(vm[0])
+    vp, vm = (v.reshape(xv.shape) if xv.ndim else complex(v[0])
+              for v in _contour_apply(np.log(xv.ravel()), sigma, edges, cores))
     tail = 0.0
     for integ in (plus_i, minus_i):
         # endpoint integrand size relative to its peak along the contour:

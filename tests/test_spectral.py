@@ -317,10 +317,11 @@ class TestKuznetsov:
         ref = np.array([a @ kuznetsov_kernel_even_many(x, ts) for x in xs])
         assert np.max(np.abs(got - ref)) < 1e-13
 
-    def test_contracted_transform_horizontal_legs(self):
-        # Gaussian weights of width 1.5 or more leave both horizontal legs
-        # below 1e-19, so the test above cannot see them.  Flat weights on
-        # t <= 5 give every x both legs, carrying up to 1e-11 and 7.5e-5.
+    def test_contracted_transform_flat_weights_small_t(self):
+        # at t_max = 5 the pi t_max + 50 term sets the rotation point (65.7,
+        # against 4 t_max = 20), and flat weights, unlike the Gaussians
+        # above, keep t near t_max at full size: where ending the contour at
+        # s1 + i pi/2 would leave the most behind if that term were too small
         ts, a = panel_nodes(0.0, 5.0, 10.0, 8.0)
         xs = 1.0 / np.array([1.0, 3.0, 40.0])
         got = kuznetsov_kernel_transform(xs, ts, a)

@@ -11,7 +11,7 @@ from eislab import oracles, weights
 from eislab.errors import DomainError
 from eislab.quadrature import panel_nodes
 from eislab.specfun import PrecisionPolicy
-from eislab.weights import Bump, WeightContour
+from eislab.weights import Bump
 
 
 @pytest.fixture(scope="module")
@@ -173,8 +173,8 @@ class TestGammaRatioWeights:
 
 class TestContourWeights:
     def test_v_contour_independence(self):
-        v1 = weights.weight_V_pm(100.0, 60.0, 50.0, "even", WeightContour(1.0, 30.0))
-        v2 = weights.weight_V_pm(100.0, 60.0, 50.0, "even", WeightContour(2.0, 30.0))
+        v1 = weights.weight_V_pm(100.0, 60.0, 50.0, "even", sigma=1.0)
+        v2 = weights.weight_V_pm(100.0, 60.0, 50.0, "even", sigma=2.0)
         assert abs(v1[0] / v2[0] - 1) < 1e-8
         assert abs(v1[1] / v2[1] - 1) < 1e-8
 
@@ -189,7 +189,7 @@ class TestContourWeights:
     def test_v_envelope(self):
         t, T = 60.0, 50.0
         for x in (1.0, 10.0, 100.0):
-            vp, vm = weights.weight_V_pm(x, t, T, "even", WeightContour(1.0, 30.0))
+            vp, vm = weights.weight_V_pm(x, t, T, "even")
             env = t * math.sqrt(4 * T * T - t * t) / x
             assert max(abs(vp), abs(vm)) <= 100.0 * env
 
@@ -225,11 +225,11 @@ class TestContourWeights:
     @pytest.mark.parametrize("smoother", [1.0, 0.5])
     def test_factored_contour_weights_match_dense_exponentials(self, parity_a, smoother):
         # x^(-w) factored by panel against exp(outer(-log x, w)) on the same
-        # nodes, at the AFE's contour for x = 1..20000 and x = 10^6
+        # nodes, the documented truncation, for x = 1..20000 and x = 10^6
         t, T, sigma = 9.5337, 3.0, 1.0
         height = max(10.0, math.sqrt(46.0 / smoother + sigma * sigma) + 3.0)
         xs = np.append(np.arange(1.0, 20001.0), 1e6)
-        vp, vm = weights.contour_weights(xs, t, T, parity_a, sigma, height, smoother)
+        vp, vm = weights.contour_weights(xs, t, T, parity_a, sigma, smoother)
         bw = math.log(1e6) + 2.0 * sigma * smoother + 4.0
         nodes, wts = panel_nodes(-height, height, bw, 8.0, min_panels=8)
         w = sigma + 1j * nodes
@@ -239,6 +239,31 @@ class TestContourWeights:
             ref = np.concatenate([np.exp(np.outer(-np.log(xs[i:i + 2000]), w)) @ core
                                   for i in range(0, xs.size, 2000)])
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestOutputShape:
+    # a number gives a number and an array an array of its own shape, length
+    # 1 and 2-d included; an entry differs from its lone call's value only
+    # through the node count of the shared contour
+    @pytest.mark.parametrize("shape", [(1,), (2, 2)])
+    @pytest.mark.parametrize("name", ["bump_transform", "weight_Hcal_pm",
+                                      "weight_V_pm", "weight_Vcal_pm"])
+    def test_shape_follows_input(self, bump50, name, shape):
+        s = 0.5 + 1j * np.arange(math.prod(shape))
+        x = np.geomspace(1.0, 10.0, math.prod(shape))
+        f, arg = {
+            "bump_transform": (lambda v: (weights.bump_transform(v, bump50),), s),
+            "weight_Hcal_pm": (lambda v: weights.weight_Hcal_pm(v, 60.0, 50.0, bump50), s),
+            "weight_V_pm": (lambda v: weights.weight_V_pm(v, 60.0, 50.0), x),
+            "weight_Vcal_pm": (lambda v: weights.weight_Vcal_pm(v, 60.0, 50.0, bump50)[:2], x),
+        }[name]
+        arg = arg.reshape(shape)
+        lone = [f(v) for v in arg.ravel()]
+        for k, got in enumerate(f(arg)):
+            assert isinstance(lone[0][k], complex)
+            assert got.shape == shape
+            ref = np.reshape([vals[k] for vals in lone], shape)
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 class TestMellinPair:

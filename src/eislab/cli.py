@@ -17,12 +17,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from eislab import moments, spectral
-from eislab.acceptance import P2_SWEEP_TOL, kuznetsov_gates, run_all
+from eislab.acceptance import (P2_CLOSED_TOL, P2_SWEEP_TOL, Check, run_all, tail_gates,
+                               weights_audit_checks)
 from eislab.eisenstein import SpectralSetup
 
 _DEFAULT_FORMS = Path(__file__).resolve().parents[2] / "data" / "maass_forms.csv"
@@ -32,7 +33,6 @@ _DEFAULT_FORMS = Path(__file__).resolve().parents[2] / "data" / "maass_forms.csv
 class RunConfig:
     T: list | None = None
     A: list | None = None
-    tol: float = 1e-5
     out: str = "-"
     forms: str = str(_DEFAULT_FORMS)
     quick: bool = False
@@ -42,8 +42,6 @@ class RunConfig:
             raise ValueError("T values must be positive")
         if self.A is not None and (not self.A or any(a <= 1 for a in self.A)):
             raise ValueError("A values must exceed 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
         return self
 
 
@@ -74,8 +72,6 @@ def build_config(args) -> RunConfig:
             raise ValueError(f"config key {key!r} is not read by {args.command}")
         if key in ("T", "A"):
             val = _parse_float_list(val)
-        elif key == "tol":
-            val = float(val)
         elif key == "quick":
             val = val.lower() in ("1", "true", "yes")
         setattr(cfg, key, val)
@@ -103,6 +99,14 @@ def _emit_csv(out: str, header: str, rows):
         Path(out).write_text(text)
 
 
+def _failures(command: str, checks) -> int:
+    """1 if any Check row fails, each failing row named on stderr; else 0."""
+    failed = [c for c in checks if not c.passed]
+    for c in failed:
+        print(f"{command}: {c}", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def _fmt(value) -> str:
     if isinstance(value, complex):
         return repr(value).strip("()")
@@ -120,38 +124,29 @@ def _require_grid(cfg: RunConfig):
 
 
 def cmd_maass_selberg(cfg: RunConfig) -> int:
-    results = []
+    rows, checks = [], []
     for T, A in _require_grid(cfg):
         res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf)
         closed, rel = moments.second_moment_error(res)
-        results.append((T, A, closed, res.second_moment, rel))
-    rows = [f"{T!r},{A!r},{_fmt(c)},{_fmt(q)},{rel!r}" for (T, A, c, q, rel) in results]
+        rows.append(f"{T!r},{A!r},{_fmt(closed)},{_fmt(res.second_moment)},{rel!r}")
+        checks.append(Check(f"rel_err (T={T:g}, A={A:g})", rel, P2_CLOSED_TOL))
     _emit_csv(cfg.out, "T,A,closed,quadrature,rel_err", rows)
-    worst = max(r[4] for r in results)
-    if worst > cfg.tol:
-        print(f"maass-selberg: worst rel_err {worst:.3e} exceeds tol {cfg.tol:.3e}",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _failures("maass-selberg", checks)
 
 
 def cmd_moment_sweep(cfg: RunConfig) -> int:
-    rows = []
-    hard_error = 0
+    rows, checks = [], []
     for T, A in _require_grid(cfg):
         res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf)
-        _, rel2 = moments.second_moment_error(res)
-        if rel2 > P2_SWEEP_TOL:
-            print(f"moment-sweep: p=2 row (T={T}, A={A}) off closed form by {rel2:.2e}",
-                  file=sys.stderr)
-            hard_error = 1
+        checks.append(Check(f"p=2 rel_err (T={T:g}, A={A:g})",
+                            moments.second_moment_error(res)[1], P2_SWEEP_TOL))
         for rep, gauss in ((res.second_report, ""), (res.report, repr(res.gaussian_ratio))):
             rows.append(f"{T!r},{A!r},{rep.p},{rep.value!r},{rep.est_error!r},"
                         f"{rep.prediction!r},{rep.ratio!r},{gauss}")
     _emit_csv(cfg.out, "T,A,p,value,err,prediction,ratio,gaussian_ratio", rows)
     if cfg.out != "-":
         _emit_plot_script(cfg.out)
-    return hard_error
+    return _failures("moment-sweep", checks)
 
 
 def _emit_plot_script(csv_path: str):
@@ -170,16 +165,11 @@ def _emit_plot_script(csv_path: str):
 
 
 def cmd_weights_audit(cfg: RunConfig) -> int:
-    from eislab.acceptance import weights_audit_checks
-    rows = []
-    all_ok = True
-    for (name, value, threshold) in weights_audit_checks():
-        ok = value < threshold
-        all_ok &= ok
-        rows.append(f"{name.replace(' ', '-')},{value!r},{threshold!r},"
-                    f"{'pass' if ok else 'FAIL'}")
-    _emit_csv(cfg.out, "check,value,threshold,status", rows)
-    return 0 if all_ok else 1
+    checks = weights_audit_checks()
+    _emit_csv(cfg.out, "check,value,threshold,status",
+              [f"{c.name.replace(' ', '-')},{float(c.value)!r},{float(c.gate)!r},"
+               f"{'pass' if c.passed else 'FAIL'}" for c in checks])
+    return _failures("weights-audit", checks)
 
 
 def cmd_kuznetsov(cfg: RunConfig) -> int:
@@ -187,17 +177,16 @@ def cmd_kuznetsov(cfg: RunConfig) -> int:
     phi = spectral.TestFunction(kind="gaussian", width=8.0)
     pairs = [(1, 1), (1, 2), (2, 2)]
     c_list = (50, 100, 200) if not cfg.quick else (25, 50)
-    rows = []
-    monotone = True
+    rows, tails = [], []
     for (n, m) in pairs:
         reports = [spectral.kuznetsov_two_sides(n, m, phi, forms, c_max=c_max)
                    for c_max in c_list]
         rows.extend(f"{n},{m},{c_max},{rep.spectral_side!r},{rep.geometric_side!r},"
                     f"{rep.closure!r},{rep.tail_estimate!r}"
                     for c_max, rep in zip(c_list, reports))
-        monotone &= kuznetsov_gates(reports)["monotone"]
+        tails += [replace(c, name=f"(n, m) = ({n}, {m}) {c.name}") for c in tail_gates(reports)]
     _emit_csv(cfg.out, "n,m,c_max,spectral,geometric,closure,tail_estimate", rows)
-    return 0 if monotone else 1
+    return _failures("kuznetsov", tails)
 
 
 def cmd_acceptance(cfg: RunConfig) -> int:
@@ -217,7 +206,6 @@ def cmd_acceptance(cfg: RunConfig) -> int:
 _FLAGS = {
     "T": dict(help="comma-separated spectral heights"),
     "A": dict(help="comma-separated truncation heights"),
-    "tol": dict(type=float, help="tolerance gate"),
     "out": dict(help="output CSV path ('-' for stdout)"),
     "forms": dict(help="Maass-form CSV path"),
     "quick": dict(action="store_true", help="sub-minute subset"),
@@ -225,7 +213,7 @@ _FLAGS = {
 
 # each subcommand with the settings it reads, as flags and as --config keys
 _COMMANDS = [
-    ("maass-selberg", cmd_maass_selberg, ("T", "A", "tol", "out"),
+    ("maass-selberg", cmd_maass_selberg, ("T", "A", "out"),
      "closed-form vs quadrature second-moment comparisons"),
     ("moment-sweep", cmd_moment_sweep, ("T", "A", "out"),
      "second and fourth moments over a (T, A) grid"),

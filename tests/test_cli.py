@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eislab import moments
+from eislab import moments, weights
 from eislab.cli import main
 from eislab.eisenstein import SpectralSetup
 
@@ -39,10 +39,12 @@ class TestMaassSelbergCommand:
         assert r.returncode == 2
 
     def test_loosened_gate(self, tmp_path):
+        # the p=2 gate lives in eislab.acceptance; there is no flag to loosen it
         out = tmp_path / "ms.csv"
         r = run_cli(["maass-selberg", "--T", "10", "--A", "2",
                      "--tol", "1e-3", "--out", str(out)])
-        assert r.returncode == 0
+        assert r.returncode == 2
+        assert not out.exists()
 
 
 class TestMomentSweepCommand:
@@ -77,7 +79,7 @@ class TestMomentSweepCommand:
 class TestConfigFile:
     def test_key_value_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("T = 10\nA = 2\n# a comment\ntol = 1e-4\n")
+        cfg.write_text("T = 10\nA = 2\n# a comment\n")
         out = tmp_path / "o.csv"
         r = run_cli(["maass-selberg", "--config", str(cfg), "--out", str(out)])
         assert r.returncode == 0
@@ -132,6 +134,34 @@ def test_wrong_phase_second_moment_fails_both_commands(monkeypatch, tmp_path):
     for command in ("maass-selberg", "moment-sweep"):
         assert main([command, "--T", "10", "--A", "1.5",
                      "--out", str(tmp_path / "o.csv")]) == 1
+
+
+def test_nan_second_moment_error_fails_both_commands(monkeypatch, tmp_path):
+    # a NaN residual is no pass: max(0.0, nan) is 0.0, but nan < tol is False
+    monkeypatch.setattr(moments, "second_moment_error",
+                        lambda res: (res.second_moment, math.nan))
+    for command in ("maass-selberg", "moment-sweep"):
+        assert main([command, "--T", "10", "--A", "1.5",
+                     "--out", str(tmp_path / "o.csv")]) == 1
+
+
+class TestWeightsAuditCommand:
+    def test_rows_and_exit_codes(self, tmp_path, monkeypatch):
+        out = tmp_path / "w.csv"
+        assert main(["weights-audit", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[1] == "check,value,threshold,status"
+        rows = [ln.split(",") for ln in lines[2:]]
+        assert len(rows) == 9
+        assert all(row[3] == "pass" and float(row[1]) < float(row[2]) for row in rows)
+        # one weight NaN: its rows say FAIL and the command exits 1
+        weight_V_pm = weights.weight_V_pm
+        monkeypatch.setattr(weights, "weight_V_pm", lambda *args, **kwargs: (
+            weight_V_pm(*args, **kwargs)[0], complex(math.nan, math.nan)))
+        assert main(["weights-audit", "--out", str(out)]) == 1
+        status = {ln.split(",")[0]: ln.split(",")[3] for ln in out.read_text().splitlines()[2:]}
+        assert [name for name, st in status.items() if st == "FAIL"] == [
+            "V-contour", "V-envelope"]
 
 
 def test_invalid_values_exit_two():

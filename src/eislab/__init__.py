@@ -4,13 +4,12 @@ Subpackages and modules:
 
 - ``specfun``    complex special functions (log-gamma, zeta, completed zeta,
                  scattering quantities, Bessel kernels with imaginary order)
-- ``arith``      divisor sums, Kloosterman sums, Hecke-relation utilities
-- ``eisenstein`` the Eisenstein series, its truncation, and the attached
-                 cuspidal-window function, plus fundamental-domain reduction
+- ``arith``      divisor sums, Kloosterman sums, the Hecke-relation check
+- ``eisenstein`` the Eisenstein series and its truncation, as Fourier rows
 - ``moments``    quadrature over the fundamental domain, Maass-Selberg closed
                  forms, second and fourth moments
-- ``weights``    smoothing bumps, bulk windows, gamma-ratio and contour-integral
-                 weight functions, Mellin pairs
+- ``weights``    smoothing bumps, gamma-ratio and contour-integral weight
+                 functions, Mellin pairs
 - ``spectral``   Maass-form data handling, approximate functional equations,
                  trace-formula diagnostics, diagonal main-term assembly
 - ``cli``        batch driver with CSV emission and the acceptance suite

@@ -1,4 +1,5 @@
-"""Integer-arithmetic kernels: divisor sums, Kloosterman sums, Hecke utilities.
+"""Integer-arithmetic kernels: divisor sums, Kloosterman sums, the Hecke-relation
+check.
 
 Divisor lists come from trial-division factorization, and divisor sums over
 a whole range 1..n_max from one strided sieve.  Kloosterman sums are
@@ -14,7 +15,6 @@ import math
 import numpy as np
 
 from eislab.errors import DomainError, InvariantError, MissingEigenvalueError
-from eislab.specfun import zeta
 
 
 def divisors(m: int):
@@ -119,43 +119,11 @@ def sigma_complex_many(n_max: int, a: complex) -> np.ndarray:
     return out
 
 
-def ramanujan_lhs(a: complex, b: complex, s: complex, N: int):
-    """Partial sum sum_{n<=N} sigma_a(n) sigma_b(n) / n^s with a tail estimate.
-
-    Requires Re(s) > 1 + max(0, Re a) + max(0, Re b) for absolute convergence
-    and N >= 1000.  Returns (value, tail_estimate).
-    """
-    a, b, s = complex(a), complex(b), complex(s)
-    excess = s.real - 1.0 - max(0.0, a.real) - max(0.0, b.real)
-    if excess <= 0:
-        raise DomainError("ramanujan_lhs needs Re(s) > 1 + max(0,Re a) + max(0,Re b)")
-    if N < 1000:
-        raise DomainError("ramanujan_lhs needs N >= 1000")
-    sa = sigma_complex_many(N, a)[1:]
-    sb = sigma_complex_many(N, b)[1:]
-    n = np.arange(1, N + 1, dtype=float)
-    val = complex(np.sum(sa * sb * np.exp(-s * np.log(n))))
-    # |sigma_a sigma_b / n^s| <= d(n)^2 n^(a+ + b+ - Re s); crude integral tail
-    logN = math.log(N)
-    tail = (logN + 2.0) ** 2 * N ** (1.0 - excess) / excess
-    return val, tail
-
-
-def ramanujan_rhs(a: complex, b: complex, s: complex) -> complex:
-    """zeta(s) zeta(s-a) zeta(s-b) zeta(s-a-b) / zeta(2s-a-b)."""
-    a, b, s = complex(a), complex(b), complex(s)
-    return (zeta(s) * zeta(s - a) * zeta(s - b) * zeta(s - a - b)
-            / zeta(2 * s - a - b))
-
-
-def hecke_relation_check(form, n: int, m: int) -> float:
-    """|lambda(n) lambda(m) - sum_{k | (n,m)} lambda(n m / k^2)|.
-
-    ``form`` is anything with a ``hecke`` mapping from index to eigenvalue
-    (a MaassForm, or a plain dict wrapped in a namespace).  Used to validate
+def hecke_relation_check(eig, n: int, m: int) -> float:
+    """|lambda(n) lambda(m) - sum_{k | (n,m)} lambda(n m / k^2)| for the
+    eigenvalue mapping ``eig`` from index to lambda.  Used to validate
     ingested eigenvalue data.
     """
-    eig = form.hecke if hasattr(form, "hecke") else form
     if n < 1 or m < 1:
         raise DomainError("hecke_relation_check needs n, m >= 1")
 

@@ -1,5 +1,5 @@
-"""The Eisenstein series on the modular surface, its truncation, and the
-cuspidal-window function, evaluated from Fourier expansions.
+"""The Eisenstein series on the modular surface and its truncation, evaluated
+from Fourier expansions, one row of coefficients per height.
 
 On the critical line the expansion used is
 
@@ -19,8 +19,7 @@ A second coefficient path handles real s in (1, 4]:
     E(z, s) = y^s + phi(s) y^(1-s) + (4 / xi(2s)) sum_{n >= 1} n^(s-1/2)
               sigma_{1-2s}(n) sqrt(y) K_{s-1/2}(2 pi n y) cos(2 pi n x),
 
-with the real-order K-Bessel from scipy.  It is validated against the
-coprime-pair lattice sum at high y, where the constant term dominates.
+with the real-order K-Bessel from scipy.
 """
 
 from __future__ import annotations
@@ -40,22 +39,6 @@ from eislab.specfun import (
     phi_log,
     xi_log,
 )
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point x + iy of the upper half-plane."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not self.y > 0:
-            raise DomainError(f"upper half-plane needs y > 0, got {self.y}")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -138,40 +121,6 @@ def cosine_series(c, xs) -> np.ndarray:
     return c[K] + (2.0 * c[K + 1:]) @ phases
 
 
-def reduce(z: Point):
-    """Reduce z to the standard fundamental domain {|x| <= 1/2, |z| >= 1}.
-
-    Returns (reduced point, integer matrix ((a,b),(c,d))) with determinant one
-    mapping the input to the output under the fractional-linear action.
-    """
-    a, b, c, d = 1, 0, 0, 1
-    x, y = float(z.x), float(z.y)
-    for _ in range(256):
-        shift = -int(np.round(x))
-        if shift != 0:
-            x += shift
-            a, b = a + shift * c, b + shift * d
-        r2 = x * x + y * y
-        if r2 < 1.0 - 1e-15:
-            # inversion z -> -1/z
-            x, y = -x / r2, y / r2
-            a, b, c, d = -c, -d, a, b
-        else:
-            break
-    else:
-        raise ConvergenceError("fundamental-domain reduction did not terminate")
-    if not (abs(x) <= 0.5 + 1e-12 and x * x + y * y >= 1.0 - 1e-12):
-        raise ConvergenceError(f"reduction stopped outside the fundamental domain at {x} + {y}i")
-    return Point(x, y), ((a, b), (c, d))
-
-
-def apply_matrix(mat, z: Point) -> Point:
-    """Fractional-linear action of an integer matrix on a point."""
-    (a, b), (c, d) = mat
-    w = (a * z.z + b) / (c * z.z + d)
-    return Point(w.real, w.imag)
-
-
 class EisensteinEvaluator:
     """Critical-line Eisenstein series for one (T, A).
 
@@ -216,7 +165,7 @@ class EisensteinEvaluator:
 
     def row_coefficients(self, y) -> np.ndarray:
         """Coefficients c_k of e(k x), k = -K..K, of E_A at height y, with the
-        constant term c_0 dropped above y = A, as in ``eval_row_trunc``.
+        constant term c_0 dropped above y = A: the row of the truncated series.
 
         For a scalar y, K = ``n_max(y)`` and the row has shape (2K+1,).  For
         an array of y the rows form an (n_y, 2K+1) matrix with K the largest
@@ -257,34 +206,6 @@ class EisensteinEvaluator:
         c[len(c) // 2] = self.constant_term(y)
         return cosine_series(c, xs)
 
-    def eval_row_trunc(self, y: float, xs) -> np.ndarray:
-        """Truncated series: constant term dropped above y = A."""
-        return cosine_series(self.row_coefficients(y), xs)
-
-    def eval_E(self, z: Point) -> complex:
-        """E(z, 1/2 + iT); z is reduced to the fundamental domain first."""
-        zr, _ = reduce(z)
-        if zr.y < _FLOOR_Y - 1e-9:
-            raise DomainError("reduction failed to reach the fundamental domain")
-        return complex(self.eval_row(zr.y, [zr.x])[0])
-
-    def eval_E_trunc(self, z: Point) -> complex:
-        """Truncated Eisenstein series at a (reduced) point."""
-        zr, _ = reduce(z)
-        return complex(self.eval_row_trunc(zr.y, [zr.x])[0])
-
-    def eval_H_A(self, z: Point) -> complex:
-        """Cuspidal window at a (reduced) point; see ``eval_row_H_A``."""
-        zr, _ = reduce(z)
-        return complex(self.eval_row_H_A(zr.y, [zr.x])[0])
-
-    def eval_row_H_A(self, y: float, xs) -> np.ndarray:
-        """Cuspidal window: 0 below A, else 2 e(y) E_A(x + iy)."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if y <= self.setup.A:
-            return np.zeros(len(xs), dtype=complex)
-        return 2.0 * self.constant_term(y) * self.eval_row_trunc(y, xs)
-
 
 class RealSEvaluator:
     """E(z, s) for real s in (1, 4] from the sigma-coefficient expansion."""
@@ -307,7 +228,7 @@ class RealSEvaluator:
     def constant_term(self, y):
         return y ** self.s + self.phi_s.real * y ** (1.0 - self.s)
 
-    def row_coefficients(self, y, A: float | None = None) -> np.ndarray:
+    def row_coefficients(self, y, A: float) -> np.ndarray:
         """Coefficients c_k of e(k x), k = -K..K; c_0 = 0 if y > A.
 
         Shapes as for ``EisensteinEvaluator.row_coefficients``: one row for a
@@ -322,30 +243,6 @@ class RealSEvaluator:
         sig = sigma_complex_many(K, 1.0 - 2.0 * self.s)[1:].real
         # cos(2 pi n x) = (e(nx) + e(-nx)) / 2
         half = 0.5 * self.pref * ns ** (self.s - 0.5) * sig * np.sqrt(ys)[:, None] * kvals
-        const = self.constant_term(ys)
-        if A is not None:
-            const = np.where(ys <= A, const, 0.0)
+        const = np.where(ys <= A, self.constant_term(ys), 0.0)
         rows = np.concatenate([half[:, ::-1], const[:, None], half], axis=1)
         return rows[0] if np.ndim(y) == 0 else rows
-
-    def eval_row(self, y: float, xs, A: float | None = None) -> np.ndarray:
-        """E(x+iy, s) for an x array; drops the constant term if y > A."""
-        return cosine_series(self.row_coefficients(y, A), xs)
-
-
-def lattice_sum_reference(z: Point, s: float) -> float:
-    """Brute-force (1/2) sum over coprime (c, d) of y^s / |cz+d|^(2s).
-
-    The sum is cut at |c|, |d| <= 120.  Converges for real s > 1; used only
-    to validate the real-s coefficient path at heights where the constant
-    term dominates.
-    """
-    bound = 120
-    total = 0.0
-    zz = z.z
-    for c in range(-bound, bound + 1):
-        for d in range(-bound, bound + 1):
-            if (c, d) == (0, 0) or math.gcd(abs(c), abs(d)) != 1:
-                continue
-            total += z.y ** s / abs(c * zz + d) ** (2 * s)
-    return 0.5 * total

@@ -364,19 +364,6 @@ def real_s_pair_quadrature(s1: float, s2: float, A: float):
     return complex(val[0]), float(est[0])
 
 
-def h_window_norm_sq(setup: SpectralSetup) -> float:
-    """<H_A, H_A> = int_{y > A} |2 e(y) E_A|^2 dmu by quadrature."""
-    ev = EisensteinEvaluator(setup)
-
-    def block(ys, L):
-        # H_A = 2 e(y) E_A vanishes below A; above it Parseval on the full strip
-        norm = np.sum(np.abs(ev.row_coefficients(ys)) ** 2, axis=1)
-        return np.where(ys > setup.A, 4.0 * np.abs(ev.constant_term(ys)) ** 2 * norm, 0.0)[:, None]
-
-    val, _ = _integrate_moment(_blocked_rows(ev.n_max, block), setup, ev, (setup.A,))
-    return float(val[0].real)
-
-
 @dataclass(frozen=True)
 class SmoothedMomentResult:
     value: float          # int h(A) ||E_A||_4^4 dA over the bump support

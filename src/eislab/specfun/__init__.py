@@ -5,13 +5,11 @@ from eislab.specfun.gamma import (
     digamma,
     log_gamma,
     stirling_gamma_log,
-    stirling_gamma_main_log,
 )
 from eislab.specfun.zeta import (
     phi_log,
     phi_log_deriv_critical,
     scattering,
-    xi,
     xi_log,
     xi_log_deriv,
     zeta,
@@ -30,11 +28,9 @@ __all__ = [
     "digamma",
     "log_gamma",
     "stirling_gamma_log",
-    "stirling_gamma_main_log",
     "phi_log",
     "phi_log_deriv_critical",
     "scattering",
-    "xi",
     "xi_log",
     "xi_log_deriv",
     "zeta",

@@ -57,14 +57,6 @@ def digamma(z):
     return special.psi(z)
 
 
-def stirling_gamma_main_log(z: complex, t: float) -> complex:
-    """Log of the large-t surrogate for Gamma(z + it); no domain check."""
-    sgn = 1.0 if t >= 0 else -1.0
-    at = abs(t)
-    return (0.5 * _LN_2PI + (z + 1j * t - 0.5) * np.log(at)
-            - 0.5 * np.pi * at - 1j * t + 1j * sgn * 0.5 * np.pi * (z - 0.5))
-
-
 def stirling_gamma_log(z: complex, t: float) -> complex:
     """Log of the large-t approximation to Gamma(z + it).
 
@@ -77,4 +69,7 @@ def stirling_gamma_log(z: complex, t: float) -> complex:
     if abs(t) <= 2.0 * abs(z + 1.0) ** 2:
         raise DomainError(
             f"stirling_gamma requires |t| > 2|z+1|^2 = {2.0 * abs(z + 1.0) ** 2:.3g}, got |t| = {abs(t):.3g}")
-    return stirling_gamma_main_log(z, t)
+    sgn = 1.0 if t >= 0 else -1.0
+    at = abs(t)
+    return (0.5 * _LN_2PI + (z + 1j * t - 0.5) * np.log(at)
+            - 0.5 * np.pi * at - 1j * t + 1j * sgn * 0.5 * np.pi * (z - 0.5))

@@ -119,13 +119,6 @@ def xi_log(s) -> complex:
     return -(s / 2) * np.log(np.pi) + log_gamma(s / 2) + np.log(zeta(s))
 
 
-def xi(s):
-    """xi(s) in log-polar form: (log_modulus, phase mod 2 pi in (-pi, pi])."""
-    v = xi_log(s)
-    phase = np.angle(np.exp(1j * v.imag))
-    return float(v.real), float(phase)
-
-
 def phi_log(s) -> complex:
     """Complex log of phi(s) = xi(2s-1)/xi(2s)."""
     s = complex(s)

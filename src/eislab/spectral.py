@@ -1,7 +1,6 @@
 """Spectral-side computations: Maass-form data, central-value products via the
-approximate functional equation, triple-product pairings, the two-sided
-trace-formula diagnostic, the oscillatory Bessel-transform check, and the
-diagonal main-term assembly.
+approximate functional equation, the two-sided trace-formula diagnostic, the
+oscillatory Bessel-transform check, and the diagonal main-term assembly.
 
 Maass-form data is ingested, not computed: eigenvalue solvers are out of
 scope.  Ingest validates the Hecke relations
@@ -59,10 +58,6 @@ class MaassForm:
         if self.parity not in ("even", "odd"):
             raise ValidationError(f"parity must be even/odd, got {self.parity}")
 
-    @property
-    def n_max(self) -> int:
-        return max(self.hecke) if self.hecke else 0
-
     def eigenvalue(self, n: int) -> float:
         if n < 0:
             lam = self.eigenvalue(-n)
@@ -88,60 +83,13 @@ class MaassForm:
                 if n * m > N:
                     break
                 try:
-                    resid = arith.hecke_relation_check(self, n, m)
+                    resid = arith.hecke_relation_check(self.hecke, n, m)
                 except MissingEigenvalueError:
                     continue
                 if resid > tol:
                     raise ValidationError(
                         f"Hecke relation fails at (n,m)=({n},{m}): residual {resid:.2e}")
         return self
-
-
-def _smallest_prime_factors(n_max: int) -> np.ndarray:
-    """spf[n] = the smallest prime factor of n, for 2 <= n <= n_max."""
-    spf = np.arange(n_max + 1)
-    for p in range(2, math.isqrt(n_max) + 1):
-        if spf[p] == p:
-            block = spf[p * p::p]
-            block[block == np.arange(p * p, n_max + 1, p)] = p
-    return spf
-
-
-def hecke_fill(prime_eigenvalues: dict, n_max: int) -> dict:
-    """Extend lambda(p) data to all n <= n_max with every prime factor known.
-
-    The keys of ``prime_eigenvalues`` are primes.  Prime powers follow
-    lambda(p^(k+1)) = lambda(p) lambda(p^k) - lambda(p^(k-1)); coprime
-    indices multiply.
-    """
-    lam = {1: 1.0}
-    for p, lp in prime_eigenvalues.items():
-        power, prev, cur = p, 1.0, lp
-        while power <= n_max:
-            lam[power] = cur
-            prev, cur = cur, lp * cur - prev
-            power *= p
-    rank = {p: r for r, p in enumerate(prime_eigenvalues)}
-    spf = _smallest_prime_factors(n_max).tolist()
-    for n in range(2, n_max + 1):
-        if n in lam:
-            continue
-        # the prime powers q || n, found by the sieve and multiplied in the
-        # order of ``prime_eigenvalues``, as the trial division took them
-        factors, rest = [], n
-        while rest > 1:
-            p, q = spf[rest], 1
-            while rest % p == 0:
-                rest //= p
-                q *= p
-            factors.append((rank.get(p, -1), q))
-        if min(factors)[0] < 0:
-            continue  # a prime factor without an eigenvalue
-        val = 1.0
-        for _, q in sorted(factors):
-            val *= lam[q]
-        lam[n] = val
-    return lam
 
 
 def divisor_pseudoform(gamma: float, n_max: int) -> MaassForm:
@@ -250,43 +198,6 @@ def zeta_product_oracle(gamma: float, T: float) -> complex:
     return complex(zeta(0.5 + 1j * gamma) * zeta(0.5 - 1j * gamma)
                    * zeta(0.5 - 2j * T + 1j * gamma)
                    * zeta(0.5 - 2j * T - 1j * gamma))
-
-
-# ---------------------------------------------------------------------------
-# triple-product pairing
-# ---------------------------------------------------------------------------
-
-def rankin_selberg_pairing(form: MaassForm, T: float) -> complex:
-    """<E^2(., 1/2+iT), u_j> assembled from central values and gamma factors.
-
-    Vanishes identically for odd forms.  For even forms,
-
-        (rho(1)/2) Lambda(1/2, u) Lambda(1/2 + 2iT, u) / xi(1 + 2iT)^2,
-
-    with |rho(1)|^2 = 2 cosh(pi t)/L(1, sym^2 u) (rho(1) taken positive real)
-    and Lambda(s, u) = pi^(-s) Gamma((s+it)/2) Gamma((s-it)/2) L(s, u).  The
-    L-value product comes from ``afe_pair``; everything is combined in
-    log-polar space.
-    """
-    if form.parity == "odd":
-        return 0.0 + 0.0j
-    if form.sym2_L1 is None:
-        raise MissingEigenvalueError("rankin_selberg_pairing needs sym2_L1")
-    t = form.t
-    lvals = afe_pair(form, T, tail_tol=1e-6)
-    # L(1/2) L(1/2 + 2iT) = conj(L(1/2) L(1/2 - 2iT)) for real-coefficient even forms
-    lvals_plus = np.conj(lvals)
-    log_gamma_factors = (
-        -(0.5 + 0j) * math.log(math.pi)
-        + log_gamma((0.5 + 1j * t) / 2) + log_gamma((0.5 - 1j * t) / 2)
-        - (0.5 + 2j * T) * math.log(math.pi)
-        + log_gamma((0.5 + 2j * T + 1j * t) / 2) + log_gamma((0.5 + 2j * T - 1j * t) / 2))
-    # log |rho(1)|^2 = log(2 cosh(pi t)) - log L = pi t + log1p(e^{-2 pi t}) - log L
-    log_rho = 0.5 * (math.pi * t + math.log1p(math.exp(-2 * math.pi * t))
-                     - math.log(form.sym2_L1))
-    log_norm = -2.0 * xi_log(1 + 2j * T)
-    return complex(lvals_plus * np.exp(log_rho - math.log(2.0)
-                                       + log_gamma_factors + log_norm))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Smoothing and weight functions for the moment pipeline.
 
 Contents: the compactly supported bump h in the truncation height and its
-(pi A)^(s-1) transform, the bulk spectral window W(t), the gamma-ratio
-weights for the spectral and mixed terms, the contour-integral weight
-functions of the approximate functional equation (both parities) and of the
-height-averaged window, their closed-form leading terms, and the Mellin pair
-g(x) <-> G(s) built from products of two K-Bessel factors.
+(pi A)^(s-1) transform, the gamma-ratio weights for the spectral and mixed
+terms, the contour-integral weight functions of the approximate functional
+equation (both parities) and of the height-averaged window, their
+closed-form leading terms, and the Mellin pair g(x) <-> G(s) built from
+products of two K-Bessel factors.
 
 All gamma products are assembled in log-polar space and exponentiated once;
 the individual gamma factors at height ~T are astronomically small while
@@ -108,22 +108,6 @@ def bump_h(A, bump: Bump):
     return out if out.ndim else float(out)
 
 
-def bump_h_derivative(A, bump: Bump, k: int = 1):
-    """k-th derivative of h by central differences (diagnostic use)."""
-    h = bump.half_width * 2e-4
-    A = float(A)
-    if k == 0:
-        return float(bump_h(A, bump))
-    stencil = {
-        1: ([-0.5, 0.5], [-1, 1]),
-        2: ([1.0, -2.0, 1.0], [-1, 0, 1]),
-        3: ([-0.5, 1.0, -1.0, 0.5], [-2, -1, 1, 2]),
-        4: ([1.0, -4.0, 6.0, -4.0, 1.0], [-2, -1, 0, 1, 2]),
-    }[k]
-    coefs, offs = stencil
-    return float(sum(c * bump_h(A + o * h, bump) for c, o in zip(coefs, offs)) / h ** k)
-
-
 def _exp_outer_apply(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(outer(a, b)) @ v: one line integral per entry of a, sampled at the
     nodes b with weights v.
@@ -197,45 +181,6 @@ def bump_transform_decay_height(bump: Bump, sigma: float, tol: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# bulk window
-# ---------------------------------------------------------------------------
-
-def window_W(t: float, T: float, alpha: float) -> float:
-    """Double-exponential bulk window, exact in log space, values in [0, 1].
-
-    The two cutoffs turn on at |t| = (2T)^(1-alpha/2) and off where
-    4T^2 - t^2 = 4T^(2-alpha/2); with alpha < 1/100 these only separate from
-    the endpoints {0, 2T} once log T is of order 4 log 2 / alpha, i.e. for
-    exponentially large T.  Everything is computed from logarithms so such T
-    are fine as long as T and T^2 stay inside double range.
-    """
-    if not (0 < alpha < 0.01):
-        raise DomainError("window_W needs alpha in (0, 1/100)")
-    if T <= 0:
-        raise DomainError("window_W needs T > 0")
-    t = abs(float(t))
-    K = 2 * math.ceil(1000.0 / alpha)
-
-    def factor(log_ratio: float) -> float:
-        # 1 - exp(-r^K) with r^K = exp(K log r), overflow-clamped
-        g = K * log_ratio
-        if g > 700.0:
-            return 1.0
-        if g < -700.0:
-            return 0.0
-        return -math.expm1(-math.exp(g))
-
-    if t == 0.0:
-        return 0.0
-    log_r1 = math.log(t) - (1.0 - alpha / 2.0) * math.log(2.0 * T)
-    contrast = 4.0 * T * T - t * t
-    if contrast == 0.0:
-        return 0.0
-    log_r2 = math.log(abs(contrast)) - math.log(4.0) - (2.0 - alpha / 2.0) * math.log(T)
-    return factor(log_r1) * factor(log_r2)
-
-
-# ---------------------------------------------------------------------------
 # gamma-ratio weights
 # ---------------------------------------------------------------------------
 
@@ -245,14 +190,18 @@ def _lgr(s) -> complex:
     return -(s / 2.0) * math.log(math.pi) + log_gamma(s / 2.0)
 
 
-def in_bulk(t: float, T: float, alpha: float = 0.009) -> bool:
-    edge = T ** (1.0 - alpha)
+_BULK_ALPHA = 0.009  # the bulk is T^(1 - alpha) < |t| < 2T - T^(1 - alpha)
+
+
+def _in_bulk(t: float, T: float) -> bool:
+    edge = T ** (1.0 - _BULK_ALPHA)
     return edge < abs(t) < 2.0 * T - edge
 
 
-def weight_Hcal(t: float, T: float, alpha: float = 0.009) -> complex:
-    """Spectral gamma-ratio weight at spectral parameter t, height T."""
-    if not in_bulk(t, T, alpha):
+def weight_Hcal(t: float, T: float) -> complex:
+    """Spectral gamma-ratio weight at spectral parameter t, height T; warns
+    outside the bulk."""
+    if not _in_bulk(t, T):
         warnings.warn(f"weight_Hcal: t={t} outside the bulk range for T={T}",
                       stacklevel=2)
     num = 0.0 + 0.0j
@@ -306,11 +255,6 @@ def _g_ratio_log(w, t: float, T: float, a: float, sign_T: float):
         den += _lgr(a + 1j * sgn * t)
         den += _lgr(a - 2j * T + 1j * sgn * t)
     return num - den
-
-
-def g_ratio(w, t: float, T: float, a: float = 0.5):
-    """The shifted/unshifted Gamma_R ratio G_{+, a}(w, t), vectorized in w."""
-    return np.exp(_g_ratio_log(w, t, T, a, +1.0))
 
 
 def contour_weights(xs: np.ndarray, t: float, T: float, a: float, sigma: float,

@@ -11,26 +11,43 @@ import numpy as np
 
 from eislab import oracles
 from eislab.arith import tau_gen
-from eislab.specfun import PrecisionPolicy, xi_log
+from eislab.specfun import PrecisionPolicy, bessel_k_scaled, xi_log
 
 
-def eval_E_independent(z, T: float, extra_margin: float = 2.0,
+def eval_E_independent(x: float, y: float, T: float, extra_margin: float = 2.0,
                        oversample: float = 16.0) -> complex:
-    """Fourier-sum Eisenstein value with doubled cutoff and doubled Bessel
-    resolution, built directly from scratch (no EisensteinEvaluator)."""
+    """Fourier-sum Eisenstein value at x + iy with doubled cutoff and doubled
+    Bessel resolution, summed term by term (no EisensteinEvaluator)."""
     policy = PrecisionPolicy(bessel_freq_oversample=oversample)
-    from eislab.specfun import bessel_k_scaled
 
     lx = xi_log(1 + 2j * T)
     c = np.exp(xi_log(1 - 2j * T) - lx)
     pref = 2.0 * np.exp(-np.pi * T / 2 - lx)
-    y, x = z.y, z.x
     n_max = int(math.ceil(extra_margin * (T + 10 * T ** (1 / 3) + 40) / (2 * math.pi * y)))
     total = (y ** 0.5) * (np.exp(1j * T * math.log(y)) + c * np.exp(-1j * T * math.log(y)))
     ks = bessel_k_scaled(T, 2 * math.pi * np.arange(1, n_max + 1) * y, policy)
     for n, k in enumerate(ks, start=1):
         total += pref * math.sqrt(y) * tau_gen(n, T) * k * 2 * math.cos(2 * math.pi * n * x)
     return complex(total)
+
+
+def lattice_sum_reference(x: float, y: float, s: float) -> float:
+    """Brute-force (1/2) sum over coprime (c, d) of y^s / |cz+d|^(2s) at
+    z = x + iy.
+
+    The sum is cut at |c|, |d| <= 120.  Converges for real s > 1; used only
+    to validate the real-s coefficient path at heights where the constant
+    term dominates.
+    """
+    bound = 120
+    total = 0.0
+    zz = complex(x, y)
+    for c in range(-bound, bound + 1):
+        for d in range(-bound, bound + 1):
+            if (c, d) == (0, 0) or math.gcd(abs(c), abs(d)) != 1:
+                continue
+            total += y ** s / abs(c * zz + d) ** (2 * s)
+    return 0.5 * total
 
 
 def dense_gl(a: float, b: float, npanels: int, order: int = 16):

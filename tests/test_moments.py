@@ -1,14 +1,17 @@
 """Fundamental-domain quadrature and the moment pipeline."""
 
 import functools
+import importlib.util
 import math
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from eislab import moments
-from eislab.eisenstein import EisensteinEvaluator, Point, RealSEvaluator, SpectralSetup
+from eislab.eisenstein import EisensteinEvaluator, RealSEvaluator, SpectralSetup, cosine_series
 from eislab.errors import DegenerateParameterError, ToleranceError
 from eislab.specfun import phi_log, scattering
 from eislab.quadrature import panel_nodes
@@ -106,8 +109,9 @@ class TestSectionIntegral:
         rows = moments.moment_rows(ev)(self.YS)
         for y, (p4, sq) in zip(self.YS, rows):
             _, _, scale4, scale2 = self._reference(ev, y)
-            dense4 = section_quadrature(lambda xs: np.abs(ev.eval_row_trunc(y, xs)) ** 4, y)
-            dense2 = section_quadrature(lambda xs: ev.eval_row_trunc(y, xs) ** 2, y)
+            c = ev.row_coefficients(y)
+            dense4 = section_quadrature(lambda xs: np.abs(cosine_series(c, xs)) ** 4, y)
+            dense2 = section_quadrature(lambda xs: cosine_series(c, xs) ** 2, y)
             assert abs(p4 - dense4) <= 1e-13 * scale4, y
             assert abs(sq - dense2) <= 1e-13 * scale2, y
 
@@ -125,7 +129,7 @@ class TestSectionIntegral:
         y, A = 0.9, 2.0
         c1, c2 = e1.row_coefficients(y, A), e2.row_coefficients(y, A)
         row = moments.section_integral(np.convolve(c1, c2), y)
-        dense = section_quadrature(lambda xs: e1.eval_row(y, xs, A) * e2.eval_row(y, xs, A), y)
+        dense = section_quadrature(lambda xs: cosine_series(c1, xs) * cosine_series(c2, xs), y)
         scale = math.sqrt(np.sum(np.abs(c1) ** 2) * np.sum(np.abs(c2) ** 2))
         assert abs(row - dense) <= 1e-13 * scale
 
@@ -294,19 +298,23 @@ class TestSmoothedMoment:
         for _ in range(12):
             y = rng.uniform(2.5, 11.5)
             x = rng.uniform(-0.5, 0.5)
-            diff = evB.eval_E_trunc(Point(x, y)) - evA.eval_E_trunc(Point(x, y))
+            diff = (cosine_series(evB.row_coefficients(y), [x])[0]
+                    - cosine_series(evA.row_coefficients(y), [x])[0])
             assert abs(diff) <= 2.0 * math.sqrt(y) + 1e-9
             saw_nonzero |= abs(diff) > 1e-3
         assert saw_nonzero
 
-    def test_window_norm_matches_dense_xy_quadrature(self):
-        # second path: point values of |H_A|^2 on a dense composite
-        # Gauss-Legendre grid in x and y, to a fixed height past the grid top
-        setup = SpectralSetup(T=10.0, A=2.0)
-        ev = EisensteinEvaluator(setup)
-        ys, wy = dense_gl(setup.A, 16.0, 100)
-        xs, wx = dense_gl(-0.5, 0.5, 8)
-        ref = sum(w / y ** 2 * np.sum(wx * np.abs(ev.eval_row_H_A(y, xs)) ** 2)
-                  for y, w in zip(ys, wy))
-        assert moments.h_window_norm_sq(setup) == pytest.approx(ref, rel=1e-10)
-
+    def test_ratio_script_writes_the_averaged_row(self, smoothed, tmp_path, monkeypatch):
+        # scripts/moment_ratio_experiment.py ends each T with its A-averaged row
+        path = Path(__file__).resolve().parents[1] / "scripts" / "moment_ratio_experiment.py"
+        spec = importlib.util.spec_from_file_location("moment_ratio_experiment", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        out = tmp_path / "ratio.csv"
+        monkeypatch.setattr(sys, "argv", ["moment_ratio_experiment.py", "--T", "10", "--A", "2",
+                                          "--out", str(out)])
+        assert script.main() == 0
+        _, res = smoothed
+        fourth = res.value / res.hhat0
+        ratio = fourth / (moments.FOURTH_MOMENT_CONSTANT * math.log(10.0) ** 2)
+        assert out.read_text().splitlines()[-1] == f"10.0,,{fourth:.8f},{ratio:.6f},,,"

@@ -3,11 +3,12 @@
 ``assert`` statements are stripped under -O, so every check the package
 makes at run time must raise a typed ``eislab.errors`` exception instead.
 The same source scan keeps ``policy`` off public functions whose callers
-all use the default.
+all use the default, and keeps every public name reachable from a command.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import eislab
 
 PACKAGE = Path(eislab.__file__).resolve().parent
+ROOT = PACKAGE.parents[1]
 
 
 # the public functions whose ``policy`` some caller sets to a second value
@@ -86,3 +88,122 @@ def test_corrupted_divisors_raise_typed_errors_under_optimize():
     # the array form checks every element: gamma = 0 is real, 1.7 is not
     assert lines[1].startswith("InvariantError: tau_gen(3, 1.7) is not real")
     assert lines[2].startswith("InvariantError: Weil bound violated")
+
+
+# what runs: the two command modules, the benchmark and the scripts
+ENTRY_POINTS = [PACKAGE / "cli.py", PACKAGE / "acceptance.py",
+                *sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
+# the tests' high-precision reference module, which no command imports by design
+REFERENCE_MODULES = {"oracles.py"}
+# "eislab.eisenstein:EisensteinEvaluator.eval_row", as the bench tracer names its layers
+_QUALIFIED = re.compile(r"eislab(?:\.\w+)*:([\w.]+)")
+
+
+class _References(ast.NodeVisitor):
+    """The names, attributes, imported names and qualified strings a tree
+    refers to; type annotations and keyword names do not count."""
+
+    def __init__(self):
+        self.words = set()
+
+    def visit_Name(self, node):
+        self.words.add(node.id)
+
+    def visit_Attribute(self, node):
+        self.words.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        self.words.add(node.asname or node.name.split(".")[-1])
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str):
+            self.words.update(_QUALIFIED.findall(node.value))
+
+    def visit_arg(self, node):
+        pass
+
+    def visit_AnnAssign(self, node):
+        self.visit(node.target)
+        if node.value is not None:
+            self.visit(node.value)
+
+    def visit_FunctionDef(self, node):
+        for child in node.decorator_list + [node.args] + node.body:
+            self.visit(child)
+
+
+def _words(*nodes):
+    refs = _References()
+    for node in nodes:
+        refs.visit(node)
+    return refs.words
+
+
+def _package_definitions():
+    """({key: (class, name, nodes)}, words): every function, class, method
+    and assigned name of the package outside the reference modules, keyed
+    "module:Class.method" (class None off a class) with the nodes whose words
+    it reaches, and the words of the statements that run on import."""
+    defs, on_import = {}, set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name in REFERENCE_MODULES:
+            continue
+        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{module}:{node.name}"] = (None, node.name, [node])
+            elif isinstance(node, ast.ClassDef):
+                defs[f"{module}:{node.name}"] = (
+                    None, node.name, node.decorator_list + node.bases + node.keywords)
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs[f"{module}:{node.name}.{item.name}"] = (node.name, item.name, [item])
+                    else:  # fields and class attributes come with the class
+                        defs[f"{module}:{node.name}"][2].append(item)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name):
+                        defs[f"{module}:{t.id}"] = (None, t.id, [])
+                if node.value is not None:
+                    on_import |= _words(node.value)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                on_import |= _words(node)
+    return defs, on_import
+
+
+def unreached_public_names():
+    """Public names of the package that no entry point reaches, directly or
+    through other package code.  A function or class is reached by its name,
+    a method by its qualified name or, once its class is reached, by its
+    attribute name; special methods come with their class."""
+    defs, words = _package_definitions()
+    for path in ENTRY_POINTS:
+        words |= _words(ast.parse(path.read_text(), filename=str(path)))
+    reached = set()
+    grew = True
+    while grew:
+        grew = False
+        for key, (owner, name, nodes) in defs.items():
+            if key in reached:
+                continue
+            qual = key.split(":")[1]
+            if owner is None:
+                hit = name in words
+            else:
+                cls = f"{key.split(':')[0]}:{owner}"
+                hit = cls in reached and (qual in words or name in words
+                                          or name.startswith("__"))
+            if hit:
+                reached.add(key)
+                words |= _words(*nodes)
+                grew = True
+    return sorted(key for key in defs if key not in reached
+                  and not any(part.startswith("_") for part in re.split(r"[:.]", key)))
+
+
+def test_every_public_name_is_reached_from_a_command():
+    unreached = unreached_public_names()
+    assert not unreached, "nothing under cli, acceptance, bench/ or scripts/ reaches: " \
+        + ", ".join(unreached)

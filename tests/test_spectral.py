@@ -10,12 +10,7 @@ import pytest
 from eislab import arith, oracles, spectral, weights
 from eislab.errors import MissingEigenvalueError, ValidationError
 from eislab.quadrature import panel_nodes
-from eislab.specfun import (
-    kuznetsov_kernel_even_many,
-    kuznetsov_kernel_transform,
-    log_gamma,
-    stirling_gamma_main_log,
-)
+from eislab.specfun import kuznetsov_kernel_even_many, kuznetsov_kernel_transform
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "maass_forms.csv"
 CS_TO_50 = tuple(sorted(set(range(1, 51))
@@ -42,9 +37,9 @@ class TestIngest:
         rows = [{"t": "7.7", "parity": "even", "n": str(n),
                  "lambda": repr(arith.tau_gen(n, 1.3))} for n in range(1, 13)]
         forms = spectral.ingest_forms(rows)
-        assert forms[0].n_max == 12
+        assert max(forms[0].hecke) == 12
         # relation residual is identically zero on multiplicative data
-        assert arith.hecke_relation_check(forms[0], 2, 3) < 1e-12
+        assert arith.hecke_relation_check(forms[0].hecke, 2, 3) < 1e-12
 
     def test_lambda_one_required(self):
         rows = [{"t": "5.0", "parity": "even", "n": "1", "lambda": "0.9"}]
@@ -80,9 +75,9 @@ class TestValidate:
         seen = []
         check = arith.hecke_relation_check
 
-        def counted(form, n, m):
+        def counted(eig, n, m):
             seen.append((n, m))
-            return check(form, n, m)
+            return check(eig, n, m)
 
         monkeypatch.setattr(arith, "hecke_relation_check", counted)
         spectral.divisor_pseudoform(13.78, self.N).validate()
@@ -135,61 +130,15 @@ class TestAFE:
         assert abs(a - b) / abs(a) < 1e-7
 
     def test_odd_form_finite(self):
-        # odd parity selects the shifted gamma data; the sum stays finite
-        # (its pairing weight vanishes separately).  Synthetic Hecke-exact
-        # eigenvalues: lambda(p) = 2 cos(golden-angle p), filled by recursion.
-        n_need = 60_000
-        is_prime = np.ones(n_need + 1, dtype=bool)
-        is_prime[:2] = False
-        for p in range(2, int(n_need ** 0.5) + 1):
-            if is_prime[p]:
-                is_prime[p * p::p] = False
-        primes = {int(p): 2.0 * math.cos(2.399963 * p)
-                  for p in np.nonzero(is_prime)[0]}
-        lam = spectral.hecke_fill(primes, n_need)
+        # odd parity selects the shifted gamma data; the sum stays finite.
+        # Hecke-exact eigenvalues: the divisor pseudoform's, read as odd
+        lam = spectral.divisor_pseudoform(9.5337, 60_000).hecke
         form = spectral.MaassForm(t=9.5337, parity="odd", hecke=lam)
         val = spectral.afe_pair(form, 3.0, tail_tol=1e-6)
         assert np.isfinite(abs(val))
 
-    def test_hecke_fill_matches_trial_division(self):
-        # the sieve must give the trial division's dict bit for bit: the same
-        # keys in the same order, each product taken in the order of the
-        # given primes, also when that order is shuffled or primes are missing
-        def trial_division(prime_eigenvalues, n_max):
-            lam = {1: 1.0}
-            for p, lp in prime_eigenvalues.items():
-                power, prev, cur = p, 1.0, lp
-                while power <= n_max:
-                    lam[power] = cur
-                    prev, cur = cur, lp * cur - prev
-                    power *= p
-            for n in range(2, n_max + 1):
-                if n in lam:
-                    continue
-                rest, val = n, 1.0
-                for p in prime_eigenvalues:
-                    q = 1
-                    while rest % p == 0:
-                        rest //= p
-                        q *= p
-                    if q > 1:
-                        val *= lam[q]
-                if rest == 1:
-                    lam[n] = val
-            return lam
-
-        n_max = 2000
-        primes = [p for p in range(2, n_max + 1)
-                  if all(p % d for d in range(2, math.isqrt(p) + 1))]
-        order = np.random.default_rng(7).permutation(len(primes))
-        for keys in (primes, [primes[i] for i in order], [primes[i] for i in order[:200]]):
-            data = {p: 2.0 * math.cos(2.399963 * p) for p in keys}
-            got = spectral.hecke_fill(data, n_max)
-            assert list(got.items()) == list(trial_division(data, n_max).items())
-
     def test_short_odd_form_guarded(self):
-        lam = spectral.hecke_fill({2: -1.068333, 3: -0.456197, 5: -0.290673,
-                                   7: 0.776463}, 10)
+        lam = spectral.divisor_pseudoform(9.5337, 10).hecke
         form = spectral.MaassForm(t=9.5337, parity="odd", hecke=lam)
         with pytest.raises(MissingEigenvalueError):
             spectral.afe_pair(form, 3.0)  # demo form is far too short
@@ -212,36 +161,6 @@ class TestAFE:
         monkeypatch.setattr(spectral, "contour_weights", no_weights)
         with pytest.raises(MissingEigenvalueError, match=r"lambda\(7\)"):
             spectral.afe_pair(gap, 3.0)
-
-
-class TestRankinSelberg:
-    def test_odd_vanishes(self):
-        lam = spectral.hecke_fill({2: -1.068333, 3: -0.456197}, 9)
-        form = spectral.MaassForm(t=9.5337, parity="odd", hecke=lam, sym2_L1=1.83)
-        assert spectral.rankin_selberg_pairing(form, 6.0) == 0.0
-
-    def test_missing_sym2_raises(self, pseudoform):
-        with pytest.raises(MissingEigenvalueError):
-            spectral.rankin_selberg_pairing(pseudoform, 3.0)
-
-    def test_even_pairing_positive_finite(self, pseudoform):
-        form = spectral.MaassForm(t=pseudoform.t, parity="even",
-                                  hecke=pseudoform.hecke, sym2_L1=1.05)
-        val = spectral.rankin_selberg_pairing(form, 3.0)
-        assert np.isfinite(abs(val)) and abs(val) > 0
-
-    def test_stirling_gamma_replacement_stable(self, pseudoform):
-        # replacing the completed-L gamma factors by their large-height
-        # surrogates moves the magnitude only at the documented 1/t level
-        t, T = 13.78, 6.0
-        exact = (log_gamma((0.5 + 2j * T + 1j * t) / 2)
-                 + log_gamma((0.5 + 2j * T - 1j * t) / 2)
-                 + log_gamma((0.5 + 1j * t) / 2) + log_gamma((0.5 - 1j * t) / 2))
-        approx = (stirling_gamma_main_log(0.25 + 1j * T, t / 2)
-                  + stirling_gamma_main_log(0.25 + 1j * T, -t / 2)
-                  + stirling_gamma_main_log(0.25, t / 2)
-                  + stirling_gamma_main_log(0.25, -t / 2))
-        assert abs(abs(np.exp(approx - exact)) - 1.0) < 10.0 / t
 
 
 @pytest.fixture(scope="module")

@@ -37,12 +37,12 @@ def main() -> int:
     rows = ["T,A,fourth,ratio,gaussian_ratio,second_rel_err,seconds"]
     for T in Ts:
         for A in As:
-            t0 = time.time()
+            t0 = time.perf_counter()
             res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf)
             _, rel2 = moments.second_moment_error(res)
-            dt = time.time() - t0
+            dt = time.perf_counter() - t0
             rows.append(f"{T},{A},{res.report.value:.8f},{res.report.ratio:.6f},"
-                        f"{res.gaussian_ratio:.6f},{rel2:.3e},{dt:.1f}")
+                        f"{res.gaussian_ratio:.6f},{rel2:.3e},{dt:.3g}")
             print(rows[-1], flush=True)
         avg = moments.smoothed_fourth_moment(Bump(B=2.0, alpha=0.009, T=T))
         fourth = avg.value / avg.hhat0

@@ -71,45 +71,76 @@ _CHEB_THETA = np.pi * (np.arange(_CHEB_DEG + 1) + 0.5) / (_CHEB_DEG + 1)
 _CHEB_NODES = np.cos(_CHEB_THETA)
 _CHEB_FIT = (2.0 / (_CHEB_DEG + 1)) * np.cos(np.outer(np.arange(_CHEB_DEG + 1), _CHEB_THETA))
 _CHEB_FIT[0] *= 0.5
+# solves 2 |J_22(z)| = 1e-14: the coefficients of e^(i z t) on [-1, 1] are
+# 2 i^k J_k(z), so a panel of half-width z / omega on e^(i omega u) just meets the rule
+_CHEB_Z = 4.0873
 
 
 class ChebyshevTable:
-    """Piecewise degree-24 Chebyshev interpolant of f on [lo, hi]; f maps an
-    array of points to the array of its values, one call per panel.
+    """Piecewise degree-24 Chebyshev interpolant of f on [edges[0], edges[-1]],
+    starting from the seed partition ``edges``; f maps an array of points to
+    the array of its values.
 
-    Panels are bisected until their last three coefficients are at most
-    1e-14 of the running peak |f| (Trefethen, ATAP, ch. 8), which only
-    grows; a failing panel narrower than 2^-6 raises ConvergenceError.
+    Each level of pending panels is sampled in one f call.  A panel is kept
+    once its last three coefficients are at most 1e-14 of the peak |f| of
+    every sample so far (Trefethen, ATAP, ch. 8), and bisected into the next
+    level otherwise, so a seed that is too coarse costs one more level, never
+    accuracy; a failing panel narrower than 2^-6 raises ConvergenceError.
     """
 
-    def __init__(self, f, lo: float, hi: float):
-        todo = [(lo, hi)]
-        edges, coefs = [lo], []
+    def __init__(self, f, edges):
+        a, b = np.asarray(edges[:-1], float), np.asarray(edges[1:], float)
+        lefts, coefs = [], []
         self.peak = 0.0
-        while todo:  # depth first, left half first, so panels come out in order
-            a, b = todo.pop()
+        while a.size:
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            vals = f(mid + half * _CHEB_NODES)
+            vals = f(mid[:, None] + half[:, None] * _CHEB_NODES)
             self.peak = max(self.peak, float(np.max(np.abs(vals))))
-            coef = _CHEB_FIT @ vals
-            if np.max(np.abs(coef[-3:])) <= _CHEB_TOL * self.peak:
-                edges.append(b)
-                coefs.append(coef)
-            elif b - a < _CHEB_MIN_WIDTH:
-                raise ConvergenceError(f"Chebyshev table: panel [{a:.17g}, {b:.17g}] "
+            coef = vals @ _CHEB_FIT.T
+            ok = np.max(np.abs(coef[:, -3:]), axis=1) <= _CHEB_TOL * self.peak
+            stuck = ~ok & (b - a < _CHEB_MIN_WIDTH)
+            if stuck.any():
+                i = int(np.argmax(stuck))
+                raise ConvergenceError(f"Chebyshev table: panel [{a[i]:.17g}, {b[i]:.17g}] "
                                        f"still fails the {_CHEB_TOL:.0e} coefficient rule")
-            else:
-                todo += [(mid, b), (a, mid)]
-        self.edges = np.array(edges)
-        self.coefs = np.array(coefs)
+            lefts.append(a[ok])
+            coefs.append(coef[ok])
+            a, mid, b = a[~ok], mid[~ok], b[~ok]
+            a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        order = np.argsort(np.concatenate(lefts))
+        self.edges = np.append(np.concatenate(lefts)[order], edges[-1])
+        self.coefs = np.concatenate(coefs)[order].T  # (degree + 1, panels), for Clenshaw
 
     def __call__(self, x) -> np.ndarray:
-        """The interpolant at an array of x in [lo, hi]."""
-        i = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, len(self.coefs) - 1)
+        """The interpolant at an array of x in the table's span, by Clenshaw's
+        recurrence."""
+        i = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.coefs.shape[1] - 1)
         a, b = self.edges[i], self.edges[i + 1]
         t = np.clip((x - 0.5 * (a + b)) / (0.5 * (b - a)), -1.0, 1.0)
-        basis = np.cos(np.arccos(t)[:, None] * np.arange(_CHEB_DEG + 1))
-        return np.einsum("ij,ij->i", self.coefs[i], basis)
+        b1 = b2 = np.zeros_like(t)
+        for ck in self.coefs[:0:-1]:
+            b1, b2 = ck[i] + 2.0 * t * b1 - b2, b1
+        return self.coefs[0][i] + t * b1 - b2
+
+
+def _k_table_edges(T: float, lo: float, hi: float) -> list:
+    """Seed partition of [lo, hi] for a table of e^(pi T/2) K_{iT}.
+
+    From each left end u the panel has width 2 z / omega(u), where
+    omega = sqrt(T^2 - u^2) / u is the WKB rate of K_{iT} below T / sqrt(2)
+    (Gil, Segura & Temme, ACM TOMS 30, 2004) and 1 above, the bound of the
+    decay rate sqrt(u^2 - T^2) / u past the turning point u = T.  Once the
+    WKB decay factor e^-psi, psi(u) = sqrt(u^2 - T^2) - T arccos(T / u), has
+    fallen 1e-14 below its value at lo, one panel runs to hi.
+    """
+    def psi(u):
+        return math.sqrt(u * u - T * T) - T * math.acos(T / u) if u > T else 0.0
+
+    edges, top = [lo], psi(lo) - math.log(_CHEB_TOL)
+    while edges[-1] < hi and psi(edges[-1]) < top:
+        u = edges[-1]
+        edges.append(min(hi, u + 2.0 * _CHEB_Z * u / math.sqrt(max(T * T - u * u, u * u))))
+    return edges if edges[-1] == hi else edges + [hi]
 
 
 def cosine_series(c, xs) -> np.ndarray:
@@ -126,11 +157,11 @@ class EisensteinEvaluator:
 
     Rows on the moment grid, sqrt(3)/2 <= y <= ``moment_y_max(setup)``, take
     their modes from one ``ChebyshevTable`` of ``bessel_k_scaled(T, .)``,
-    accurate to about 1e-14 of the peak |K| and built on the first such row;
-    rows at other heights take theirs from one array call of
-    ``bessel_k_scaled``.  Evaluation mutates the object (the table, and ``_tau``
-    grows when a row needs more modes), so concurrent callers must not share
-    one evaluator unlocked.
+    accurate to about 1e-14 of the peak |K| and built on the first such row
+    from the WKB seed ``_k_table_edges``; rows at other heights take theirs
+    from one array call of ``bessel_k_scaled``.  Evaluation mutates the object
+    (the table, and ``_tau`` grows when a row needs more modes), so concurrent
+    callers must not share one evaluator unlocked.
     """
 
     def __init__(self, setup: SpectralSetup, policy: PrecisionPolicy = DEFAULT_POLICY):
@@ -188,9 +219,11 @@ class EisensteinEvaluator:
         table = live & on_grid[:, None]
         if table.any():
             if self._k_table is None:
+                T = self.setup.T
                 self._k_table = ChebyshevTable(
-                    lambda u: bessel_k_scaled(self.setup.T, u, self.policy),
-                    2.0 * math.pi * _FLOOR_Y, self.cutoff_margin + 2.0 * math.pi * self._y_top)
+                    lambda u: bessel_k_scaled(T, u, self.policy),
+                    _k_table_edges(T, 2.0 * math.pi * _FLOOR_Y,
+                                   self.cutoff_margin + 2.0 * math.pi * self._y_top))
             ks[table] = self._k_table(args[table])
         off = live & ~on_grid[:, None]
         if off.any():

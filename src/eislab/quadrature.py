@@ -9,14 +9,14 @@ gives eight nodes per wavelength, which is spectrally convergent; the
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 _GL_ORDER = 16
 
 
-@lru_cache(maxsize=8)
+@cache  # unbounded: the orders in use are 8-24 (moments._MAX_ORDER) and 48
 def _gl_rule(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
+from eislab import eisenstein
 from eislab.eisenstein import (
     ChebyshevTable,
     EisensteinEvaluator,
@@ -99,7 +101,7 @@ class TestEvalE:
 
 
 class TestBesselTable:
-    @pytest.mark.parametrize("T", [3.0, 10.0, 50.0, 104.0, 106.0, 150.0, 200.0])
+    @pytest.mark.parametrize("T", [3.0, 10.0, 50.0, 104.0, 106.0, 150.0, 200.0, 250.0])
     def test_table_matches_scalar_kernel(self, T):
         # T = 104 and 106 straddle the height where the kernel's horizontal
         # contour leg drops out
@@ -113,11 +115,33 @@ class TestBesselTable:
         ref = np.array([bessel_k_scaled(T, u) for u in us])
         assert np.max(np.abs(table(us) - ref)) <= 1e-13 * table.peak
 
+    @pytest.mark.parametrize("T", [10.0, 50.0])
+    def test_seeded_table_samples_little_beyond_its_kept_panels(self, T, monkeypatch):
+        # the WKB seed leaves few panels to bisect: unseeded, each split
+        # panel was sampled and thrown away, about 2 samples per kept point
+        sampled = []
+
+        def counted(T, u, policy):
+            sampled.append(np.size(u))
+            return bessel_k_scaled(T, u, policy)
+
+        monkeypatch.setattr(eisenstein, "bessel_k_scaled", counted)
+        ev = EisensteinEvaluator(SpectralSetup(T=T, A=2.0))
+        ev.row_coefficients(1.0)
+        assert sum(sampled) <= 1.25 * 25 * (len(ev._k_table.edges) - 1)
+
+    def test_wavelength_constant_meets_the_stop_rule(self):
+        # a degree-24 fit of e^(i z t) on [-1, 1] has last coefficient
+        # moduli 2 |J_22(z)|, 2 |J_23(z)|, 2 |J_24(z)|
+        assert 2 * abs(jv(22, eisenstein._CHEB_Z)) == pytest.approx(1e-14, rel=1e-3)
+
     def test_jump_raises_instead_of_bisecting_forever(self):
-        assert ChebyshevTable(np.sin, 1.0, 2.0)(np.array([1.5]))[0] == \
+        assert ChebyshevTable(np.sin, [1.0, 2.0])(np.array([1.5]))[0] == \
+            pytest.approx(math.sin(1.5), abs=1e-14)
+        assert ChebyshevTable(np.sin, [1.0, 1.2, 2.0])(np.array([1.5]))[0] == \
             pytest.approx(math.sin(1.5), abs=1e-14)
         with pytest.raises(ConvergenceError):
-            ChebyshevTable(lambda u: (u > 1.3).astype(float), 1.0, 2.0)
+            ChebyshevTable(lambda u: (u > 1.3).astype(float), [1.0, 2.0])
 
     @pytest.mark.parametrize("y", [0.8, 20.0])
     def test_rows_off_the_moment_grid_use_the_scalar_kernel(self, y):

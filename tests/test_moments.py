@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from eislab import moments
+from eislab import moments, quadrature
 from eislab.eisenstein import EisensteinEvaluator, RealSEvaluator, SpectralSetup, cosine_series
 from eislab.errors import DegenerateParameterError, ToleranceError
 from eislab.specfun import phi_log, scattering
@@ -70,6 +70,15 @@ class TestIntegrateF:
         n_nodes = sum(p.order for g in grids for p in g.panels)
         assert len(grids) == 2 and sum(calls) == n_nodes
         assert len(calls) <= 2 * 5 + n_nodes * 256 / 8192
+
+    def test_second_fourth_moment_computes_no_gauss_legendre_rule(self):
+        # a call uses some dozen orders; a cache smaller than that evicts
+        # rules the next call needs again
+        setup = SpectralSetup(T=10.0, A=2.0)
+        moments.fourth_moment(setup, tol=math.inf)
+        misses = quadrature._gl_rule.cache_info().misses
+        moments.fourth_moment(setup, tol=math.inf)
+        assert quadrature._gl_rule.cache_info().misses == misses
 
     def test_tolerance_error_carries_value(self):
         # the Richardson estimate of the p = 4 moment is 6.3e-7 at T = 25
@@ -317,4 +326,7 @@ class TestSmoothedMoment:
         _, res = smoothed
         fourth = res.value / res.hhat0
         ratio = fourth / (moments.FOURTH_MOMENT_CONSTANT * math.log(10.0) ** 2)
-        assert out.read_text().splitlines()[-1] == f"10.0,,{fourth:.8f},{ratio:.6f},,,"
+        lines = out.read_text().splitlines()
+        assert lines[-1] == f"10.0,,{fourth:.8f},{ratio:.6f},,,"
+        # a T = 10 cell takes some 10 ms, which one decimal of seconds rounds to 0.0
+        assert float(lines[1].split(",")[-1]) > 0

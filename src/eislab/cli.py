@@ -22,8 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from eislab import moments, spectral
-from eislab.acceptance import (P2_CLOSED_TOL, P2_SWEEP_TOL, Check, run_all, tail_gates,
-                               weights_audit_checks)
+from eislab.acceptance import P2_TOL, Check, run_all, tail_gates, weights_audit_checks
 from eislab.eisenstein import SpectralSetup
 
 _DEFAULT_FORMS = Path(__file__).resolve().parents[2] / "data" / "maass_forms.csv"
@@ -129,7 +128,7 @@ def cmd_maass_selberg(cfg: RunConfig) -> int:
         res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf)
         closed, rel = moments.second_moment_error(res)
         rows.append(f"{T!r},{A!r},{_fmt(closed)},{_fmt(res.second_moment)},{rel!r}")
-        checks.append(Check(f"rel_err (T={T:g}, A={A:g})", rel, P2_CLOSED_TOL))
+        checks.append(Check(f"rel_err (T={T:g}, A={A:g})", rel, P2_TOL))
     _emit_csv(cfg.out, "T,A,closed,quadrature,rel_err", rows)
     return _failures("maass-selberg", checks)
 
@@ -139,7 +138,7 @@ def cmd_moment_sweep(cfg: RunConfig) -> int:
     for T, A in _require_grid(cfg):
         res = moments.fourth_moment(SpectralSetup(T=T, A=A), tol=math.inf)
         checks.append(Check(f"p=2 rel_err (T={T:g}, A={A:g})",
-                            moments.second_moment_error(res)[1], P2_SWEEP_TOL))
+                            moments.second_moment_error(res)[1], P2_TOL))
         for rep, gauss in ((res.second_report, ""), (res.report, repr(res.gaussian_ratio))):
             rows.append(f"{T!r},{A!r},{rep.p},{rep.value!r},{rep.est_error!r},"
                         f"{rep.prediction!r},{rep.ratio!r},{gauss}")

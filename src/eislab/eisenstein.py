@@ -37,6 +37,7 @@ from eislab.specfun import (
     PrecisionPolicy,
     bessel_k_scaled,
     phi_log,
+    scattering,
     xi_log,
 )
 
@@ -169,8 +170,7 @@ class EisensteinEvaluator:
         self.policy = policy
         T = setup.T
         self.log_xi_norm = xi_log(1 + 2j * T)
-        lc = xi_log(1 - 2j * T) - self.log_xi_norm
-        self.scattering_c = complex(np.exp(1j * lc.imag) * np.exp(lc.real))
+        self.scattering_c = scattering(T)
         # 2 e^{-pi T/2} / xi(1+2iT), the O(1) prefactor of the scaled modes
         self.mode_prefactor = complex(2.0 * np.exp(-np.pi * T / 2 - self.log_xi_norm))
         self.cutoff_margin = T + 10.0 * T ** (1.0 / 3.0) + 40.0

@@ -250,7 +250,7 @@ def maass_selberg_limit(T: float, A: float) -> complex:
     """Confluent limit: the exact value of int_F E_A(z, 1/2+iT)^2 dmu."""
     if not (T > 0 and A > 1):
         raise DomainError("maass_selberg_limit needs T > 0 and A > 1")
-    _, phi = scattering(T)
+    phi = scattering(T)
     dlog = phi_log_deriv_critical(T)  # phi'/phi at 1/2 + iT, real
     lnA = math.log(A)
     osc = np.exp(2j * T * lnA)
@@ -295,7 +295,6 @@ class FourthMomentResult:
     second_report: MomentReport           # p = 2, value = |int E_A^2|
     second_moment: complex                # int_F E_A(z, 1/2+iT)^2 dmu
     const_projection_sq: float            # (3/pi) |int E_A^2|^2
-    const_projection_prediction: float    # (12/pi) log^2 T
     gaussian_prediction: float            # 3 const_projection_sq = (9/pi) |int E_A^2|^2
     gaussian_ratio: float                 # p = 4 value / gaussian_prediction
 
@@ -332,7 +331,6 @@ def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
     return FourthMomentResult(
         report=rep4, second_report=rep2, second_moment=second,
         const_projection_sq=proj,
-        const_projection_prediction=(12.0 / math.pi) * lnT * lnT,
         gaussian_prediction=3.0 * proj, gaussian_ratio=m4 / (3.0 * proj))
 
 
@@ -370,16 +368,12 @@ class SmoothedMomentResult:
     est_error: float      # Richardson estimate of value's y-quadrature error
     second: complex       # int h(A) int_F E_A^2 dmu dA
     hhat0: float          # int h = T^(-alpha/2)
-    i_split: tuple        # (I1, I2, I3) of the fixed-B band decomposition
-    direct: float         # hhat0 * ||E_B||_4^4, the band-split comparator
 
 
 def smoothed_fourth_moment(bump: Bump) -> SmoothedMomentResult:
     """int h(A) int_F |E_A|^4 and E_A^2 dmu dA at the bump's T, in one sweep,
     exact in A: rows of one evaluator at A = B + d, weighted by
-    m = ``bump.mass_above(y)``.  The sweep also splits hhat(0) ||E_B||_4^4
-    into bands below / across / above the support, which must add up to
-    ``direct``, a separate ``fourth_moment`` at B.
+    m = ``bump.mass_above(y)``.
     """
     if not isinstance(bump, Bump):
         raise TypeError("smoothed_fourth_moment needs a weights.Bump")
@@ -391,17 +385,10 @@ def smoothed_fourth_moment(bump: Bump) -> SmoothedMomentResult:
         c = ev.row_coefficients(ys)
         full = _p4_p2(c, ys, L)
         c[:, c.shape[1] // 2] = 0.0
-        cut = _p4_p2(c, ys, L)
         m = bump.mass_above(ys)[:, None]
-        e_b4 = np.where(ys <= B, full[:, 0], cut[:, 0])
-        bands = e_b4[:, None] * np.stack(
-            [ys <= B - delta, (B - delta < ys) & (ys <= B + delta), ys > B + delta], axis=1)
-        return np.concatenate([m * full + (hhat0 - m) * cut, bands], axis=1)
+        return m * full + (hhat0 - m) * _p4_p2(c, ys, L)
 
     val, est = _integrate_moment(_blocked_rows(ev.n_max, block), top, ev,
                                  (B - delta, B + delta, B))
-    direct = fourth_moment(SpectralSetup(T=bump.T, A=B), tol=math.inf).report.value
     return SmoothedMomentResult(value=float(val[0].real), est_error=float(est[0]),
-                                second=complex(val[1]), hhat0=hhat0,
-                                i_split=tuple(hhat0 * float(v.real) for v in val[2:]),
-                                direct=hhat0 * direct)
+                                second=complex(val[1]), hhat0=hhat0)

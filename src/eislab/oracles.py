@@ -115,6 +115,18 @@ def hp_gauss_bump_mass(dps: int = 30) -> float:
         return float(mp.quad(lambda u: mp.e ** (-1 / (1 - u * u)), [-1, 1]))
 
 
+def hp_bump_transform(s: complex, B: float, half_width: float, hhat0: float,
+                      dps: int = 30) -> complex:
+    """int h(A) (pi A)^(s-1) dA for the mollifier bump on (B - d, B + d) of
+    mass hhat0, by tanh-sinh quadrature in A on 60 equal sub-intervals of the
+    support, with the mollifier mass recomputed at the same precision."""
+    with mp.workdps(dps):
+        ss, b, d = mp.mpc(s), mp.mpf(B), mp.mpf(half_width)
+        scale = mp.mpf(hhat0) / (d * mp.quad(lambda u: mp.e ** (-1 / (1 - u * u)), [-1, 1]))
+        f = lambda A: scale * mp.e ** (-1 / (1 - ((A - b) / d) ** 2)) * (mp.pi * A) ** (ss - 1)
+        return complex(mp.quad(f, mp.linspace(b - d, b + d, 61)))
+
+
 def hp_mellin_barnes_kk(s: complex, mu: complex, nu: complex, dps: int = 30) -> complex:
     """(2^(s-3)/Gamma(s)) prod_{+-,+-} Gamma((s +- mu +- nu)/2)."""
     with mp.workdps(dps):

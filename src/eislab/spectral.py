@@ -37,7 +37,7 @@ from eislab.specfun import (
     DEFAULT_POLICY,
     kuznetsov_kernel_transform,
     log_gamma,
-    xi_log,
+    scattering,
     zeta,
 )
 from eislab.weights import Bump, _g_ratio_log, contour_weights
@@ -462,10 +462,8 @@ def diagonal_main_terms(T: float, bump: Bump) -> DiagonalTerms:
     # pi^(-4iT) e^(-2iT) T^(2iT), assembled from logarithms
     phase = np.exp(-4j * T * math.log(math.pi) - 2j * T + 2j * T * math.log(T))
     dmm = h0 * (12.0 / math.pi ** 2) * zp * zp * zm * ln2T * phase
-    lc = xi_log(1 - 2j * T) - xi_log(1 + 2j * T)
-    c_val = np.exp(1j * lc.imag)
     norm = math.pi / (zm * zm * zp)
-    total = norm * (dpp + c_val * np.exp(2j * T * math.log(math.pi)) * dmm)
+    total = norm * (dpp + scattering(T) * np.exp(2j * T * math.log(math.pi)) * dmm)
     br = bracket_factor(T)
     return DiagonalTerms(d_plus_plus=complex(dpp), d_minus_minus=complex(dmm),
                          total=complex(total), bracket_factor=br,

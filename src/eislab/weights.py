@@ -108,22 +108,6 @@ def bump_h(A, bump: Bump):
     return out if out.ndim else float(out)
 
 
-def _exp_outer_apply(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """exp(outer(a, b)) @ v: one line integral per entry of a, sampled at the
-    nodes b with weights v.
-
-    Rows are exponentiated 2048 at a time, in place; one block is alive at a
-    time, which bounds the memory.
-    """
-    out = np.empty(len(a), dtype=complex)
-    for i0 in range(0, len(a), 2048):
-        block = np.outer(a[i0:i0 + 2048], b)
-        np.exp(block, out=block)
-        out[i0:i0 + 2048] = block @ v
-        del block  # freed before the next block is built
-    return out
-
-
 def _contour_apply(lnx: np.ndarray, sigma: float, edges: np.ndarray, cores) -> list:
     """[sum_w x^(-w) core(w) for core in cores] at every x = e^lnx, over the
     nodes w = sigma + i s, s = mid_p + half u_j, of the 16-node panels
@@ -146,20 +130,30 @@ def _contour_apply(lnx: np.ndarray, sigma: float, edges: np.ndarray, cores) -> l
 
 
 def bump_transform(s, bump: Bump):
-    """h-tilde(s) = int h(A) (pi A)^(s-1) dA, vectorized over s: a complex
-    for a number, an array of its shape for an array.
+    """h-tilde(s) = int h(A) (pi A)^(s-1) dA at points s on one vertical
+    line: a complex for a number, an array of its shape for an array.
 
-    (Not quite a Mellin transform: the pi sits inside the power.)
+    (Not quite a Mellin transform: the pi sits inside the power.)  In
+    v = log(pi A) it is int h(A) A e^((Re s - 1) v) e^(i Im(s) v) dv, the sum
+    of ``_contour_apply`` at x = e^(-Im s) on equal 16-node panels in v, so
+    every point of a call must share Re s.
     """
     s = np.asarray(s, dtype=complex)
+    re = s.real.ravel()
+    if np.any(re != re[0]):
+        raise DomainError("bump_transform needs all its points on one vertical line")
     lo, hi = bump.B - bump.half_width, bump.B + bump.half_width
-    im_max = float(np.max(np.abs(s.imag)))
-    re_max = float(np.max(np.abs(s.real - 1.0)))
-    # oscillation |Im s| / A plus mollifier structure ~ 24 / half_width
-    bw = im_max / lo + re_max / lo + 24.0 / bump.half_width
-    nodes, wts = panel_nodes(lo, hi, bw, DEFAULT_POLICY.bessel_freq_oversample,
-                             min_panels=10)
-    vals = _exp_outer_apply(s.ravel() - 1.0, np.log(np.pi * nodes), bump_h(nodes, bump) * wts)
+    # oscillation |Im s| and damping |Re s - 1| per unit v, plus mollifier
+    # structure ~ 24 / half_width per unit A, which is A times that per unit v;
+    # equal panels in v are ~3x wider in A at the top of the support than at
+    # its foot, so h-tilde(1) needs the floor of 24 (10 leaves 7e-10 of hhat0)
+    bw = float(np.max(np.abs(s.imag))) + abs(re[0] - 1.0) + 24.0 * hi / bump.half_width
+    edges = panel_edges(math.log(math.pi * lo), math.log(math.pi * hi), bw,
+                        DEFAULT_POLICY.bessel_freq_oversample, min_panels=24)
+    v, wts = edge_nodes(edges)
+    A = np.exp(v) / math.pi
+    vals, = _contour_apply(-s.imag.ravel(), 0.0, edges,
+                           [bump_h(A, bump) * A * np.exp((re[0] - 1.0) * v) * wts])
     return vals.reshape(s.shape) if s.ndim else complex(vals[0])
 
 
@@ -215,7 +209,8 @@ def weight_Hcal(t: float, T: float) -> complex:
 def weight_Hcal_pm(s, t: float, T: float, bump: Bump):
     """Both sign variants of the height-averaged gamma-ratio weight.
 
-    Returns (plus, minus), each of s's shape.  The plus variant carries
+    Returns (plus, minus), each of s's shape; the points of an array s must
+    share Re s (see ``bump_transform``).  The plus variant carries
     +2iT shifts in the numerator and Gamma(s + 1/2 + iT) below; the minus
     variant mirrors the sign of T.  Both include the bump-transform factor
     h-tilde(1 - s).

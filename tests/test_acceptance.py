@@ -5,11 +5,12 @@ these tests run them and require a pass, printing the one-line detail either
 way so a red run still reports the measured numbers.
 """
 
+import cmath
 import math
 
 import pytest
 
-from eislab import acceptance, moments, weights
+from eislab import acceptance, eisenstein, moments, weights
 from eislab.acceptance import Check
 from eislab.spectral import KuznetsovReport
 
@@ -42,9 +43,9 @@ def test_detail_shows_every_value(result):
 
 
 def test_quick_subset_is_fast():
-    # the quick run is criteria 2, 3, 7 and 10 only, in order, all passing
+    # the quick run is criteria 2, 3, 5, 7 and 10 only, in order, all passing
     results = acceptance.run_all(quick=True)
-    assert [r.number for r in results] == [2, 3, 7, 10]
+    assert [r.number for r in results] == [2, 3, 5, 7, 10]
     assert all(r.passed for r in results)
 
 
@@ -76,10 +77,10 @@ def test_fourth_moment_gaussian_gate_can_fail():
     ratios = {10.0: [0.70, 0.77, 0.92], 25.0: [2.26, 2.35, 2.69], 50.0: [0.28, 0.38, 0.46]}
     # gaussian_ratio at A = 2: |ratio - 1| is 0.614 at T = 10 and 0.271 at T = 50
     measured = {10.0: 1.614, 25.0: 1.20, 50.0: 1.271}
-    assert _failing(acceptance.fourth_moment_gates(1e-6, ratios, measured)) == []
+    assert _failing(acceptance.fourth_moment_gates(1e-14, ratios, measured)) == []
     swapped = dict(measured)
     swapped[10.0], swapped[50.0] = measured[50.0], measured[10.0]
-    assert _failing(acceptance.fourth_moment_gates(1e-6, ratios, swapped)) == [
+    assert _failing(acceptance.fourth_moment_gates(1e-14, ratios, swapped)) == [
         "|gaussian ratio-1| A=2 T=50 vs T=10"]
 
 
@@ -96,13 +97,28 @@ def test_gate_rows_fail_on_nan():
     for bad in (math.nan, 0.0, -0.5, math.inf):
         ratios[25.0][1] = bad
         assert _failing(acceptance.fourth_moment_gates(
-            1e-6, ratios, {10.0: 1.614, 25.0: 1.20, 50.0: 1.271})) == ["max |log ratio|"]
+            1e-14, ratios, {10.0: 1.614, 25.0: 1.20, 50.0: 1.271})) == ["max |log ratio|"]
 
 
 def test_nan_second_moment_error_fails_criteria_1_and_4(monkeypatch):
     monkeypatch.setattr(moments, "second_moment_error",
                         lambda res: (res.second_moment, math.nan))
     assert not acceptance.criterion_1().passed
+    assert _failing(acceptance.criterion_4().checks) == ["p2 worst rel"]
+
+
+def test_turned_scattering_value_fails_criteria_1_and_4(monkeypatch):
+    # a phase of 1e-10 on the evaluator's c puts the p = 2 errors at
+    # 3.7-9.0e-11, which a gate at 1e-5 or 1e-4 would pass
+    init = eisenstein.EisensteinEvaluator.__init__
+
+    def turned(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.scattering_c *= cmath.exp(1e-10j)
+
+    monkeypatch.setattr(eisenstein.EisensteinEvaluator, "__init__", turned)
+    res = acceptance.criterion_1()
+    assert _failing(res.checks) == [c.name for c in res.checks]
     assert _failing(acceptance.criterion_4().checks) == ["p2 worst rel"]
 
 

@@ -1,5 +1,5 @@
-"""The Eisenstein series on the modular surface and its truncation, evaluated
-from Fourier expansions, one row of coefficients per height.
+"""The Eisenstein series on the modular surface, evaluated from Fourier
+expansions, one row of coefficients per height.
 
 On the critical line the expansion used is
 
@@ -9,10 +9,8 @@ On the critical line the expansion used is
 with constant term e(y) = y^(1/2+iT) + c y^(1/2-iT), c = Xi_bar / Xi,
 Xi = xi(1 + 2iT).  The Bessel factor is computed in the e^(pi T/2)-scaled
 form and recombined with 1/Xi in log space, so no intermediate value under-
-or overflows at any desk-scale T.  The truncated series drops the constant
-term above height A; it is defined on the fundamental domain only (its
-extension by group translates is *not* an automorphic function, and nothing
-here evaluates it off the fundamental domain).
+or overflows at any desk-scale T.  The rows are those of E itself at every
+height; the truncation at A is a row weight of ``moments``.
 
 A second coefficient path handles real s in (1, 4]:
 
@@ -154,7 +152,7 @@ def cosine_series(c, xs) -> np.ndarray:
 
 
 class EisensteinEvaluator:
-    """Critical-line Eisenstein series for one (T, A).
+    """E(z, 1/2 + iT) at T = setup.T; setup.A only places the moment grid's top.
 
     Rows on the moment grid, sqrt(3)/2 <= y <= ``moment_y_max(setup)``, take
     their modes from one ``ChebyshevTable`` of ``bessel_k_scaled(T, .)``,
@@ -195,8 +193,7 @@ class EisensteinEvaluator:
         return ry * osc + self.scattering_c * ry / osc
 
     def row_coefficients(self, y) -> np.ndarray:
-        """Coefficients c_k of e(k x), k = -K..K, of E_A at height y, with the
-        constant term c_0 dropped above y = A: the row of the truncated series.
+        """Coefficients c_k of e(k x), k = -K..K, of E at height y, c_0 = e(y).
 
         For a scalar y, K = ``n_max(y)`` and the row has shape (2K+1,).  For
         an array of y the rows form an (n_y, 2K+1) matrix with K the largest
@@ -229,15 +226,12 @@ class EisensteinEvaluator:
         if off.any():
             ks[off] = bessel_k_scaled(self.setup.T, args[off], self.policy)
         modes = self.mode_prefactor * np.sqrt(ys)[:, None] * self._tau[1:K + 1] * ks
-        const = np.where(ys <= self.setup.A, self.constant_term(ys), 0.0)
-        rows = np.concatenate([modes[:, ::-1], const[:, None], modes], axis=1)
+        rows = np.concatenate([modes[:, ::-1], self.constant_term(ys)[:, None], modes], axis=1)
         return rows[0] if np.ndim(y) == 0 else rows
 
     def eval_row(self, y: float, xs) -> np.ndarray:
-        """Full E(x + iy, 1/2 + iT) for an array of x at one height y."""
-        c = self.row_coefficients(y)
-        c[len(c) // 2] = self.constant_term(y)
-        return cosine_series(c, xs)
+        """E(x + iy, 1/2 + iT) for an array of x at one height y."""
+        return cosine_series(self.row_coefficients(y), xs)
 
 
 class RealSEvaluator:
@@ -261,8 +255,8 @@ class RealSEvaluator:
     def constant_term(self, y):
         return y ** self.s + self.phi_s.real * y ** (1.0 - self.s)
 
-    def row_coefficients(self, y, A: float) -> np.ndarray:
-        """Coefficients c_k of e(k x), k = -K..K; c_0 = 0 if y > A.
+    def row_coefficients(self, y) -> np.ndarray:
+        """Coefficients c_k of e(k x), k = -K..K, of E(z, s) at height y.
 
         Shapes as for ``EisensteinEvaluator.row_coefficients``: one row for a
         scalar y, a zero-padded (n_y, 2K+1) matrix for an array.
@@ -276,6 +270,5 @@ class RealSEvaluator:
         sig = sigma_complex_many(K, 1.0 - 2.0 * self.s)[1:].real
         # cos(2 pi n x) = (e(nx) + e(-nx)) / 2
         half = 0.5 * self.pref * ns ** (self.s - 0.5) * sig * np.sqrt(ys)[:, None] * kvals
-        const = np.where(ys <= A, self.constant_term(ys), 0.0)
-        rows = np.concatenate([half[:, ::-1], const[:, None], half], axis=1)
+        rows = np.concatenate([half[:, ::-1], self.constant_term(ys)[:, None], half], axis=1)
         return rows[0] if np.ndim(y) == 0 else rows

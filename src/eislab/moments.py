@@ -3,20 +3,24 @@
 The fundamental domain F = {|x| <= 1/2, |z| >= 1} is integrated against
 d mu = dx dy / y^2 as a stack of rows.  At a fixed height y every integrand
 here is a trigonometric polynomial in x whose coefficients follow from those
-of E_A by convolution, so its row integral is exact in coefficient space:
+of E by convolution, so its row integral is exact in coefficient space:
 the constant coefficient on the full strip above y = 1, and a closed-form
 arc weight on the section |x| >= sqrt(1 - y^2) below it (``section_integral``).
 Rows are arrays: a grid passes all its y nodes to one row function, which
-takes them in blocks sharing the FFT length L >= 8K + 1 of |E_A|^4, samples
-E_A at L points, forms the powers pointwise and transforms back, exactly.
+takes them in blocks sharing the FFT length L >= 8K + 1 of |E|^4, samples
+E at L points, forms the powers pointwise and transforms back, exactly.
 The y direction uses Gauss-Legendre panels (split at y = 1, at the truncation
-height A, and at any caller-supplied breakpoints, since the truncated series
-is discontinuous across y = A) whose density follows the Bessel oscillation
-scale ~ T/y per factor.  Error estimates are Richardson-style: the whole
-integral is redone with doubled y node density and the difference is
-reported; no asymptotic error model is assumed.  An average over A against a
-bump h is a row weight: E_A keeps its constant term e(y) exactly when A >= y,
-so the averaged row is m |E|^4 + (hhat(0) - m) |E - e|^4, m = int_{A >= y} h.
+height A, and at any caller-supplied breakpoints) whose density follows the
+Bessel oscillation scale ~ T/y per factor.  Error estimates are
+Richardson-style: the whole integral is redone with doubled y node density
+and the difference is reported; no asymptotic error model is assumed.
+
+E_A, E without its constant term e(y) above height A, lives on F only (its
+group translates are *not* automorphic) and jumps at y = A.  The evaluators
+return E's rows, and the truncation is a row weight: E_A keeps e exactly
+when A >= y, so P(E_A) averaged over A against a bump h is the row
+m P(E) + (hhat(0) - m) P(E - e), m = int_{A >= y} h.  The sharp cut at A is
+the point mass, m = [y <= A] and hhat(0) = 1.
 
 Closed forms: the exact two-parameter truncated-moment identity
 
@@ -140,33 +144,19 @@ def section_integral(f, y):
     return f[..., K] * (1.0 - 2.0 * xr) - np.einsum("...k,...k->...", pairs, arc)
 
 
-_FFT_ENTRIES = 8192  # samples per FFT block: bounds the row path's working memory
+_FFT_ENTRIES = 8192  # samples per height block, twice that with two passes: bounds working memory
 
 
 def _fft_blocks(K):
-    """(L, row indices) blocks of rows with cutoffs K that share the FFT
+    """(L, row indices) blocks of heights with cutoffs K that share the FFT
     length L of |g|^4, the least power of two >= 8K + 1, at most
-    _FFT_ENTRIES / L rows each."""
+    _FFT_ENTRIES / L heights each."""
     Ls = 2 ** np.ceil(np.log2(8 * K + 1)).astype(int)
     for L in np.unique(Ls):
         idx = np.flatnonzero(Ls == L)
         step = max(1, _FFT_ENTRIES // L)
         for start in range(0, idx.size, step):
             yield int(L), idx[start:start + step]
-
-
-def _blocked_rows(n_max, block_fn):
-    """Row function for ``integrate_rows`` from ``block_fn(ys, L)``, which
-    returns the (len(ys), k) row integrals of a block of heights whose
-    cutoffs ``n_max(ys)`` share the FFT length L (see ``_fft_blocks``)."""
-
-    def row_fn(ys):
-        idx, vals = zip(*[(i, block_fn(ys[i], L)) for L, i in _fft_blocks(n_max(ys))])
-        out = np.empty((len(ys), vals[0].shape[1]), complex)
-        out[np.concatenate(idx)] = np.concatenate(vals)
-        return out
-
-    return row_fn
 
 
 def _samples(c, L: int) -> np.ndarray:
@@ -261,32 +251,66 @@ def maass_selberg_limit(T: float, A: float) -> complex:
 # moments of the truncated series
 # ---------------------------------------------------------------------------
 
-def _p4_p2(c, y, L: int) -> np.ndarray:
-    """Row integrals of |g|^4 and g^2, an (n_y, 2) array, at heights y from
-    the coefficient rows c (n_y, 2K+1) of g: g at L >= 8K + 1 points, both
-    powers pointwise, one FFT back."""
-    g = _samples(c, L)
+def _cut_rows(c, m, total):
+    """The coefficient rows that m P(E) + (total - m) P(E - e) needs, from
+    E's rows c at heights of mass m: E's own where m != 0, then E - e's where
+    m != total.  Returns (rows, their weights, their heights' indices)."""
+    keep, drop = m != 0.0, m != total
+    cut = c[drop]
+    cut[:, c.shape[1] // 2] = 0.0
+    return (np.concatenate([c[keep], cut]), np.concatenate([m[keep], total - m[drop]]),
+            np.concatenate([np.flatnonzero(keep), np.flatnonzero(drop)]))
+
+
+def _weighted_rows(evs, power, degree: int, mass, total: float = 1.0):
+    """Row function for ``integrate_rows``: the row integrals of
+    m P(E) + (total - m) P(E - e), m = mass(ys), at an array of heights ys.
+
+    ``power`` maps the samples of E's rows, one call per FFT block of each
+    evaluator in ``evs``, to the stacked integrands P, whose modes lie in
+    -degree K..degree K.  A height with m = 0 or m = total takes one FFT pass.
+    """
+
+    def row_fn(ys):
+        m = mass(ys)
+        idx, vals = [], []
+        for L, i in _fft_blocks(evs[0].n_max(ys)):
+            gs = []
+            for ev in evs:
+                c, w, j = _cut_rows(ev.row_coefficients(ys[i]), m[i], total)
+                gs.append(_samples(c, L))
+            P = _section_of_samples(power(*gs), ys[i][j], degree * (c.shape[1] // 2))
+            idx.append(i[j])
+            vals.append(w[:, None] * P.T)
+        out = np.zeros((len(ys), vals[0].shape[1]), complex)
+        np.add.at(out, np.concatenate(idx), np.concatenate(vals))
+        return out
+
+    return row_fn
+
+
+def _sharp_cut(A: float):
+    """The mass m = [y <= A] of the truncation at A."""
+    return lambda ys: (ys <= A).astype(float)
+
+
+def _p4_p2(g):
+    """|g|^4 and g^2 of samples g, stacked."""
     a = g.real ** 2 + g.imag ** 2
-    K = c.shape[-1] // 2
-    return _section_of_samples(np.stack([a * a, g * g]), y, 4 * K).T
+    return np.stack([a * a, g * g])
 
 
-def moment_rows(ev: EisensteinEvaluator):
-    """Row function of ``fourth_moment``: the row integrals of |E_A|^4 and
-    E_A^2 at an array of heights, one evaluator call per FFT block."""
-    return _blocked_rows(ev.n_max, lambda ys, L: _p4_p2(ev.row_coefficients(ys), ys, L))
-
-
-def _integrate_moment(row_fn, setup: SpectralSetup, ev: EisensteinEvaluator, splits):
-    """``integrate_rows`` on the moment grid of E_A at height setup.T.
+def _integrate_moment(ev: EisensteinEvaluator, mass, total: float, splits):
+    """``integrate_rows`` of the weighted |E|^4, E^2 rows on ev's moment grid.
 
     The y density follows the Bessel oscillation scale of four factors,
     4T/y, with the evaluator's oversampling.
     """
-    T = setup.T
+    T = ev.setup.T
     return integrate_rows(
-        row_fn, moment_y_max(setup), y_bandwidth=lambda y: 4.0 * T / y + 8.0,
-        splits=splits, oversample=ev.policy.bessel_freq_oversample)
+        _weighted_rows((ev,), _p4_p2, 4, mass, total), moment_y_max(ev.setup),
+        y_bandwidth=lambda y: 4.0 * T / y + 8.0, splits=splits,
+        oversample=ev.policy.bessel_freq_oversample)
 
 
 @dataclass(frozen=True)
@@ -311,7 +335,7 @@ def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
     ev = EisensteinEvaluator(setup, policy)
     T = setup.T
 
-    val, est = _integrate_moment(moment_rows(ev), setup, ev, (setup.A,))
+    val, est = _integrate_moment(ev, _sharp_cut(setup.A), 1.0, (setup.A,))
 
     m4 = float(val[0].real)
     second = complex(val[1])
@@ -347,16 +371,9 @@ def second_moment_error(res: FourthMomentResult) -> tuple[complex, float]:
 
 def real_s_pair_quadrature(s1: float, s2: float, A: float):
     """Quadrature of int_F E_A(z, s1) E_A(z, s2) dmu for real s in (1, 4]."""
-    e1 = RealSEvaluator(s1)
-    e2 = RealSEvaluator(s2)
-    y_max = A + 4.0
-
-    def block(ys, L):
-        c1, c2 = e1.row_coefficients(ys, A), e2.row_coefficients(ys, A)
-        g12 = _samples(c1, L) * _samples(c2, L)
-        return _section_of_samples(g12, ys, c1.shape[1] - 1)[:, None]
-
-    val, est = integrate_rows(_blocked_rows(e1.n_max, block), y_max,
+    rows = _weighted_rows((RealSEvaluator(s1), RealSEvaluator(s2)),
+                          lambda g1, g2: (g1 * g2)[None], 2, _sharp_cut(A))
+    val, est = integrate_rows(rows, A + 4.0,
                               y_bandwidth=lambda y: 30.0 / y, splits=(A,),
                               oversample=DEFAULT_POLICY.bessel_freq_oversample)
     return complex(val[0]), float(est[0])
@@ -372,23 +389,13 @@ class SmoothedMomentResult:
 
 def smoothed_fourth_moment(bump: Bump) -> SmoothedMomentResult:
     """int h(A) int_F |E_A|^4 and E_A^2 dmu dA at the bump's T, in one sweep,
-    exact in A: rows of one evaluator at A = B + d, weighted by
-    m = ``bump.mass_above(y)``.
+    exact in A: the rows weighted by m = ``bump.mass_above(y)``, on the
+    moment grid of A = B + d.
     """
     if not isinstance(bump, Bump):
         raise TypeError("smoothed_fourth_moment needs a weights.Bump")
     B, delta, hhat0 = bump.B, bump.half_width, bump.hhat0
-    top = SpectralSetup(T=bump.T, A=B + delta)
-    ev = EisensteinEvaluator(top)
-
-    def block(ys, L):
-        c = ev.row_coefficients(ys)
-        full = _p4_p2(c, ys, L)
-        c[:, c.shape[1] // 2] = 0.0
-        m = bump.mass_above(ys)[:, None]
-        return m * full + (hhat0 - m) * _p4_p2(c, ys, L)
-
-    val, est = _integrate_moment(_blocked_rows(ev.n_max, block), top, ev,
-                                 (B - delta, B + delta, B))
+    ev = EisensteinEvaluator(SpectralSetup(T=bump.T, A=B + delta))
+    val, est = _integrate_moment(ev, bump.mass_above, hhat0, (B - delta, B + delta, B))
     return SmoothedMomentResult(value=float(val[0].real), est_error=float(est[0]),
                                 second=complex(val[1]), hhat0=hhat0)

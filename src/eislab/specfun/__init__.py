@@ -11,10 +11,7 @@ from eislab.specfun.zeta import (
     phi_log_deriv_critical,
     scattering,
     xi_log,
-    xi_log_deriv,
     zeta,
-    zeta_log_derivs,
-    zeta_with_derivatives,
 )
 from eislab.specfun.bessel import (
     bessel_k_scaled,
@@ -32,10 +29,7 @@ __all__ = [
     "phi_log_deriv_critical",
     "scattering",
     "xi_log",
-    "xi_log_deriv",
     "zeta",
-    "zeta_log_derivs",
-    "zeta_with_derivatives",
     "bessel_k_scaled",
     "kuznetsov_kernel_even_many",
     "kuznetsov_kernel_transform",

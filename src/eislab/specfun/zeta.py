@@ -40,8 +40,9 @@ _EM_COEF = _BERNOULLI_2K / np.array([math.factorial(2 * k) for k in range(1, _EM
 
 def _euler_maclaurin(s: np.ndarray, derivs: int):
     """The Euler-Maclaurin sums at every point of the 1-d complex array s, each
-    with its own N: zeta for ``derivs`` = 0, (zeta, zeta') for 1.  The n-sum
-    is one len(s) x max(N) table, masked past each N."""
+    with its own N: zeta for ``derivs`` = 0, (zeta, zeta') for 1, which needs
+    s off the nonpositive integers.  The n-sum is one len(s) x max(N) table,
+    masked past each N."""
     if (np.abs(s - 1.0) < 1e-12).any():
         raise PoleError("zeta pole at s = 1")
     N = (2 * np.maximum(25.0, np.abs(s.imag))).astype(int)
@@ -68,14 +69,8 @@ def _euler_maclaurin(s: np.ndarray, derivs: int):
                                      - lnN * NmS / 2)
     cE = _EM_COEF * E
     for k in range(1, _EM_TERMS + 1):
-        fk, Pk = f[:, :2 * k - 1], P[:, k - 1]
-        if (np.abs(fk) > 1e-9).all():
-            PS1 = Pk * np.sum(1.0 / fk, axis=1)
-        else:
-            # a Pochhammer factor vanishes (s at a nonpositive integer):
-            # leave-one-out products keep the derivative finite
-            PS1 = sum(np.prod(np.delete(fk, i, axis=1), axis=1) for i in range(fk.shape[1]))
-        z1 += cE[:, k - 1] * (PS1 - Pk * lnN)
+        Pk = P[:, k - 1]
+        z1 += cE[:, k - 1] * (Pk * np.sum(1.0 / f[:, :2 * k - 1], axis=1) - Pk * lnN)
     return z0, z1
 
 
@@ -85,19 +80,6 @@ def zeta(s):
     s = np.asarray(s, dtype=complex)
     z = _euler_maclaurin(s.ravel(), derivs=0)
     return z.reshape(s.shape) if s.ndim else z[0]
-
-
-def zeta_with_derivatives(s):
-    """(zeta(s), zeta'(s)) from differentiated Euler-Maclaurin."""
-    return tuple(z[0] for z in _euler_maclaurin(np.array([complex(s)]), derivs=1))
-
-
-def zeta_log_derivs(s):
-    """zeta'/zeta at s; raises PoleError near s=1 or a zero."""
-    z0, z1 = zeta_with_derivatives(s)
-    if abs(z0) < 1e-280:
-        raise PoleError(f"zeta(s) vanishes at s = {s}; log-derivative undefined")
-    return z1 / z0
 
 
 def xi_log(s) -> complex:
@@ -131,16 +113,13 @@ def scattering(T: float) -> complex:
     return complex(np.exp(1j * lc.imag) * np.exp(lc.real))
 
 
-def xi_log_deriv(s) -> complex:
-    """xi'/xi(s) = -log(pi)/2 + psi(s/2)/2 + zeta'/zeta(s)."""
-    s = complex(s)
-    return -0.5 * np.log(np.pi) + 0.5 * digamma(s / 2) + zeta_log_derivs(s)
-
-
-def phi_log_deriv_critical(T: float) -> complex:
+def phi_log_deriv_critical(T: float) -> float:
     """phi'/phi(1/2 + iT), assembled exactly from digamma and zeta'/zeta.
 
-    Via the functional equation xi(s) = xi(1-s),
-    phi'/phi(1/2+iT) = -2 [xi'/xi(1-2iT) + xi'/xi(1+2iT)], a real number.
+    Via the functional equation xi(s) = xi(1-s), phi'/phi(1/2+iT) is
+    -2 [xi'/xi(1-2iT) + xi'/xi(1+2iT)] = -4 Re xi'/xi(1+2iT), a real number,
+    with xi'/xi(s) = -log(pi)/2 + psi(s/2)/2 + zeta'/zeta(s).
     """
-    return -2.0 * (xi_log_deriv(1 - 2j * T) + xi_log_deriv(1 + 2j * T))
+    s = 1 + 2j * T
+    z0, z1 = _euler_maclaurin(np.array([s]), derivs=1)
+    return -4.0 * float((-0.5 * np.log(np.pi) + 0.5 * digamma(s / 2) + z1[0] / z0[0]).real)

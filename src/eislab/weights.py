@@ -87,14 +87,17 @@ class Bump:
         """int_{A >= y} h(A) dA, elementwise over an array of y.  A = B + d tanh s
         makes h dA = scale d e^(-cosh^2 s) sech^2 s ds, below 1e-44 past
         |s| = 3, so 48 Gauss-Legendre nodes on [atanh((y - B) / d), 3] give
-        the mass to 5e-15 of hhat0."""
-        u = np.clip((np.asarray(y, float) - self.B) / self.half_width, -1.0, 1.0)
+        the mass to 5e-15 of hhat0.  It is exactly 0 from B + d up and exactly
+        hhat0 from B - d down."""
+        y = np.asarray(y, float)
+        u = np.clip((y - self.B) / self.half_width, -1.0, 1.0)
         with np.errstate(divide="ignore"):
             lo = np.clip(np.arctanh(u), -3.0, 3.0)
         # lo = 3 gives zero weights: no mass above the support
         s, w = gl_nodes(lo[..., None], 3.0, 48)
         ch2 = np.cosh(s) ** 2
         m = self.scale * self.half_width * np.sum(w * np.exp(-ch2) / ch2, axis=-1)
+        m = np.where(y > self.B - self.half_width, m, self.hhat0)
         return float(m) if m.ndim == 0 else m
 
 

@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 
-from eislab import oracles
+from eislab import moments, oracles
 from eislab.arith import tau_gen
+from eislab.eisenstein import cosine_series
 from eislab.specfun import PrecisionPolicy, bessel_k_scaled, xi_log
 
 
@@ -76,3 +77,10 @@ def section_quadrature(row, y: float, npanels: int = 2000) -> complex:
 
 def hp_reference(name, *args, **kwargs):
     return getattr(oracles, name)(*args, **kwargs)
+
+
+def truncated_value(ev, x: float, y: float, A: float) -> complex:
+    """E_A(x + iy) of an evaluator ev, from the sharp-cut row of ``moments``."""
+    ys = np.array([y])
+    rows, _, _ = moments._cut_rows(ev.row_coefficients(ys), moments._sharp_cut(A)(ys), 1.0)
+    return complex(cosine_series(rows[0], [x])[0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from eislab import eisenstein
+from eislab import eisenstein, moments
 from eislab.eisenstein import (
     ChebyshevTable,
     EisensteinEvaluator,
@@ -18,7 +18,7 @@ from eislab.eisenstein import (
 from eislab.errors import ConvergenceError, DomainError
 from eislab.specfun import bessel_k_scaled, xi_log
 
-from helpers import eval_E_independent, lattice_sum_reference
+from helpers import eval_E_independent, lattice_sum_reference, truncated_value
 
 
 @pytest.fixture(scope="module")
@@ -167,26 +167,37 @@ class TestBesselTable:
             assert not np.any(row[:K - k]) and not np.any(row[K + k + 1:])
 
 
-def truncated_value(ev, x: float, y: float) -> complex:
-    """E_A(x + iy, 1/2 + iT), the constant term dropped above y = A."""
-    return complex(cosine_series(ev.row_coefficients(y), [x])[0])
-
-
 class TestTruncation:
+    @pytest.mark.parametrize("ev", [EisensteinEvaluator(SpectralSetup(T=10.0, A=2.0)),
+                                    RealSEvaluator(2.0)], ids=["critical", "real_s"])
+    def test_sharp_cut_rows_are_E_rows_with_c0_zeroed_above_A(self, ev):
+        # the evaluators return E's row at every height, c_0 = e(y) above A too;
+        # the sharp cut takes each row once, with weight 1
+        ys = np.array([1.99, 2.0, 2.01, 22.0])
+        c = ev.row_coefficients(ys)
+        K = c.shape[1] // 2
+        assert np.array_equal(c[:, K], ev.constant_term(ys))
+        rows, w, idx = moments._cut_rows(c, moments._sharp_cut(2.0)(ys), 1.0)
+        assert np.array_equal(np.sort(idx), np.arange(len(ys))) and np.all(w == 1.0)
+        expected = c.copy()
+        expected[ys > 2.0, K] = 0.0
+        assert np.array_equal(rows, expected[idx])
+
     def test_below_cut_equal(self, ev10):
-        assert truncated_value(ev10, 0.13, 1.99) == point_value(ev10, complex(0.13, 1.99))
+        assert truncated_value(ev10, 0.13, 1.99, 2.0) == point_value(ev10, complex(0.13, 1.99))
 
     def test_above_cut_subtracts(self, ev10):
         expected = point_value(ev10, complex(0.13, 2.01)) - ev10.constant_term(2.01)
-        assert truncated_value(ev10, 0.13, 2.01) == pytest.approx(expected, rel=1e-12)
+        assert truncated_value(ev10, 0.13, 2.01, 2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_one_sided_limits_differ_by_constant_term(self, ev10):
         eps = 1e-9
-        jump = truncated_value(ev10, 0.2, 2.0 - eps) - truncated_value(ev10, 0.2, 2.0 + eps)
+        below, above = (truncated_value(ev10, 0.2, y, 2.0) for y in (2.0 - eps, 2.0 + eps))
+        jump = below - above
         assert jump == pytest.approx(ev10.constant_term(2.0), rel=1e-6)
 
     def test_deep_tail_decay(self, ev10):
-        assert abs(truncated_value(ev10, 0.3, 22.0)) < 1e-15
+        assert abs(truncated_value(ev10, 0.3, 22.0, 2.0)) < 1e-15
 
     def test_constant_term_values(self, ev10):
         c = ev10.scattering_c
@@ -205,7 +216,7 @@ class TestTruncation:
 class TestRealS:
     def test_matches_lattice_sum_high_y(self):
         ev = RealSEvaluator(2.0)
-        got = cosine_series(ev.row_coefficients(10.0, math.inf), [0.3])[0].real
+        got = cosine_series(ev.row_coefficients(10.0), [0.3])[0].real
         ref = lattice_sum_reference(0.3, 10.0, 2.0)
         # the lattice tail at bound 120 is ~4e-6 relative
         assert got == pytest.approx(ref, rel=2e-5)

@@ -17,7 +17,7 @@ from eislab.specfun import phi_log, scattering
 from eislab.quadrature import panel_nodes
 from eislab.weights import Bump, bump_h
 
-from helpers import dense_gl, section_quadrature
+from helpers import dense_gl, section_quadrature, truncated_value
 
 
 class TestIntegrateF:
@@ -101,24 +101,38 @@ class TestSectionIntegral:
     # one call: at T = 50 the rows below y = 1.3 share the FFT length 256
     # (K = 24..16) and straddle y = 1; those from 1.99 up share 128 and straddle A
     YS = np.array([0.8661, 0.87, 0.95, 1.0, 1.3, 1.99, 2.01, 2.5])
+    A = 2.0
 
-    @staticmethod
-    def _reference(ev, y):
+    @classmethod
+    def _row(cls, ev, y):
+        """E_A's coefficient row at height y: E's, with c_0 dropped above A."""
+        c = ev.row_coefficients(y)
+        if y > cls.A:
+            c[len(c) // 2] = 0.0
+        return c
+
+    @classmethod
+    def _reference(cls, ev, y):
         """Per-row coefficient-space reference: convolutions, then
         ``section_integral``, and the rows' Parseval scales."""
-        c = ev.row_coefficients(y)
+        c = cls._row(ev, y)
         b = np.convolve(c, np.conj(c[::-1]))  # coefficients of |E_A|^2
         p4 = moments.section_integral(np.convolve(b, b), y)
         sq = moments.section_integral(np.convolve(c, c), y)
         return p4, sq, np.sum(np.abs(b) ** 2), np.sum(np.abs(c) ** 2)
 
+    @classmethod
+    def _moment_rows(cls, ev):
+        """The sharp-cut row integrals of |E_A|^4 and E_A^2 at YS."""
+        return moments._weighted_rows((ev,), moments._p4_p2, 4, moments._sharp_cut(cls.A))(cls.YS)
+
     @pytest.mark.parametrize("T", [10.0, 25.0, 50.0])
     def test_moment_rows_match_dense_x_quadrature(self, T):
-        ev = EisensteinEvaluator(SpectralSetup(T=T, A=2.0))
-        rows = moments.moment_rows(ev)(self.YS)
+        ev = EisensteinEvaluator(SpectralSetup(T=T, A=self.A))
+        rows = self._moment_rows(ev)
         for y, (p4, sq) in zip(self.YS, rows):
             _, _, scale4, scale2 = self._reference(ev, y)
-            c = ev.row_coefficients(y)
+            c = self._row(ev, y)
             dense4 = section_quadrature(lambda xs: np.abs(cosine_series(c, xs)) ** 4, y)
             dense2 = section_quadrature(lambda xs: cosine_series(c, xs) ** 2, y)
             assert abs(p4 - dense4) <= 1e-13 * scale4, y
@@ -126,21 +140,24 @@ class TestSectionIntegral:
 
     @pytest.mark.parametrize("T", [10.0, 25.0, 50.0])
     def test_moment_rows_match_per_row_convolutions(self, T):
-        ev = EisensteinEvaluator(SpectralSetup(T=T, A=2.0))
-        rows = moments.moment_rows(ev)(self.YS)
+        ev = EisensteinEvaluator(SpectralSetup(T=T, A=self.A))
+        rows = self._moment_rows(ev)
         for y, (p4, sq) in zip(self.YS, rows):
             ref4, ref2, scale4, scale2 = self._reference(ev, y)
             assert abs(p4 - ref4) <= 1e-15 * scale4, y
             assert abs(sq - ref2) <= 1e-15 * scale2, y
 
     def test_real_s_pair_row_matches_dense_x_quadrature(self):
+        # the pair's sharp-cut row below and above A
         e1, e2 = RealSEvaluator(2.0), RealSEvaluator(3.0)
-        y, A = 0.9, 2.0
-        c1, c2 = e1.row_coefficients(y, A), e2.row_coefficients(y, A)
-        row = moments.section_integral(np.convolve(c1, c2), y)
-        dense = section_quadrature(lambda xs: cosine_series(c1, xs) * cosine_series(c2, xs), y)
-        scale = math.sqrt(np.sum(np.abs(c1) ** 2) * np.sum(np.abs(c2) ** 2))
-        assert abs(row - dense) <= 1e-13 * scale
+        ys = np.array([0.9, 2.5])
+        rows = moments._weighted_rows((e1, e2), lambda g1, g2: (g1 * g2)[None], 2,
+                                      moments._sharp_cut(self.A))(ys)
+        for y, (row,) in zip(ys, rows):
+            c1, c2 = self._row(e1, y), self._row(e2, y)
+            dense = section_quadrature(lambda xs: cosine_series(c1, xs) * cosine_series(c2, xs), y)
+            scale = math.sqrt(np.sum(np.abs(c1) ** 2) * np.sum(np.abs(c2) ** 2))
+            assert abs(row - dense) <= 1e-13 * scale, y
 
 
 class TestMaassSelberg:
@@ -274,14 +291,30 @@ class TestSmoothedMoment:
 
     def test_band_partition_reassembles(self, smoothed):
         # the smoothed sweep's grid, topped at B + d with breaks at B - d,
-        # B + d and B, integrates the A = B rows to fourth_moment at B
+        # B + d and B, integrates its evaluator's rows cut sharply at B to
+        # fourth_moment at B
         bump, _ = smoothed
         B, d = bump.B, bump.half_width
-        ev = EisensteinEvaluator(SpectralSetup(T=bump.T, A=B))
-        val, _ = moments._integrate_moment(moments.moment_rows(ev),
-                                           SpectralSetup(T=bump.T, A=B + d), ev, (B - d, B + d, B))
+        ev = EisensteinEvaluator(SpectralSetup(T=bump.T, A=B + d))
+        val, _ = moments._integrate_moment(ev, moments._sharp_cut(B), 1.0, (B - d, B + d, B))
         direct = moments.fourth_moment(SpectralSetup(T=bump.T, A=B), tol=math.inf).report.value
         assert float(val[0].real) == pytest.approx(direct, rel=1e-8)
+
+    def test_rows_with_all_or_no_mass_take_one_fft_pass(self, monkeypatch):
+        # of the 1,189 heights on the two grids at T = 10, the 315 with
+        # 0 < m < hhat0 sample both E and E - e; 2,378 rows when each took two.
+        # Two of the 317 heights inside the support (B - d, B + d) lie past
+        # B + d tanh(3), where m is 0.0 exactly
+        sampled = []
+        samples = moments._samples
+
+        def counted(c, L):
+            sampled.append(c.shape[0])
+            return samples(c, L)
+
+        monkeypatch.setattr(moments, "_samples", counted)
+        moments.smoothed_fourth_moment(Bump(B=2.0, alpha=0.009, T=10.0))
+        assert sum(sampled) == 1504
 
     def test_est_error_finite_positive(self, smoothed):
         # the y-grid Richardson estimate of the p=4 value; 3.2e-12 of 44.47 today
@@ -313,16 +346,13 @@ class TestSmoothedMoment:
     def test_shell_difference_bounded(self):
         # with disjoint truncations, E_B - E_A equals the constant term on the
         # shell and is bounded by 2 sqrt(y)
-        T = 10.0
-        evA = EisensteinEvaluator(SpectralSetup(T=T, A=2.0))
-        evB = EisensteinEvaluator(SpectralSetup(T=T, A=12.0))
+        ev = EisensteinEvaluator(SpectralSetup(T=10.0, A=12.0))
         rng = np.random.default_rng(3)
         saw_nonzero = False
         for _ in range(12):
             y = rng.uniform(2.5, 11.5)
             x = rng.uniform(-0.5, 0.5)
-            diff = (cosine_series(evB.row_coefficients(y), [x])[0]
-                    - cosine_series(evA.row_coefficients(y), [x])[0])
+            diff = truncated_value(ev, x, y, 12.0) - truncated_value(ev, x, y, 2.0)
             assert abs(diff) <= 2.0 * math.sqrt(y) + 1e-9
             saw_nonzero |= abs(diff) > 1e-3
         assert saw_nonzero

@@ -92,6 +92,7 @@ class TestBump:
                 assert abs(bump50.mass_above(b + u * d) - ref) <= 1e-13 * bump50.hhat0, u
         assert bump50.mass_above(b) == pytest.approx(bump50.hhat0 / 2, abs=1e-13 * bump50.hhat0)
         assert bump50.mass_above(b + 2.0 * d) == 0.0
+        assert bump50.mass_above(b - 2.0 * d) == bump50.hhat0
 
 
 class TestGammaRatioWeights:

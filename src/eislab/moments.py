@@ -53,7 +53,7 @@ from eislab.eisenstein import (
     moment_y_max,
 )
 from eislab.errors import DegenerateParameterError, DomainError, ToleranceError
-from eislab.quadrature import gl_nodes, pairwise_sum
+from eislab.quadrature import _GL_ORDER, gl_nodes, pairwise_sum, panel_edges
 from eislab.specfun import (
     DEFAULT_POLICY,
     PrecisionPolicy,
@@ -75,7 +75,7 @@ class YPanel:
 
 @dataclass
 class QuadratureGrid:
-    """y-strip decomposition of F with per-strip orders."""
+    """y-strip decomposition of F into Gauss-Legendre panels."""
 
     panels: list
 
@@ -91,17 +91,22 @@ class MomentReport:
     ratio: float
 
 
-_MAX_ORDER = 24     # Gauss-Legendre order cap per y panel
 _STRIP_RATIO = 1.3  # geometric growth of the y-strips
 _REFINE = 2.0       # node-density factor of the Richardson comparison grid
 
 
 def build_grid(y_max: float, y_bandwidth, *, splits=(),
                oversample: float = 8.0) -> QuadratureGrid:
-    """Geometric y-strips with forced breakpoints and bandwidth-driven orders.
+    """Geometric y-strips with forced breakpoints, each cut into equal
+    16-node panels (``quadrature.panel_edges``).
 
-    ``y_bandwidth(y)`` gives the local bandwidth in radians per unit length;
-    orders follow ``oversample`` nodes per wave.
+    ``y_bandwidth(y)`` gives the local bandwidth in radians per unit length,
+    taken at each strip's foot, with ``oversample`` nodes per wave.  Below
+    y = 1 a strip is cut in phi = asin y, where ``_integrate_grid``
+    integrates it, at the rate y_bandwidth(a) cos(phi_a) of its foot a, the
+    largest on the strip; its y edges are the sines of the phi edges.  The
+    panels are cut in units of the strip, so the one-radian floor of
+    ``panel_count`` applies to a strip's whole phase, not to each unit of y.
     """
     edges = sorted({_FLOOR_Y, 1.0, y_max} | {s for s in splits if _FLOOR_Y < s < y_max})
     fine: list[float] = []
@@ -114,13 +119,11 @@ def build_grid(y_max: float, y_bandwidth, *, splits=(),
     fine.append(y_max)
     panels = []
     for a, b in zip(fine[:-1], fine[1:]):
-        need = (b - a) * y_bandwidth(a) * oversample / (2.0 * math.pi) + 6.0
-        pieces = max(1, int(math.ceil(need / _MAX_ORDER)))
-        step = (b - a) / pieces
-        for i in range(pieces):
-            pa = a + i * step
-            order = min(_MAX_ORDER, max(8, int(math.ceil(need / pieces))))
-            panels.append(YPanel(pa, pa + step, order))
+        lo, hi, rate = ((math.asin(a), math.asin(b), y_bandwidth(a) * math.sqrt(1.0 - a * a))
+                        if b <= 1.0 else (a, b, y_bandwidth(a)))
+        cuts = lo + (hi - lo) * panel_edges(0.0, 1.0, (hi - lo) * rate, oversample, 1)
+        cuts = np.sin(cuts) if b <= 1.0 else cuts
+        panels += [YPanel(y0, y1, _GL_ORDER) for y0, y1 in zip(cuts[:-1], cuts[1:])]
     return QuadratureGrid(panels)
 
 
@@ -138,10 +141,13 @@ def section_integral(f, y):
     f = np.asarray(f)
     K = f.shape[-1] // 2
     xr = np.sqrt(np.maximum(1.0 - y * y, 0.0))  # 0 from y = 1 up: the arc weights vanish
+    strip = f[..., K] * (1.0 - 2.0 * xr)
+    if not np.any(xr):
+        return strip
     ks = np.arange(1, K + 1)
     arc = np.sin(2.0 * np.pi * ks * xr[..., None]) / (np.pi * ks)
     pairs = f[..., K + 1:] + f[..., :K][..., ::-1]
-    return f[..., K] * (1.0 - 2.0 * xr) - np.einsum("...k,...k->...", pairs, arc)
+    return strip - np.einsum("...k,...k->...", pairs, arc)
 
 
 _FFT_ENTRIES = 8192  # samples per height block, twice that with two passes: bounds working memory

@@ -16,7 +16,7 @@ import numpy as np
 _GL_ORDER = 16
 
 
-@cache  # unbounded: the orders in use are 8-24 (moments._MAX_ORDER) and 48
+@cache  # unbounded: the orders in use are 16 and 48
 def _gl_rule(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w

@@ -154,7 +154,7 @@ def afe_cutoff(t: float, T: float, a: float, tail_tol: float,
                smoother: float = 1.0) -> float:
     """Series length: terms past Q_eff exp(2 sqrt(smoother ln(1/tol))) are
     below the Gaussian contour-shift budget e^(-L^2 / (4 smoother))."""
-    g1 = _g_ratio_log(np.array([1.0 + 0j]), t, T, a, +1.0)[0]
+    g1 = _g_ratio_log(1.0, t, T, a, +1.0)
     q_eff = float(np.exp(g1.real))  # |G(1)| ~ conductor^(1/2) growth base
     L = 2.0 * math.sqrt(smoother * max(-math.log(tail_tol), 1.0))
     return max(q_eff, 1.0) * math.exp(L) + 16.0

@@ -7,9 +7,10 @@ equation (both parities) and of the height-averaged window, their
 closed-form leading terms, and the Mellin pair g(x) <-> G(s) built from
 products of two K-Bessel factors.
 
-All gamma products are assembled in log-polar space and exponentiated once;
-the individual gamma factors at height ~T are astronomically small while
-every ratio used here is moderate.
+Every gamma-ratio weight and the Mellin-Barnes closed form are built on one
+four-gamma product Q(z) (``_log_gamma_quad``) in log-polar space and
+exponentiated once: the individual gamma factors at height ~T are
+astronomically small while every ratio used here is moderate.
 
 A desk-scale caveat that shapes several defaults: thresholds of the form
 T^alpha with alpha < 1/100 are asymptotic bookkeeping devices - at T = 50,
@@ -181,10 +182,11 @@ def bump_transform_decay_height(bump: Bump, sigma: float, tol: float) -> float:
 # gamma-ratio weights
 # ---------------------------------------------------------------------------
 
-def _lgr(s) -> complex:
-    """log of Gamma_R(s) = pi^(-s/2) Gamma(s/2)."""
-    s = np.asarray(s, dtype=complex)
-    return -(s / 2.0) * math.log(math.pi) + log_gamma(s / 2.0)
+def _log_gamma_quad(z, T: float, t: float):
+    """Q(z) = sum_(pm, pm) log Gamma((z pm iT pm it) / 2), the four-gamma
+    product of the Mellin-Barnes integral, at a number or an array z."""
+    shifts = 1j * np.array([T + t, T - t, t - T, -T - t])
+    return np.sum(log_gamma((np.asarray(z, dtype=complex)[..., None] + shifts) / 2.0), axis=-1)
 
 
 _BULK_ALPHA = 0.009  # the bulk is T^(1 - alpha) < |t| < 2T - T^(1 - alpha)
@@ -201,12 +203,8 @@ def weight_Hcal(t: float, T: float) -> complex:
     if not _in_bulk(t, T):
         warnings.warn(f"weight_Hcal: t={t} outside the bulk range for T={T}",
                       stacklevel=2)
-    num = 0.0 + 0.0j
-    for sgn in (+1.0, -1.0):
-        num += log_gamma((0.5 + 1j * sgn * t) / 2.0)
-        num += log_gamma((0.5 - 2j * T + 1j * sgn * t) / 2.0)
-    den = 2.0 * log_gamma(0.5 - 1j * T) + log_gamma(0.5 - 1j * t)
-    return complex(np.exp(num - den))
+    z = 0.5 - 1j * T
+    return complex(np.exp(_log_gamma_quad(z, T, t) - 2.0 * log_gamma(z) - log_gamma(0.5 - 1j * t)))
 
 
 def weight_Hcal_pm(s, t: float, T: float, bump: Bump):
@@ -222,37 +220,24 @@ def weight_Hcal_pm(s, t: float, T: float, bump: Bump):
     if np.any(s.real <= -0.5):
         raise DomainError("weight_Hcal_pm needs Re(s) > -1/2")
     ht = bump_transform(1.0 - s, bump)
-    out = []
-    for sT in (+1.0, -1.0):
-        num = np.zeros_like(s)
-        for sgn in (+1.0, -1.0):
-            num = num + log_gamma((s + 0.5 + 2j * sT * T + 1j * sgn * t) / 2.0)
-            num = num + log_gamma((s + 0.5 + 1j * sgn * t) / 2.0)
-        den = (log_gamma(s + 0.5 + 1j * sT * T)
-               + log_gamma(0.5 + 1j * T) + log_gamma(0.5 + 1j * t))
-        out.append(ht * np.exp(num - den))
-    plus, minus = out
+    den = log_gamma(0.5 + 1j * T) + log_gamma(0.5 + 1j * t)
+    plus, minus = (ht * np.exp(_log_gamma_quad(z, T, t) - log_gamma(z) - den)
+                   for z in (s + 0.5 + 1j * T, s + 0.5 - 1j * T))
     return (plus, minus) if s.ndim else (complex(plus), complex(minus))
 
 
 def _g_ratio_log(w, t: float, T: float, a: float, sign_T: float):
-    """log G_{sign_T, a}(w, t): shifted over unshifted Gamma_R products.
+    """log G_{sign_T, a}(w, t): shifted over unshifted products of four
+    Gamma_R(s) = pi^(-s/2) Gamma(s/2), each pi^(-2z) exp Q(z).
 
     The plus variant (sign_T = +1) carries the -2iT shift in its numerator
     and the minus variant +2iT; the denominator is the unshifted product at
     the -2iT normalization for both, matching the functional-equation pairing
     of the central-value product.
     """
-    w = np.asarray(w, dtype=complex)
-    num = np.zeros_like(w)
-    for sgn in (+1.0, -1.0):
-        num = num + _lgr(a + w + 1j * sgn * t)
-        num = num + _lgr(a - 1j * sign_T * 2.0 * T + w + 1j * sgn * t)
-    den = 0.0 + 0.0j
-    for sgn in (+1.0, -1.0):
-        den += _lgr(a + 1j * sgn * t)
-        den += _lgr(a - 2j * T + 1j * sgn * t)
-    return num - den
+    z = a + np.asarray(w, dtype=complex) - 1j * sign_T * T
+    return (_log_gamma_quad(z, T, t) - _log_gamma_quad(a - 1j * T, T, t)
+            - 2.0 * (z - a + 1j * T) * math.log(math.pi))
 
 
 def contour_weights(xs: np.ndarray, t: float, T: float, a: float, sigma: float,
@@ -410,24 +395,28 @@ def g_mellin_closed(s: complex, T: float, t: float) -> complex:
     """G(s) = int_0^inf g(x) x^(s-1) dx, which is
     ``mellin_barnes_kk_closed(s + 1/2 + iT, T, t) / s`` by swapping the x and y
     integrals."""
-    s = complex(s)
     return mellin_barnes_kk_closed(s + 0.5 + 1j * T, T, t) / s
 
 
 def g_mellin_numeric(s: complex, T: float, t: float) -> complex:
-    """int_0^inf g(x) x^(s-1) dx by iterated quadrature (oracle-grade, slow).
-
-    Uses the substitution x = e^u with panel quadrature on u in [-16, log cut].
+    """int_0^inf g(x) x^(s-1) dx by iterated quadrature in u = log x on
+    [-32, log(max(T, t) + 40)], dropping ~|g(0)| e^(-32 Re s) below.  Each
+    g(x_j) is a suffix sum of the panel integrals of one grid in v = log y,
+    whose edges are the outer nodes and ``g_lower_incomplete``'s panels.
     """
     s = complex(s)
     if s.real <= 0:
         raise DomainError("the g-transform converges for Re(s) > 0")
-    u_hi = math.log(max(T, t) + 40.0)
-    bw = max(abs(s.imag), 2.0) + 2.0
-    nodes, wts = panel_nodes(-16.0, u_hi, bw, DEFAULT_POLICY.bessel_freq_oversample,
-                             min_panels=28)
-    vals = np.array([g_lower_incomplete(math.exp(u), T, t) for u in nodes])
-    return complex(np.sum(wts * vals * np.exp(s * nodes)))
+    over = DEFAULT_POLICY.bessel_freq_oversample
+    nodes, wts = panel_nodes(-32.0, math.log(max(T, t) + 40.0), max(abs(s.imag), 2.0) + 2.0,
+                             over, min_panels=28)
+    inner = panel_edges(-32.0, math.log(max(T, t) + 55.0), 2.0 * T + t + 3.0, over)
+    edges = np.union1d(nodes, inner)
+    v, vw = edge_nodes(edges)
+    vals = vw * _scaled_kk(np.exp(v), T, t, DEFAULT_POLICY) * np.exp((0.5 + 1j * T) * v)
+    above = np.cumsum(np.sum(vals.reshape(-1, _GL_ORDER), axis=1)[::-1])[::-1]
+    g = np.exp(-0.5 * np.pi * (T + t)) * above[np.searchsorted(edges, nodes)]
+    return complex(np.sum(wts * g * np.exp(s * nodes)))
 
 
 def mellin_barnes_kk_numeric(s: complex, T: float, t: float) -> complex:
@@ -446,9 +435,4 @@ def mellin_barnes_kk_numeric(s: complex, T: float, t: float) -> complex:
 
 def mellin_barnes_kk_closed(s: complex, T: float, t: float) -> complex:
     """(2^(s-3) / Gamma(s)) prod_{pm, pm} Gamma((s pm iT pm it)/2)."""
-    s = complex(s)
-    acc = (s - 3.0) * math.log(2.0) - log_gamma(s)
-    for s1 in (+1.0, -1.0):
-        for s2 in (+1.0, -1.0):
-            acc = acc + log_gamma((s + 1j * s1 * T + 1j * s2 * t) / 2.0)
-    return complex(np.exp(acc))
+    return complex(np.exp((s - 3.0) * math.log(2.0) - log_gamma(s) + _log_gamma_quad(s, T, t)))

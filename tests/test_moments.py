@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from eislab import moments, quadrature
-from eislab.eisenstein import EisensteinEvaluator, RealSEvaluator, SpectralSetup, cosine_series
+from eislab.eisenstein import (
+    EisensteinEvaluator,
+    RealSEvaluator,
+    SpectralSetup,
+    cosine_series,
+    moment_y_max,
+)
 from eislab.errors import DegenerateParameterError, ToleranceError
 from eislab.specfun import phi_log, scattering
 from eislab.quadrature import panel_nodes
@@ -72,8 +78,8 @@ class TestIntegrateF:
         assert len(calls) <= 2 * 5 + n_nodes * 256 / 8192
 
     def test_second_fourth_moment_computes_no_gauss_legendre_rule(self):
-        # a call uses some dozen orders; a cache smaller than that evicts
-        # rules the next call needs again
+        # every y panel is a 16-node rule; a cache that evicted it would
+        # compute it again on the next call
         setup = SpectralSetup(T=10.0, A=2.0)
         moments.fourth_moment(setup, tol=math.inf)
         misses = quadrature._gl_rule.cache_info().misses
@@ -81,10 +87,11 @@ class TestIntegrateF:
         assert quadrature._gl_rule.cache_info().misses == misses
 
     def test_tolerance_error_carries_value(self):
-        # the Richardson estimate of the p = 4 moment is 6.3e-7 at T = 25
+        # the Richardson estimate of the p = 4 moment is 1.1e-13 at T = 25,
+        # 3.0e-16 of the value, which a tol of 1e-17 rejects
         setup = SpectralSetup(T=25.0, A=2.0)
         with pytest.raises(ToleranceError) as err:
-            moments.fourth_moment(setup, tol=1e-12)
+            moments.fourth_moment(setup, tol=1e-17)
         assert err.value.value == moments.fourth_moment(setup, tol=math.inf).report.value
         assert err.value.estimate > 0
 
@@ -234,6 +241,27 @@ class TestFourthMoment:
         res = moments.fourth_moment(SpectralSetup(T=T, A=2.0), tol=math.inf)
         assert moments.second_moment_error(res)[1] <= 2e-14
 
+    @pytest.mark.parametrize("T", [250.0, 300.0])
+    def test_p2_error_at_large_T(self, T):
+        # measured 8.8e-14 and 2.9e-14; panels below y = 1 sized in y at the
+        # rate 4T/y, not in phi = asin y, left 2.1e-11 and 2.2e-10
+        res = moments.fourth_moment(SpectralSetup(T=T, A=2.0), tol=math.inf)
+        assert moments.second_moment_error(res)[1] <= 1e-13
+
+    @pytest.mark.parametrize("T", [100.0, 200.0])
+    def test_p4_holds_at_four_times_the_density_below_y_1(self, T):
+        # the same rows on a grid with 4x the bandwidth below y = 1; measured
+        # 1.2e-16 and 2.8e-16, where panels sized in y missed by 1.5e-8 and 3.0e-8
+        setup = SpectralSetup(T=T, A=2.0)
+        ev = EisensteinEvaluator(setup)
+        rows = moments._weighted_rows((ev,), moments._p4_p2, 4, moments._sharp_cut(setup.A))
+        val, _ = moments.integrate_rows(
+            rows, moment_y_max(setup), splits=(setup.A,),
+            y_bandwidth=lambda y: (4.0 * T / y + 8.0) * (4.0 if y < 1.0 else 1.0),
+            oversample=ev.policy.bessel_freq_oversample)
+        m4 = moments.fourth_moment(setup, tol=math.inf).report.value
+        assert abs(val[0].real - m4) <= 1e-11 * m4
+
     def test_second_moment_error_sees_the_phase(self):
         closed = moments.maass_selberg_limit(10.0, 1.5)
 
@@ -301,9 +329,9 @@ class TestSmoothedMoment:
         assert float(val[0].real) == pytest.approx(direct, rel=1e-8)
 
     def test_rows_with_all_or_no_mass_take_one_fft_pass(self, monkeypatch):
-        # of the 1,189 heights on the two grids at T = 10, the 315 with
-        # 0 < m < hhat0 sample both E and E - e; 2,378 rows when each took two.
-        # Two of the 317 heights inside the support (B - d, B + d) lie past
+        # of the 1,280 heights on the two grids at T = 10, the 334 with
+        # 0 < m < hhat0 sample both E and E - e; 2,560 rows when each took two.
+        # Two of the 336 heights inside the support (B - d, B + d) lie past
         # B + d tanh(3), where m is 0.0 exactly
         sampled = []
         samples = moments._samples
@@ -314,10 +342,10 @@ class TestSmoothedMoment:
 
         monkeypatch.setattr(moments, "_samples", counted)
         moments.smoothed_fourth_moment(Bump(B=2.0, alpha=0.009, T=10.0))
-        assert sum(sampled) == 1504
+        assert sum(sampled) == 1614
 
     def test_est_error_finite_positive(self, smoothed):
-        # the y-grid Richardson estimate of the p=4 value; 3.2e-12 of 44.47 today
+        # the y-grid Richardson estimate of the p=4 value; 1.7e-11 of 44.47 today
         _, res = smoothed
         assert math.isfinite(res.est_error) and 0.0 < res.est_error < 1e-4 * res.value
 

@@ -134,6 +134,38 @@ class TestGammaRatioWeights:
             got = hp if sT > 0 else hm
             assert got == pytest.approx(ref, rel=1e-9)
 
+    def test_log_gamma_quad_matches_mpmath(self):
+        # Q(z) = sum_(pm, pm) log Gamma((z pm iT pm it) / 2) against four
+        # 50-digit values, mod 2 pi i; measured 3.9e-15 and 7.1e-15
+        def ref(z, T, t):
+            return sum(oracles.hp_log_gamma((z + 1j * (a * T + b * t)) / 2)
+                       for a in (1, -1) for b in (1, -1))
+
+        def dist(q, r):
+            d = complex(q - r)
+            return abs(complex(d.real, math.remainder(d.imag, 2 * math.pi)))
+
+        z0 = 0.75 - 0.3j
+        assert dist(weights._log_gamma_quad(z0, 3.0, 5.0), ref(z0, 3.0, 5.0)) <= 1e-13
+        z = np.array([1.25 + 1.8j, 1.25 - 4.2j, 0.5 - 6j, 2.0 + 30j])
+        q = weights._log_gamma_quad(z, 6.0, 2.5)
+        assert q.shape == z.shape
+        assert max(dist(qk, ref(zk, 6.0, 2.5)) for qk, zk in zip(q, z)) <= 1e-13
+
+    @pytest.mark.parametrize("T, t", [(2.0, 1.5), (3.0, 5.0), (6.0, 2.5)])
+    def test_hcal_pm_is_the_kk_mellin_integral(self, bump50, T, t):
+        # second path: Hcal_pm / h-tilde(1 - s) is 2^(3-z) int_0^inf y^z
+        # K_iT K_it dy/y / (Gamma(1/2 + iT) Gamma(1/2 + it)) at z = s + 1/2 +- iT,
+        # the integral by quadrature; measured <= 5.4e-11 on Re s = 0.75, where
+        # the quadrature's cut at y = e^-18 is far below 1e-9
+        s = 0.75 - 1.2j
+        hp, hm = weights.weight_Hcal_pm(s, t, T, bump50)
+        ht = weights.bump_transform(1.0 - s, bump50)
+        den = np.exp(oracles.hp_log_gamma(0.5 + 1j * T) + oracles.hp_log_gamma(0.5 + 1j * t))
+        for h, z in ((hp, s + 0.5 + 1j * T), (hm, s + 0.5 - 1j * T)):
+            ref = 2.0 ** (3.0 - z) * weights.mellin_barnes_kk_numeric(z, T, t) / den
+            assert abs(h / ht - ref) <= 1e-9 * abs(ref)
+
     def test_leading_term_consistency_at_zero_shift(self, bump50):
         # at s = 0 the product Hcal * Hcal_plus matches the closed leading
         # form up to the documented O(1/t) correction
@@ -286,6 +318,13 @@ class TestMellinPair:
         for s, T, t in ((1.0, 3.0, 5.0), (0.3 + 2j, 20.0, 30.0), (2.5 - 1j, 0.5, 0.7)):
             ref = oracles.hp_mellin_barnes_kk(s + 0.5 + 1j * T, 1j * T, 1j * t) / s
             assert abs(weights.g_mellin_closed(s, T, t) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("s, T, t", [(1.5 - 0.5j, 2.0, 4.0), (2.0, 6.0, 1.5)])
+    def test_g_numeric_matches_closed_form(self, s, T, t):
+        # the iterated quadrature of criterion 6 at two more points; measured
+        # 1.6e-15 and 7.4e-15
+        G = weights.g_mellin_closed(s, T, t)
+        assert abs(weights.g_mellin_numeric(s, T, t) / G - 1.0) <= 1e-12
 
     def test_g_tiny_x_converged_without_warning(self):
         # the log-variable quadrature is already converged far below x = 1e-4:

@@ -9,6 +9,7 @@ gives eight nodes per wavelength, which is spectrally convergent; the
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import numpy as np
@@ -97,18 +98,42 @@ def _two_product(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
+def _two_sum(a, b):
+    """a + b = s + e exactly, s = fl(a + b): Knuth's sum."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
 def _panel_exp(edges, k, unit=1.0):
     """e^(unit k_t s) at the nodes s = mid_p + half x_j of the equal 16-node
     panels between ``edges``, as the factors e^(unit k_t mid_p) and
-    e^(unit k_t half x_j) whose product is the (p, j, t) value: (panels + 16)
-    x len(k) exponentials in place of one per node and t.  k_t mid_p is kept to
-    twice double precision: its rounding, 1e-13 at a phase of 1e3, would be
-    shared by a panel's 16 nodes and so would not average out."""
+    e^(unit k_t half x_j) whose product is the (p, j, t) value.
+
+    The panel factor is factored again: of P panels, p = q B + r with
+    B = ceil(sqrt(P)), and mid_p = base_q + off_r + delta_p, where
+    base_q = mid_(qB), off_r = r width and delta_p, from a two-sum, is the
+    rounding of mid_p against base_q + off_r; it enters to first order as
+    (1 + unit k_t delta_p).  That is (2B + 16) x len(k) exponentials in place
+    of one per node and t.  k_t base_q and k_t off_r are kept to twice double
+    precision: their rounding, 1e-13 at a phase of 1e3, would be shared by a
+    panel's 16 nodes and so would not average out.  For a real ``unit``,
+    k_t <= 0 on edges >= 0 (the Kuznetsov vertical legs) keeps both factors
+    at most 1, so neither overflows."""
+    def factor(v):
+        p, err = _two_product(v[:, None], k[None, :])
+        return np.exp(unit * p) * (1.0 + unit * err)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[-1] - edges[0]) / (edges.size - 1)
-    p, err = _two_product(mid[:, None], k[None, :])
-    return (np.exp(unit * p) * (1.0 + unit * err),
-            np.exp(unit * np.outer(half * _gl_rule(_GL_ORDER)[0], k)))
+    width = (edges[-1] - edges[0]) / mid.size
+    B = math.ceil(math.sqrt(mid.size))
+    off = width * np.arange(B)
+    fb, fo = factor(mid[::B]), factor(off)
+    em = np.empty((mid.size, k.size), dtype=fo.dtype)
+    for q, i in enumerate(range(0, mid.size, B)):  # a block at a time bounds the temporaries
+        block = mid[i:i + B]
+        s, e = _two_sum(block[0], off[:block.size])
+        em[i:i + B] = fb[q] * fo[:block.size] * (1.0 + unit * np.outer((block - s) - e, k))
+    return em, np.exp(unit * np.outer(0.5 * width * _gl_rule(_GL_ORDER)[0], k))
 
 
 def pairwise_sum(values) -> complex:

@@ -73,9 +73,12 @@ x at once with the t- and s-integrals swapped, since the t-sums
 G(s) = sum_t a_t e^(+-2its) do not depend on x.  Every t-sum is taken on a
 grid of equal 16-node panels, whose nodes are s = mid_p + half x_j, so
 e^(2its) = e^(2it mid_p) e^(2it half x_j) and G on the whole grid is one
-(panels x N_t) @ (N_t x 16) product: (panels + 16) N_t exponentials instead
-of one per node and t.  The product t mid_p is carried to twice double
-precision, because its rounding is shared by a panel's 16 nodes.
+(panels x N_t) @ (N_t x 16) product.  The panel factor is in turn a product
+over a block start and an offset within the block, ceil(sqrt(panels)) of
+each (``quadrature._panel_exp``), so the grid takes
+(2 ceil(sqrt(panels)) + 16) N_t exponentials instead of one per node and t.
+Both phases are carried to twice double precision, because their rounding
+is shared by a panel's 16 nodes.
 
 * Real leg: every x shares one panel grid, its rotation point s1 rounded up
   to a panel edge, so G is computed once and an x costs O(N_s) cosines.
@@ -219,6 +222,8 @@ def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
     """sum_t a_t K(x, t) for every x of ``xs``, K the even kernel at t >= 0,
     by the contracted transform of the module docstring."""
     xs, ts, a = (np.asarray(v, dtype=float) for v in (xs, ts, a))
+    if not all(np.isfinite(v).all() for v in (xs, ts, a)):
+        raise DomainError("kuznetsov_kernel_transform needs finite x, t and a")
     if (xs <= 0.0).any() or (ts < 0).any():
         raise DomainError("kuznetsov_kernel_transform needs x > 0 and t >= 0")
     os = DEFAULT_POLICY.bessel_freq_oversample
@@ -232,7 +237,7 @@ def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
     n, wt = edge_nodes(edges)
     s1 = np.array([_contour(w, tmax, edges) for w in ws])
     em, ex = _panel_exp(edges, 2.0 * ts, 1j)
-    g_real = wt * ((em * a) @ ex.T).real.ravel()
+    g_real = wt * (em @ (ex * a).T).real.ravel()
     inside = n[None, :] < s1[:, None]
     total = 2.0 * (np.cos(np.outer(ws, np.cosh(n))) * inside) @ g_real
     # vertical legs s1 + i r: sum_t a_t e^(i sg 2t(s1 + ir)) = (B @ e^(i sg 2t s1))[r]
@@ -241,11 +246,12 @@ def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
     r_edges = panel_edges(0.0, np.pi / 2, float(np.max(ws * np.cosh(s1))) + 2.0 * tmax, os)
     r, wr = edge_nodes(r_edges)
     phase = np.exp(2j * np.outer(ts, s1))
+    arg = 1j * ws[:, None] * np.cosh(s1[:, None] + 1j * r[None, :])
     for sg in (1.0, -1.0):
         lift = (1.0 - sg) * tmax * r
         em, ex = _panel_exp(r_edges, -sg * 2.0 * ts - (1.0 - sg) * tmax)
-        rows = ((em * a)[:, None, :] * ex[None, :, :]).reshape(r.size, ts.size)
-        leg = np.exp(1j * ws[:, None] * np.cosh(s1[:, None] + 1j * r[None, :]) + lift[None, :])
+        rows = (em[:, None, :] * (ex * a)[None, :, :]).reshape(r.size, ts.size)
+        leg = np.exp(arg + lift[None, :])
         g_vert = rows @ phase.real + (1j * sg) * (rows @ phase.imag)
         total += np.real(((1j * wr) * leg * g_vert.T).sum(axis=1))
     return (2.0 / np.pi) * total

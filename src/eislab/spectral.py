@@ -22,6 +22,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -214,6 +215,8 @@ class TestFunction:
     def __post_init__(self):
         if self.kind != "gaussian":
             raise DomainError(f"TestFunction supports kind='gaussian' only, got {self.kind!r}")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise DomainError(f"TestFunction needs a finite width > 0, got {self.width}")
 
     def __call__(self, t):
         return np.exp(-(np.asarray(t) / self.width) ** 2)
@@ -244,6 +247,25 @@ def _kernel_weights(phi: TestFunction, x_min: float):
     return nn, 2.0 * ww * np.tanh(np.pi * nn) * nn * phi(nn) / (2.0 * np.pi)
 
 
+@cache  # keyed on (n, m, phi); each entry is two floats
+def _c_max_free_terms(n: int, m: int, phi: TestFunction) -> tuple[float, float]:
+    """(continuous term, delta term) of the trace formula for (n, m): neither
+    depends on c_max, so a sweep over c_max computes them once."""
+    # continuous term: tau(n,t) tau(m,t) / |zeta(1+2it)|^2, even integrand.
+    # Each zero 1/2 + i gamma of zeta puts a pole at t = gamma/2 +- i/4, a
+    # quarter from the real line: panels of half-width 0.8 (bandwidth 8) leave
+    # the integral 1e-5 off, those of half-width 0.2 (bandwidth 32) 1e-15
+    nodes, wts = panel_nodes(0.0, phi.support_cut, 32.0,
+                             DEFAULT_POLICY.bessel_freq_oversample, min_panels=12)
+    zvals = np.abs(zeta(1.0 + 2j * nodes)) ** 2
+    taun = arith.tau_gen(n, nodes)
+    taum = arith.tau_gen(m, nodes)
+    continuous = float(2.0 * np.sum(wts * taun * taum / zvals * phi(nodes)) / (2.0 * np.pi))
+    dstar = np.tanh(np.pi * nodes) * nodes * phi(nodes)
+    delta = float((1.0 if n == m else 0.0) * 2.0 * np.sum(wts * dstar) / (2.0 * np.pi ** 2))
+    return continuous, delta
+
+
 def kuznetsov_two_sides(n: int, m: int, phi: TestFunction, forms,
                         c_max: int = 100) -> KuznetsovReport:
     """Evaluate both sides of the trace formula for (n, m) over a given basis.
@@ -252,6 +274,10 @@ def kuznetsov_two_sides(n: int, m: int, phi: TestFunction, forms,
     lambda(n) lambda(m) phi(t_j) / L(1, sym^2 u_j) plus the continuous term
     int tau(n,t) tau(m,-t) / |zeta(1+2it)|^2 phi(t) dt / 2 pi, from one array
     call of ``zeta`` and one of ``tau_gen`` per index over all its t nodes.
+    The continuous and delta terms do not depend on c_max and are cached per
+    (n, m, phi) in ``_c_max_free_terms``; a test that changes what they are
+    computed from, such as ``zeta`` or ``tau_gen``, must call its
+    ``cache_clear()`` first.
     Geometric side: delta term plus the Kloosterman series to c_max, with the
     kernel integral of every c and every tail point from one
     ``kuznetsov_kernel_transform`` call.  The closure gap is dominated by
@@ -262,8 +288,8 @@ def kuznetsov_two_sides(n: int, m: int, phi: TestFunction, forms,
     """
     if n < 1 or m < 1:
         raise DomainError("kuznetsov_two_sides needs n, m >= 1")
-    t_cut = phi.support_cut
-    os = DEFAULT_POLICY.bessel_freq_oversample
+    if c_max < 1:
+        raise DomainError(f"kuznetsov_two_sides needs c_max >= 1, got {c_max}")
 
     discrete = 0.0
     for form in forms:
@@ -273,20 +299,10 @@ def kuznetsov_two_sides(n: int, m: int, phi: TestFunction, forms,
         discrete += (form.eigenvalue(n) * form.eigenvalue(m)
                      * float(phi(form.t)) / form.sym2_L1)
 
-    # continuous term: tau(n,t) tau(m,t) / |zeta(1+2it)|^2, even integrand.
-    # Each zero 1/2 + i gamma of zeta puts a pole at t = gamma/2 +- i/4, a
-    # quarter from the real line: panels of half-width 0.8 (bandwidth 8) leave
-    # the integral 1e-5 off, those of half-width 0.2 (bandwidth 32) 1e-15
-    nodes, wts = panel_nodes(0.0, t_cut, 32.0, os, min_panels=12)
-    zvals = np.abs(zeta(1.0 + 2j * nodes)) ** 2
-    taun = arith.tau_gen(n, nodes)
-    taum = arith.tau_gen(m, nodes)
-    continuous = float(2.0 * np.sum(wts * taun * taum / zvals * phi(nodes)) / (2.0 * np.pi))
+    continuous, delta = _c_max_free_terms(n, m, phi)
     spectral = discrete + continuous
 
     # geometric side
-    dstar = np.tanh(np.pi * nodes) * nodes * phi(nodes)
-    delta = float((1.0 if n == m else 0.0) * 2.0 * np.sum(wts * dstar) / (2.0 * np.pi ** 2))
     root = math.sqrt(n * m)
     # tail: Weil-bound envelope summed over a fixed absolute sampling grid.
     # It is not monotone in c_max: at width 8 it reads 8.854, 5.036, 6.037,

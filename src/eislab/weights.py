@@ -118,9 +118,10 @@ def _contour_apply(lnx: np.ndarray, sigma: float, edges: np.ndarray, cores) -> l
     between ``edges`` (``quadrature.edge_nodes``).
 
     x^(-w) = x^(-sigma) e^(-i lnx mid_p) e^(-i lnx half u_j) is factored by
-    panel (``quadrature._panel_exp``): (panels + 16) exponentials per x in
-    place of one per node.  x is taken 2048 at a time, which bounds the
-    memory.
+    panel (``quadrature._panel_exp``), and the panel factor again over
+    B = ceil(sqrt(panels)) block starts and offsets: (2B + 16) exponentials
+    per x in place of one per node.  x is taken 2048 at a time, which bounds
+    the memory.
     """
     mats = [np.reshape(c, (-1, _GL_ORDER)) for c in cores]
     outs = [np.empty(len(lnx), dtype=complex) for _ in cores]

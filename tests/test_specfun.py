@@ -16,6 +16,7 @@ from eislab.specfun import (
     bessel_k_scaled,
     digamma,
     kuznetsov_kernel_even_many,
+    kuznetsov_kernel_transform,
     log_gamma,
     phi_log,
     phi_log_deriv_critical,
@@ -340,6 +341,15 @@ class TestKuznetsovKernel:
             kuznetsov_kernel_even_many(-1.0, [3.0])
         with pytest.raises(DomainError):
             kuznetsov_kernel_even_many(1.0, [-3.0])
+
+    @pytest.mark.parametrize("which", ["x", "t", "a"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_transform_rejects_non_finite_inputs(self, which, bad):
+        args = {"xs": [0.5, 0.25], "ts": [0.0, 2.0, 4.0], "a": [1.0, 0.5, 0.25]}
+        key = {"x": "xs", "t": "ts", "a": "a"}[which]
+        args[key] = args[key][:-1] + [bad]
+        with pytest.raises(DomainError, match="finite"):
+            kuznetsov_kernel_transform(args["xs"], args["ts"], args["a"])
 
 
 def test_precision_policy_invariants():

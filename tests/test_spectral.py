@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from eislab import arith, oracles, spectral, weights
-from eislab.errors import MissingEigenvalueError, ValidationError
+from eislab.errors import DomainError, MissingEigenvalueError, ValidationError
 from eislab.quadrature import panel_nodes
-from eislab.specfun import kuznetsov_kernel_even_many, kuznetsov_kernel_transform
+from eislab.specfun import kuznetsov_kernel_even_many, kuznetsov_kernel_transform, zeta
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "maass_forms.csv"
 CS_TO_50 = tuple(sorted(set(range(1, 51))
@@ -253,6 +253,62 @@ class TestKuznetsov:
                                               c_max=c).tail_estimate
                  for c in (25, 50)]
         assert tails[1] <= tails[0]
+
+    @pytest.mark.parametrize("width", [-8.0, 0.0, math.nan, math.inf])
+    def test_test_function_width_must_be_finite_and_positive(self, width):
+        with pytest.raises(DomainError, match="width"):
+            spectral.TestFunction(width=width)
+
+    @pytest.mark.parametrize("c_max", [0, -3])
+    def test_c_max_below_one_rejected(self, fixture_forms, c_max):
+        phi = spectral.TestFunction(width=8.0)
+        with pytest.raises(DomainError, match="c_max"):
+            spectral.kuznetsov_two_sides(1, 1, phi, fixture_forms, c_max=c_max)
+
+
+class TestKuznetsovTermCache:
+    """The continuous and delta terms are computed once per (n, m, phi)."""
+
+    @pytest.fixture
+    def zeta_calls(self, monkeypatch):
+        calls = []
+
+        def counted(s):
+            calls.append(np.size(s))
+            return zeta(s)
+
+        spectral._c_max_free_terms.cache_clear()
+        monkeypatch.setattr(spectral, "zeta", counted)
+        yield calls
+        spectral._c_max_free_terms.cache_clear()
+
+    def test_another_c_max_makes_no_zeta_call(self, fixture_forms, zeta_calls):
+        phi = spectral.TestFunction(width=8.0)
+        spectral.kuznetsov_two_sides(1, 1, phi, fixture_forms, c_max=5)
+        assert len(zeta_calls) == 1
+        spectral.kuznetsov_two_sides(1, 1, phi, fixture_forms, c_max=10)
+        assert len(zeta_calls) == 1
+
+    def test_cached_terms_are_bit_identical(self, fixture_forms, zeta_calls):
+        phi = spectral.TestFunction(width=8.0)
+        first = spectral.kuznetsov_two_sides(1, 1, phi, fixture_forms, c_max=5)
+        cached = spectral.kuznetsov_two_sides(1, 1, phi, fixture_forms, c_max=10)
+        spectral._c_max_free_terms.cache_clear()
+        fresh = spectral.kuznetsov_two_sides(1, 1, phi, fixture_forms, c_max=10)
+        assert len(zeta_calls) == 2
+        for rep in (first, cached):
+            assert rep.continuous_term == fresh.continuous_term
+            assert rep.delta_term == fresh.delta_term
+        assert cached.spectral_side == fresh.spectral_side
+        assert cached.geometric_side == fresh.geometric_side
+
+    @pytest.mark.parametrize("n, m, width", [(1, 1, 8.5), (1, 2, 8.0), (2, 1, 8.0)])
+    def test_another_key_calls_zeta(self, fixture_forms, zeta_calls, n, m, width):
+        spectral.kuznetsov_two_sides(1, 1, spectral.TestFunction(width=8.0), fixture_forms,
+                                     c_max=5)
+        spectral.kuznetsov_two_sides(n, m, spectral.TestFunction(width=width), fixture_forms,
+                                     c_max=5)
+        assert len(zeta_calls) == 2
 
 
 class TestBesselTransform:

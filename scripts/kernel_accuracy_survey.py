@@ -24,8 +24,9 @@ def main() -> int:
     t0 = time.time()
     worst_k = 0.0
     # T = 104 and 106 straddle T = 104.8, above which the horizontal leg is
-    # empty; y = 1.5e-8 and 1e-4 are the small arguments of the Mellin paths
-    for T in (0.0, 5.0, 30.0, 100.0, 104.0, 106.0, 200.0, 300.0):
+    # empty; y = 1.5e-8 and 1e-4 are the small arguments of the Mellin paths,
+    # whose orders T <= 3 split the oscillatory real leg at y cosh u = 2T
+    for T in (0.0, 0.58, 1.0, 3.0, 5.0, 30.0, 100.0, 104.0, 106.0, 200.0, 300.0):
         small_y = (1.5e-8, 1e-4) if T <= 30.0 else ()
         ys = small_y + (0.5, 5.0, 0.6 * T + 1, max(T - 2, 1.0), T + 1, T + 30, 2 * T + 50)
         for y, got in zip(ys, bessel_k_scaled(T, np.array(ys))):

@@ -112,14 +112,24 @@ class ChebyshevTable:
 
     def __call__(self, x) -> np.ndarray:
         """The interpolant at an array of x in the table's span, by Clenshaw's
-        recurrence."""
+        recurrence; a complex table runs it on the real and imaginary parts,
+        which gives the complex recurrence's values at half its cost."""
         i = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.coefs.shape[1] - 1)
         a, b = self.edges[i], self.edges[i + 1]
         t = np.clip((x - 0.5 * (a + b)) / (0.5 * (b - a)), -1.0, 1.0)
-        b1 = b2 = np.zeros_like(t)
-        for ck in self.coefs[:0:-1]:
-            b1, b2 = ck[i] + 2.0 * t * b1 - b2, b1
-        return self.coefs[0][i] + t * b1 - b2
+        if np.iscomplexobj(self.coefs):
+            re, im = (np.ascontiguousarray(part) for part in (self.coefs.real, self.coefs.imag))
+            return _clenshaw(re, i, t) + 1j * _clenshaw(im, i, t)
+        return _clenshaw(self.coefs, i, t)
+
+
+def _clenshaw(coefs, i, t) -> np.ndarray:
+    """sum_k coefs[k, i] T_k(t), elementwise over i and t."""
+    t2 = 2.0 * t
+    b1 = b2 = np.zeros_like(t)
+    for ck in coefs[:0:-1]:
+        b1, b2 = ck[i] + t2 * b1 - b2, b1
+    return coefs[0][i] + t * b1 - b2
 
 
 def _k_table_edges(T: float, lo: float, hi: float) -> list:

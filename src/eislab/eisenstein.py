@@ -29,7 +29,8 @@ import numpy as np
 from scipy.special import kv as _kv_real
 
 from eislab.arith import sigma_complex_many, tau_gen_many
-from eislab.errors import ConvergenceError, DomainError
+from eislab.errors import DomainError
+from eislab.quadrature import _CHEB_TOL, _CHEB_Z, ChebyshevTable
 from eislab.specfun import (
     DEFAULT_POLICY,
     PrecisionPolicy,
@@ -61,75 +62,6 @@ def moment_y_max(setup: SpectralSetup) -> float:
     """Top of the moment grid: the modes of E_A are negligible above it."""
     T = setup.T
     return setup.A + (T + 20.0 * T ** (1.0 / 3.0)) / (2.0 * math.pi) + 5.0
-
-
-_CHEB_DEG = 24       # polynomial degree of every table panel
-_CHEB_TOL = 1e-14    # stop rule: a panel's last three coefficients, relative to the peak
-_CHEB_MIN_WIDTH = 2.0 ** -6  # far below the table's K_{iT} wavelengths, >= 34 / T
-_CHEB_THETA = np.pi * (np.arange(_CHEB_DEG + 1) + 0.5) / (_CHEB_DEG + 1)
-_CHEB_NODES = np.cos(_CHEB_THETA)
-_CHEB_FIT = (2.0 / (_CHEB_DEG + 1)) * np.cos(np.outer(np.arange(_CHEB_DEG + 1), _CHEB_THETA))
-_CHEB_FIT[0] *= 0.5
-# solves 2 |J_22(z)| = 1e-14: the coefficients of e^(i z t) on [-1, 1] are
-# 2 i^k J_k(z), so a panel of half-width z / omega on e^(i omega u) just meets the rule
-_CHEB_Z = 4.0873
-
-
-class ChebyshevTable:
-    """Piecewise degree-24 Chebyshev interpolant of f on [edges[0], edges[-1]],
-    starting from the seed partition ``edges``; f maps an array of points to
-    the array of its values.
-
-    Each level of pending panels is sampled in one f call.  A panel is kept
-    once its last three coefficients are at most 1e-14 of the peak |f| of
-    every sample so far (Trefethen, ATAP, ch. 8), and bisected into the next
-    level otherwise, so a seed that is too coarse costs one more level, never
-    accuracy; a failing panel narrower than 2^-6 raises ConvergenceError.
-    """
-
-    def __init__(self, f, edges):
-        a, b = np.asarray(edges[:-1], float), np.asarray(edges[1:], float)
-        lefts, coefs = [], []
-        self.peak = 0.0
-        while a.size:
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            vals = f(mid[:, None] + half[:, None] * _CHEB_NODES)
-            self.peak = max(self.peak, float(np.max(np.abs(vals))))
-            coef = vals @ _CHEB_FIT.T
-            ok = np.max(np.abs(coef[:, -3:]), axis=1) <= _CHEB_TOL * self.peak
-            stuck = ~ok & (b - a < _CHEB_MIN_WIDTH)
-            if stuck.any():
-                i = int(np.argmax(stuck))
-                raise ConvergenceError(f"Chebyshev table: panel [{a[i]:.17g}, {b[i]:.17g}] "
-                                       f"still fails the {_CHEB_TOL:.0e} coefficient rule")
-            lefts.append(a[ok])
-            coefs.append(coef[ok])
-            a, mid, b = a[~ok], mid[~ok], b[~ok]
-            a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        order = np.argsort(np.concatenate(lefts))
-        self.edges = np.append(np.concatenate(lefts)[order], edges[-1])
-        self.coefs = np.concatenate(coefs)[order].T  # (degree + 1, panels), for Clenshaw
-
-    def __call__(self, x) -> np.ndarray:
-        """The interpolant at an array of x in the table's span, by Clenshaw's
-        recurrence; a complex table runs it on the real and imaginary parts,
-        which gives the complex recurrence's values at half its cost."""
-        i = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.coefs.shape[1] - 1)
-        a, b = self.edges[i], self.edges[i + 1]
-        t = np.clip((x - 0.5 * (a + b)) / (0.5 * (b - a)), -1.0, 1.0)
-        if np.iscomplexobj(self.coefs):
-            re, im = (np.ascontiguousarray(part) for part in (self.coefs.real, self.coefs.imag))
-            return _clenshaw(re, i, t) + 1j * _clenshaw(im, i, t)
-        return _clenshaw(self.coefs, i, t)
-
-
-def _clenshaw(coefs, i, t) -> np.ndarray:
-    """sum_k coefs[k, i] T_k(t), elementwise over i and t."""
-    t2 = 2.0 * t
-    b1 = b2 = np.zeros_like(t)
-    for ck in coefs[:0:-1]:
-        b1, b2 = ck[i] + t2 * b1 - b2, b1
-    return coefs[0][i] + t * b1 - b2
 
 
 def _k_table_edges(T: float, lo: float, hi: float) -> list:

@@ -53,7 +53,7 @@ from eislab.eisenstein import (
     moment_y_max,
 )
 from eislab.errors import DegenerateParameterError, DomainError, ToleranceError
-from eislab.quadrature import _GL_ORDER, gl_nodes, pairwise_sum, panel_edges
+from eislab.quadrature import _GL_ORDER, OVERSAMPLE, gl_nodes, pairwise_sum, panel_edges
 from eislab.specfun import (
     DEFAULT_POLICY,
     PrecisionPolicy,
@@ -96,7 +96,7 @@ _REFINE = 2.0       # node-density factor of the Richardson comparison grid
 
 
 def build_grid(y_max: float, y_bandwidth, *, splits=(),
-               oversample: float = 8.0) -> QuadratureGrid:
+               oversample: float = OVERSAMPLE) -> QuadratureGrid:
     """Geometric y-strips with forced breakpoints, each cut into equal
     16-node panels (``quadrature.panel_edges``).
 
@@ -203,7 +203,7 @@ def _integrate_grid(row_fn, grid: QuadratureGrid):
 
 
 def integrate_rows(row_fn, y_max: float, *, y_bandwidth, splits=(),
-                   oversample: float = 8.0):
+                   oversample: float = OVERSAMPLE):
     """Integrate row integrals over F up to y_max with a refinement estimate.
 
     ``row_fn(ys)`` takes the array of a grid's y nodes and returns an
@@ -379,9 +379,7 @@ def real_s_pair_quadrature(s1: float, s2: float, A: float):
     """Quadrature of int_F E_A(z, s1) E_A(z, s2) dmu for real s in (1, 4]."""
     rows = _weighted_rows((RealSEvaluator(s1), RealSEvaluator(s2)),
                           lambda g1, g2: (g1 * g2)[None], 2, _sharp_cut(A))
-    val, est = integrate_rows(rows, A + 4.0,
-                              y_bandwidth=lambda y: 30.0 / y, splits=(A,),
-                              oversample=DEFAULT_POLICY.bessel_freq_oversample)
+    val, est = integrate_rows(rows, A + 4.0, y_bandwidth=lambda y: 30.0 / y, splits=(A,))
     return complex(val[0]), float(est[0])
 
 

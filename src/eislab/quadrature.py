@@ -1,10 +1,11 @@
-"""Composite Gauss-Legendre quadrature helpers.
+"""Composite Gauss-Legendre quadrature and Chebyshev tables.
 
 All oscillatory kernels in this package are integrated with fixed-order
 Gauss-Legendre panels whose width tracks the local bandwidth (oscillation
 frequency plus damping rate).  A 16-point panel spanning two wavelengths
-gives eight nodes per wavelength, which is spectrally convergent; the
-``oversample`` knob rescales the panel width for accuracy studies.
+gives ``OVERSAMPLE`` = 8 nodes per wavelength, spectrally convergent, the
+default of every panel rule, moment grid and ``PrecisionPolicy``.  Functions
+read far more often than sampled (K_{iT}, the AFE weights) are tabulated.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from functools import cache
 
 import numpy as np
 
+from eislab.errors import ConvergenceError
+
 _GL_ORDER = 16
+OVERSAMPLE = 8.0  # nodes per wavelength of every panel rule
 
 
 @cache  # unbounded: the orders in use are 16 and 48
@@ -30,14 +34,14 @@ def gl_nodes(a: float, b: float, order: int):
     return mid + half * x, half * w
 
 
-def panel_count(a, b, bandwidth, oversample: float = 8.0, min_panels: int = 2):
+def panel_count(a, b, bandwidth, oversample: float = OVERSAMPLE, min_panels: int = 2):
     """Number of equal 16-node panels on [a, b] that carry at least
     ``oversample`` nodes per wavelength of ``bandwidth``; elementwise."""
     width = 2.0 * np.pi * _GL_ORDER / (oversample * np.maximum(bandwidth, 1.0))
     return np.maximum(min_panels, np.ceil((b - a) / width).astype(int))
 
 
-def panel_nodes(a: float, b: float, bandwidth: float, oversample: float = 8.0,
+def panel_nodes(a: float, b: float, bandwidth: float, oversample: float = OVERSAMPLE,
                 min_panels: int = 2):
     """Composite 16-point GL nodes on [a, b] resolving a given bandwidth.
 
@@ -51,13 +55,13 @@ def panel_nodes(a: float, b: float, bandwidth: float, oversample: float = 8.0,
     return edge_nodes(panel_edges(a, b, bandwidth, oversample, min_panels))
 
 
-def panel_edges(a: float, b: float, bandwidth: float, oversample: float = 8.0,
+def panel_edges(a: float, b: float, bandwidth: float, oversample: float = OVERSAMPLE,
                 min_panels: int = 2) -> np.ndarray:
     """The panel edges of ``panel_nodes`` on [a, b], b > a."""
     return np.linspace(a, b, int(panel_count(a, b, bandwidth, oversample, min_panels)) + 1)
 
 
-def ragged_panel_nodes(a, b, bandwidth, oversample: float = 8.0):
+def ragged_panel_nodes(a, b, bandwidth, oversample: float = OVERSAMPLE):
     """``panel_nodes`` on many intervals [a_i, b_i] at once.
 
     Returns the nodes and weights of every interval, concatenated, and the
@@ -134,6 +138,82 @@ def _panel_exp(edges, k, unit=1.0):
         s, e = _two_sum(block[0], off[:block.size])
         em[i:i + B] = fb[q] * fo[:block.size] * (1.0 + unit * np.outer((block - s) - e, k))
     return em, np.exp(unit * np.outer(0.5 * width * _gl_rule(_GL_ORDER)[0], k))
+
+
+_CHEB_DEG = 24       # polynomial degree of every table panel
+_CHEB_TOL = 1e-14    # stop rule: a panel's last three coefficients, relative to the peak
+_CHEB_MIN_WIDTH = 2.0 ** -6  # far below the K_{iT} table's wavelengths, >= 34 / T
+_CHEB_THETA = np.pi * (np.arange(_CHEB_DEG + 1) + 0.5) / (_CHEB_DEG + 1)
+_CHEB_NODES = np.cos(_CHEB_THETA)
+_CHEB_FIT = (2.0 / (_CHEB_DEG + 1)) * np.cos(np.outer(np.arange(_CHEB_DEG + 1), _CHEB_THETA))
+_CHEB_FIT[0] *= 0.5
+# solves 2 |J_22(z)| = 1e-14: the coefficients of e^(i z t) on [-1, 1] are
+# 2 i^k J_k(z), so a panel of half-width z / omega on e^(i omega u) just meets the rule
+_CHEB_Z = 4.0873
+
+
+class ChebyshevTable:
+    """Piecewise degree-24 Chebyshev interpolant of f on [edges[0], edges[-1]],
+    starting from the seed partition ``edges``; f maps a 1-d array of points
+    to the array of its values, or of its values along a second axis of
+    components, which share the panels.
+
+    Each level of pending panels is sampled in one f call.  A panel is kept
+    once, for every component, its last three coefficients are at most 1e-14
+    of that component's peak |f| over every sample so far (Trefethen, ATAP,
+    ch. 8), and bisected into the next level otherwise, so a seed that is too
+    coarse costs one more level, never accuracy; a failing panel narrower
+    than 2^-6 raises ConvergenceError.
+    """
+
+    def __init__(self, f, edges):
+        a, b = np.asarray(edges[:-1], float), np.asarray(edges[1:], float)
+        lefts, coefs = [], []
+        self.peak = 0.0
+        while a.size:
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            vals = f((mid[:, None] + half[:, None] * _CHEB_NODES).ravel())
+            self.shape, self.dtype = vals.shape[1:], np.result_type(vals, float)
+            self.peak = np.maximum(self.peak, np.max(np.abs(vals), axis=0))
+            # every real part (re, im interleaved) in one fit: (panels, parts, degree + 1)
+            parts = np.ascontiguousarray(vals, self.dtype).reshape(a.size, _CHEB_DEG + 1, -1)
+            coef = (np.moveaxis(parts.view(float), 2, 1).reshape(-1, _CHEB_DEG + 1)
+                    @ _CHEB_FIT.T).reshape(a.size, -1, _CHEB_DEG + 1)
+            tail = np.abs(coef[..., -3:])
+            tail = np.hypot(tail[:, ::2], tail[:, 1::2]) if self.dtype == complex else tail
+            ok = np.all(np.max(tail, axis=2) <= _CHEB_TOL * self.peak, axis=1)
+            stuck = ~ok & (b - a < _CHEB_MIN_WIDTH)
+            if stuck.any():
+                i = int(np.argmax(stuck))
+                raise ConvergenceError(f"Chebyshev table: panel [{a[i]:.17g}, {b[i]:.17g}] "
+                                       f"still fails the {_CHEB_TOL:.0e} coefficient rule")
+            lefts.append(a[ok])
+            coefs.append(coef[ok])
+            a, mid, b = a[~ok], mid[~ok], b[~ok]
+            a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        order = np.argsort(np.concatenate(lefts))
+        self.edges = np.append(np.concatenate(lefts)[order], edges[-1])
+        # one contiguous (degree + 1, panels) block per real part, for Clenshaw
+        self.coefs = np.ascontiguousarray(np.concatenate(coefs)[order].transpose(1, 2, 0))
+
+    def __call__(self, x) -> np.ndarray:
+        """The interpolant at an array of x in the table's span, components
+        along a trailing axis, by Clenshaw's recurrence on each real part."""
+        i = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.edges.size - 2)
+        a, b = self.edges[i], self.edges[i + 1]
+        t = np.clip((x - 0.5 * (a + b)) / (0.5 * (b - a)), -1.0, 1.0)
+        parts = [_clenshaw(c, i, t) for c in self.coefs]
+        out = parts[0] if len(parts) == 1 else np.stack(parts, axis=-1).view(self.dtype)
+        return out.reshape(np.shape(x) + self.shape)
+
+
+def _clenshaw(coefs, i, t) -> np.ndarray:
+    """sum_k coefs[k, i] T_k(t), elementwise over i and t."""
+    t2 = 2.0 * t
+    b1 = b2 = np.zeros_like(t)
+    for ck in coefs[:0:-1]:
+        b1, b2 = ck[i] + t2 * b1 - b2, b1
+    return coefs[0][i] + t * b1 - b2
 
 
 def pairwise_sum(values) -> complex:

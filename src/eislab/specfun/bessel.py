@@ -116,7 +116,6 @@ _BLOCK = 64         # y values per ragged batch, which bounds the transient node
 
 
 def _k_scaled_oscillatory(T: float, y: np.ndarray, policy: PrecisionPolicy) -> np.ndarray:
-    os = policy.bessel_freq_oversample
     M = max(2.0 * T, 30.0)
     u1 = np.arccosh(np.maximum(M / y, 1.0))  # 0 where M <= y: no real leg
     # the real leg in two pieces, at y cosh u2 = 2T: the phase rate
@@ -131,7 +130,7 @@ def _k_scaled_oscillatory(T: float, y: np.ndarray, policy: PrecisionPolicy) -> n
     n, w, i = ragged_panel_nodes(
         np.concatenate([zero, u2, zero, u1]), np.concatenate([u2, u1, zero + np.pi / 2, xmax]),
         np.concatenate([zero + max(T, 8.0), zero + max(T, M - T), y * np.sinh(u1) + T,
-                        T + y * np.sinh(xmax)]), os)
+                        T + y * np.sinh(xmax)]), policy.bessel_freq_oversample)
     cuts = np.searchsorted(i, [2 * k, 3 * k])
     (n, nv, nh), (w, wv, wh), (i, iv, ih) = (np.split(v, cuts) for v in (n, w, i))
     iv, ih = iv - 2 * k, ih - 3 * k
@@ -216,12 +215,11 @@ def kuznetsov_kernel_even_many(x: float, ts):
     if (ts < 0).any():
         raise DomainError("t array must be nonnegative (kernel is even in t)")
     w = 4.0 * np.pi * x
-    os = DEFAULT_POLICY.bessel_freq_oversample
     tmax = float(np.max(ts))
     s1 = _contour(w, tmax)
     total = np.zeros_like(ts, dtype=float)
     # real leg
-    n, wt = panel_nodes(0.0, s1, w * np.sinh(s1) + 2.0 * tmax, os)
+    n, wt = panel_nodes(0.0, s1, w * np.sinh(s1) + 2.0 * tmax)
     wc = w * np.cosh(n)
     c2 = np.cos(np.outer(ts, 2.0 * n))
     # cos(wc + 2ts) + cos(wc - 2ts) = 2 cos(wc) cos(2ts)
@@ -231,7 +229,7 @@ def kuznetsov_kernel_even_many(x: float, ts):
     # leg factor and the per-t phase can individually leave double range at
     # large t even though their product never does.
     for sg in (+1.0, -1.0):
-        n, wt = panel_nodes(0.0, np.pi / 2, w * np.cosh(s1) + 2.0 * tmax, os)
+        n, wt = panel_nodes(0.0, np.pi / 2, w * np.cosh(s1) + 2.0 * tmax)
         zz = s1 + 1j * n
         expo = (1j * w * np.cosh(zz))[None, :] + 1j * sg * 2.0 * np.outer(ts, zz)
         total += np.real(np.exp(expo) @ (1j * wt))
@@ -246,14 +244,12 @@ def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
         raise DomainError("kuznetsov_kernel_transform needs finite x, t and a")
     if (xs <= 0.0).any() or (ts < 0).any():
         raise DomainError("kuznetsov_kernel_transform needs x > 0 and t >= 0")
-    os = DEFAULT_POLICY.bessel_freq_oversample
     tmax = float(np.max(ts))
     ws = 4.0 * np.pi * xs
     raw = np.array([_contour(w, tmax) for w in ws])
     # real leg: one panel grid for every x, 10 % above the widest bandwidth
     # w cosh(s1) + 2 tmax, each s1 rounded up to one of its panel edges
-    edges = panel_edges(0.0, float(raw.max()), 1.1 * (float(np.max(ws * np.cosh(raw)))
-                                                      + 2.0 * tmax), os)
+    edges = panel_edges(0.0, float(raw.max()), 1.1 * (np.max(ws * np.cosh(raw)) + 2.0 * tmax))
     n, wt = edge_nodes(edges)
     s1 = np.array([_contour(w, tmax, edges) for w in ws])
     em, ex = _panel_exp(edges, 2.0 * ts, 1j)
@@ -263,7 +259,7 @@ def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
     # vertical legs s1 + i r: sum_t a_t e^(i sg 2t(s1 + ir)) = (B @ e^(i sg 2t s1))[r]
     # with B[r, t] = a_t e^(-sg 2tr), factored by panel; the growing sign's rows
     # carry e^(-2 tmax r), so |B| <= |a|, and the leg factor takes e^(2 tmax r) back
-    r_edges = panel_edges(0.0, np.pi / 2, float(np.max(ws * np.cosh(s1))) + 2.0 * tmax, os)
+    r_edges = panel_edges(0.0, np.pi / 2, float(np.max(ws * np.cosh(s1))) + 2.0 * tmax)
     r, wr = edge_nodes(r_edges)
     phase = np.exp(2j * np.outer(ts, s1))
     arg = 1j * ws[:, None] * np.cosh(s1[:, None] + 1j * r[None, :])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from eislab.quadrature import OVERSAMPLE
+
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
@@ -13,7 +15,7 @@ class PrecisionPolicy:
         Quadrature nodes per oscillation period in the Bessel kernels.
     """
 
-    bessel_freq_oversample: float = 8.0
+    bessel_freq_oversample: float = OVERSAMPLE
 
     def __post_init__(self):
         if self.bessel_freq_oversample < 4.0:

@@ -29,15 +29,13 @@ from typing import NamedTuple
 import numpy as np
 
 from eislab import arith
-from eislab.eisenstein import ChebyshevTable
 from eislab.errors import (
     DomainError,
     MissingEigenvalueError,
     ValidationError,
 )
-from eislab.quadrature import panel_nodes
+from eislab.quadrature import ChebyshevTable, panel_nodes
 from eislab.specfun import (
-    DEFAULT_POLICY,
     kuznetsov_kernel_transform,
     log_gamma,
     scattering,
@@ -174,22 +172,14 @@ def afe_cutoff(t: float, T: float, a: float, tail_tol: float,
 
 def _afe_weights(n_need: int, t: float, T: float, a: float, sigma: float,
                  smoother: float):
-    """(V_plus, V_minus) at x = 1..n_need, each read off a ``ChebyshevTable``
-    in log x on [0, log n_need] that samples ``contour_weights``: V_pm are
-    smooth in log x, so a few panels replace one contour sum per x.  The two
-    tables start from the same seed panels, and a level of nodes that both
-    sample is summed once for both signs."""
-    sums = {}
-
-    def sample(u, j):
-        key = u.tobytes()
-        if key not in sums:
-            sums[key] = contour_weights(np.exp(u.ravel()), t, T, a, sigma, smoother)
-        return sums[key][j].reshape(u.shape)
-
-    edges = np.linspace(0.0, math.log(n_need), 5)
-    lnx = np.log(np.arange(1, n_need + 1))
-    return tuple(ChebyshevTable(lambda u, j=j: sample(u, j), edges)(lnx) for j in (0, 1))
+    """(V_plus, V_minus) at x = 1..n_need, read off one two-component
+    ``ChebyshevTable`` in log x on [0, log n_need] of ``contour_weights``:
+    V_pm are smooth in log x, so one contour sum per table level, for both
+    signs, replaces one per x."""
+    table = ChebyshevTable(
+        lambda u: np.stack(contour_weights(np.exp(u), t, T, a, sigma, smoother), axis=-1),
+        np.linspace(0.0, math.log(n_need), 5))
+    return table(np.log(np.arange(1, n_need + 1))).T
 
 
 def afe_pair(form: MaassForm, T: float, sigma: float = 1.0, *, tail_tol: float = 1e-7,
@@ -202,30 +192,27 @@ def afe_pair(form: MaassForm, T: float, sigma: float = 1.0, *, tail_tol: float =
     contour runs on Re w = ``sigma``, up to a height set by the smoother.  The
     double sum is truncated where the Gaussian contour budget puts the weights
     below ``tail_tol``; the form must carry eigenvalues out to that cutoff.
-    The weights at the integers x <= cutoff are read off one Chebyshev table
-    in log x per sign (``_afe_weights``), within 1e-13 of the peak weight of
-    one contour sum per x.
+    The weights at the integers x <= cutoff are read off one two-component
+    Chebyshev table in log x (``_afe_weights``), within 1e-13 of the peak
+    weight of one contour sum per x, and the double sum is one gather over
+    every (k, n) with k^2 n <= cutoff.
     """
     a = 0.5 if form.parity == "even" else 1.5
     t = form.t
-    X = afe_cutoff(t, T, a, tail_tol, smoother)
-    n_need = int(X)
+    n_need = int(afe_cutoff(t, T, a, tail_tol, smoother))
     # a missing lambda(n), n <= n_need, raises before any weight is computed
     lam = form.eigenvalues(n_need)
-    # every x = k^2 n <= n_need is an integer, so the weights are indexed by x - 1
-    xs = np.arange(1, n_need + 1)
     vp, vm = _afe_weights(n_need, t, T, a, sigma, smoother)
-    coef = lam * arith.tau_gen_many(n_need, T)[1:]
-    ph_n = np.exp((-0.5 + 1j * T) * np.log(xs))
-    total = 0.0 + 0.0j
-    for k in range(1, math.isqrt(n_need) + 1):
-        m = n_need // (k * k)
-        at = k * k * xs[:m] - 1
-        kfac_p = np.exp((-1.0 + 2j * T) * math.log(k))
-        kfac_m = np.exp((-1.0 - 2j * T) * math.log(k))
-        total += kfac_p * np.sum(coef[:m] * ph_n[:m] * vp[at])
-        total += kfac_m * np.sum(coef[:m] * np.conj(ph_n[:m]) * vm[at])
-    return complex(total)
+    coef = lam * arith.tau_gen_many(n_need, T)[1:] \
+        * np.exp((-0.5 + 1j * T) * np.log(np.arange(1, n_need + 1)))
+    # every (k, n) with x = k^2 n <= n_need, as the indices n - 1 and x - 1
+    ks = np.arange(1, math.isqrt(n_need) + 1)
+    m = n_need // (ks * ks)
+    n = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    at = np.repeat(ks * ks, m) * (n + 1) - 1
+    # the minus sum's coefficients are the conjugates of the plus sum's
+    plus = np.repeat(np.exp((-1.0 + 2j * T) * np.log(ks)), m) * coef[n]
+    return complex(np.sum(plus * vp[at]) + np.sum(np.conj(plus) * vm[at]))
 
 
 def zeta_product_oracle(gamma: float, T: float) -> complex:
@@ -277,7 +264,7 @@ def _kernel_weights(phi: TestFunction, x_min: float):
     x >= x_min, resolving the kernel's t-phase rate 2 asinh(2t/w), w = 4 pi x_min."""
     t_cut = phi.support_cut
     bw = 2.0 * float(np.arcsinh(2.0 * t_cut / (4.0 * math.pi * x_min))) + 10.0
-    nn, ww = panel_nodes(0.0, t_cut, bw, DEFAULT_POLICY.bessel_freq_oversample, min_panels=10)
+    nn, ww = panel_nodes(0.0, t_cut, bw, min_panels=10)
     return nn, 2.0 * ww * np.tanh(np.pi * nn) * nn * phi(nn) / (2.0 * np.pi)
 
 
@@ -289,8 +276,7 @@ def _c_max_free_terms(n: int, m: int, phi: TestFunction) -> tuple[float, float]:
     # Each zero 1/2 + i gamma of zeta puts a pole at t = gamma/2 +- i/4, a
     # quarter from the real line: panels of half-width 0.8 (bandwidth 8) leave
     # the integral 1e-5 off, those of half-width 0.2 (bandwidth 32) 1e-15
-    nodes, wts = panel_nodes(0.0, phi.support_cut, 32.0,
-                             DEFAULT_POLICY.bessel_freq_oversample, min_panels=12)
+    nodes, wts = panel_nodes(0.0, phi.support_cut, 32.0, min_panels=12)
     zvals = np.abs(zeta(1.0 + 2j * nodes)) ** 2
     taun = arith.tau_gen(n, nodes)
     taum = arith.tau_gen(m, nodes)
@@ -341,8 +327,9 @@ def kuznetsov_two_sides(n: int, m: int, phi: TestFunction, forms,
     # tail: Weil-bound envelope summed over a fixed absolute sampling grid.
     # It is not monotone in c_max: at width 8 it reads 8.854, 5.036, 6.037,
     # 7.357 and 4.674 at c_max 10, 20, 25, 40 and 50 (ROADMAP item 2; the
-    # benchmark's tests pin this as a strict xfail)
-    grid = [int(math.ceil(8 * 1.2 ** k)) for k in range(40)]
+    # benchmark's tests pin this as a strict xfail).  k runs until 8 (1.2)^k
+    # passes 16 c_max, so (c_max, 16 c_max] holds grid points at every c_max
+    grid = [int(math.ceil(8 * 1.2 ** k)) for k in range(int(math.log(2 * c_max, 1.2)) + 2)]
     grid = sorted({c for c in grid if c_max < c <= 16 * c_max})
     kl = {c: arith.kloosterman(n, m, c) for c in range(1, c_max + 1)}
     cs = [c for c, S in kl.items() if S != 0.0] + grid
@@ -355,10 +342,9 @@ def kuznetsov_two_sides(n: int, m: int, phi: TestFunction, forms,
     tail = 0.0
     for lo, hi in zip(grid[:-1], grid[1:]):
         tail += arith.weil_bound(n, m, lo) / lo * abs(kernel_integral[lo]) * (hi - lo)
-    if grid:
-        last = grid[-1]
-        # geometric-envelope remainder past the sampled range
-        tail += 4.0 * arith.weil_bound(n, m, last) / last * abs(kernel_integral[last]) * last
+    # geometric-envelope remainder past the sampled range
+    last = grid[-1]
+    tail += 4.0 * arith.weil_bound(n, m, last) / last * abs(kernel_integral[last]) * last
 
     scale = max(abs(spectral), abs(geometric), 1e-30)
     return KuznetsovReport(
@@ -443,21 +429,20 @@ def bessel_transform_check(x: float, T: float, alpha: float,
         raise DomainError("bessel_transform_check needs x, T > 0")
     Z = z_window if z_window is not None else ZWindow(alpha=alpha, T=T)
     lo, hi = Z.support
-    os = DEFAULT_POLICY.bessel_freq_oversample
 
     # direct side: t in (lo T, hi T); kernel phase rate 2 asinh(2t/w) plus Z
     w_arg = 2.0 * math.pi * x
     bw = 2.0 * float(np.arcsinh(2.0 * hi * T / w_arg)) + 24.0 / (_z_structure_scale(Z) * T)
     # (J_{2it} - J_{-2it})(2 pi x) / cosh(pi t) is -i tanh(pi t) times the
     # even Kuznetsov kernel at x/2
-    nodes, wts = panel_nodes(lo * T, hi * T, bw, os, min_panels=12)
+    nodes, wts = panel_nodes(lo * T, hi * T, bw, min_panels=12)
     direct = complex(-1j * kuznetsov_kernel_transform(
         [x / 2.0], nodes, wts * np.tanh(np.pi * nodes) * Z(nodes / T) * nodes)[0])
 
     # stationary-phase main term, in the scaled variable
     lam = T * T / (math.pi * x)          # phase = -lam u^2 from e(-u^2 T^2 / 2 pi^2 x)
     bw_u = 2.0 * lam * hi + 24.0 / _z_structure_scale(Z)
-    un, uw = panel_nodes(lo, hi, bw_u, os, min_panels=12)
+    un, uw = panel_nodes(lo, hi, bw_u, min_panels=12)
     inner = complex(np.sum(uw * un * Z(un) * np.exp(-1j * lam * un * un)))
     phase_x = np.exp(2j * math.pi * x)
     main = (-1j * math.sqrt(2.0) / math.pi) * (T * T / math.sqrt(x)) \

@@ -153,8 +153,7 @@ def bump_transform(s, bump: Bump):
     # equal panels in v are ~3x wider in A at the top of the support than at
     # its foot, so h-tilde(1) needs the floor of 24 (10 leaves 7e-10 of hhat0)
     bw = float(np.max(np.abs(s.imag))) + abs(re[0] - 1.0) + 24.0 * hi / bump.half_width
-    edges = panel_edges(math.log(math.pi * lo), math.log(math.pi * hi), bw,
-                        DEFAULT_POLICY.bessel_freq_oversample, min_panels=24)
+    edges = panel_edges(math.log(math.pi * lo), math.log(math.pi * hi), bw, min_panels=24)
     v, wts = edge_nodes(edges)
     A = np.exp(v) / math.pi
     vals, = _contour_apply(-s.imag.ravel(), 0.0, edges,
@@ -254,14 +253,12 @@ def contour_weights(xs: np.ndarray, t: float, T: float, a: float, sigma: float,
     height = max(10.0, math.sqrt(46.0 / smoother + sigma * sigma) + 3.0)
     lnx = np.log(xs)
     bw = float(np.max(lnx)) + 2.0 * sigma * smoother + 4.0
-    edges = panel_edges(-height, height, bw, DEFAULT_POLICY.bessel_freq_oversample,
-                        min_panels=8)
+    edges = panel_edges(-height, height, bw, min_panels=8)
     nodes, wts = edge_nodes(edges)
     w = sigma + 1j * nodes
     cores = [np.exp(smoother * w * w + _g_ratio_log(w, t, T, a, sT)) / w * (wts / (2.0 * np.pi))
              for sT in (+1.0, -1.0)]
-    vp, vm = _contour_apply(lnx, sigma, edges, cores)
-    return vp, vm
+    return tuple(_contour_apply(lnx, sigma, edges, cores))
 
 
 def weight_V_pm(x, t: float, T: float, parity: str = "even", sigma: float = 1.0):
@@ -309,8 +306,7 @@ def weight_Vcal_pm(x, t: float, T: float, bump: Bump, sigma: float = 0.75) -> Vc
     vmax = min(h_cap, gamma_cap)
     lx_max = float(np.max(np.log(np.maximum(xv, 1.0))))
     bw = lx_max + 24.0 / bump.half_width + 12.0
-    edges = panel_edges(-vmax, vmax, bw, DEFAULT_POLICY.bessel_freq_oversample,
-                        min_panels=16)
+    edges = panel_edges(-vmax, vmax, bw, min_panels=16)
     nodes, wts = edge_nodes(edges)
     s = sigma + 1j * nodes
     plus_i, minus_i = weight_Hcal_pm(s, t, T, bump)
@@ -368,7 +364,7 @@ def leading_terms(s: complex, t: float, T: float, bump: Bump) -> LeadingTerms:
 # the g(x) <-> G(s) Mellin pair from a product of two K-Bessel factors
 # ---------------------------------------------------------------------------
 
-def _scaled_kk(y, T: float, t: float, policy: PrecisionPolicy):
+def _scaled_kk(y, T: float, t: float, policy: PrecisionPolicy = DEFAULT_POLICY):
     """e^(pi(T+t)/2) K_{iT}(y) K_{it}(y) at an array of y."""
     return bessel_k_scaled(T, y, policy) * bessel_k_scaled(t, y, policy)
 
@@ -408,13 +404,12 @@ def g_mellin_numeric(s: complex, T: float, t: float) -> complex:
     s = complex(s)
     if s.real <= 0:
         raise DomainError("the g-transform converges for Re(s) > 0")
-    over = DEFAULT_POLICY.bessel_freq_oversample
     nodes, wts = panel_nodes(-32.0, math.log(max(T, t) + 40.0), max(abs(s.imag), 2.0) + 2.0,
-                             over, min_panels=28)
-    inner = panel_edges(-32.0, math.log(max(T, t) + 55.0), 2.0 * T + t + 3.0, over)
+                             min_panels=28)
+    inner = panel_edges(-32.0, math.log(max(T, t) + 55.0), 2.0 * T + t + 3.0)
     edges = np.union1d(nodes, inner)
     v, vw = edge_nodes(edges)
-    vals = vw * _scaled_kk(np.exp(v), T, t, DEFAULT_POLICY) * np.exp((0.5 + 1j * T) * v)
+    vals = vw * _scaled_kk(np.exp(v), T, t) * np.exp((0.5 + 1j * T) * v)
     above = np.cumsum(np.sum(vals.reshape(-1, _GL_ORDER), axis=1)[::-1])[::-1]
     g = np.exp(-0.5 * np.pi * (T + t)) * above[np.searchsorted(edges, nodes)]
     return complex(np.sum(wts * g * np.exp(s * nodes)))
@@ -434,9 +429,9 @@ def mellin_barnes_kk_numeric(s: complex, T: float, t: float) -> complex:
         raise DomainError("the double-Bessel Mellin integral needs Re(s) > 0")
     u_hi = math.log(max(T, t, 1.0) + 55.0)
     bw = max(abs(s.imag), 2.0) + T + t + 3.0
-    nodes, wts = panel_nodes(-18.0, u_hi, bw, DEFAULT_POLICY.bessel_freq_oversample)
+    nodes, wts = panel_nodes(-18.0, u_hi, bw)
     x = np.exp(nodes)
-    vals = _scaled_kk(x, T, t, DEFAULT_POLICY) * np.exp(s * nodes)
+    vals = _scaled_kk(x, T, t) * np.exp(s * nodes)
     return complex(np.exp(-0.5 * np.pi * (T + t)) * np.sum(wts * vals))
 
 

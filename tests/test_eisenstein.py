@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from eislab import eisenstein, moments
+from eislab import eisenstein, moments, quadrature
 from eislab.eisenstein import (
-    ChebyshevTable,
     EisensteinEvaluator,
     RealSEvaluator,
     SpectralSetup,
@@ -16,6 +15,7 @@ from eislab.eisenstein import (
     moment_y_max,
 )
 from eislab.errors import ConvergenceError, DomainError
+from eislab.quadrature import ChebyshevTable
 from eislab.specfun import bessel_k_scaled, xi_log
 
 from helpers import eval_E_independent, lattice_sum_reference, truncated_value
@@ -133,7 +133,7 @@ class TestBesselTable:
     def test_wavelength_constant_meets_the_stop_rule(self):
         # a degree-24 fit of e^(i z t) on [-1, 1] has last coefficient
         # moduli 2 |J_22(z)|, 2 |J_23(z)|, 2 |J_24(z)|
-        assert 2 * abs(jv(22, eisenstein._CHEB_Z)) == pytest.approx(1e-14, rel=1e-3)
+        assert 2 * abs(jv(22, quadrature._CHEB_Z)) == pytest.approx(1e-14, rel=1e-3)
 
     def test_jump_raises_instead_of_bisecting_forever(self):
         assert ChebyshevTable(np.sin, [1.0, 2.0])(np.array([1.5]))[0] == \

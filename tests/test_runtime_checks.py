@@ -3,7 +3,8 @@
 ``assert`` statements are stripped under -O, so every check the package
 makes at run time must raise a typed ``eislab.errors`` exception instead.
 The same source scan keeps ``policy`` off public functions whose callers
-all use the default, and keeps every public name reachable from a command.
+all use the default, keeps calls from restating the default oversampling,
+and keeps every public name reachable from a command.
 """
 
 import ast
@@ -46,6 +47,18 @@ def test_policy_parameter_only_where_a_caller_varies_it():
             if public and "policy" in {a.arg for a in params}:
                 takers.add(name)
     assert takers == POLICY_TAKERS
+
+
+def test_no_call_restates_the_default_oversampling():
+    # the panel rules, the moment grids and PrecisionPolicy share one default,
+    # quadrature.OVERSAMPLE; DEFAULT_POLICY.bessel_freq_oversample restates it
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "bessel_freq_oversample"
+                  and isinstance(node.value, ast.Name) and node.value.id == "DEFAULT_POLICY"]
+    assert not found, "pass nothing for the default oversampling: " + ", ".join(found)
 
 
 def test_package_has_no_assert_statements():

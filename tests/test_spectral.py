@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eislab import arith, oracles, spectral, weights
+from eislab import arith, oracles, quadrature, spectral, weights
 from eislab.errors import DomainError, MissingEigenvalueError, ValidationError
 from eislab.quadrature import panel_nodes
 from eislab.specfun import kuznetsov_kernel_even_many, kuznetsov_kernel_transform, zeta
@@ -159,6 +159,53 @@ class TestAFE:
         for table, ref in zip(spectral._afe_weights(n_need, t, T, a, 1.0, 1.0), direct):
             assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("T", [3.0, 10.0])
+    def test_double_sum_matches_a_loop_over_k(self, pseudoform, T):
+        # the one gather over every k^2 n <= n_need against a sum per k on the
+        # same weights; only the summation order differs
+        t, a = pseudoform.t, 0.5
+        n_need = int(spectral.afe_cutoff(t, T, a, 1e-7))
+        vp, vm = spectral._afe_weights(n_need, t, T, a, 1.0, 1.0)
+        xs = np.arange(1, n_need + 1)
+        coef = pseudoform.eigenvalues(n_need) * arith.tau_gen_many(n_need, T)[1:] \
+            * np.exp((-0.5 + 1j * T) * np.log(xs))
+        ref, scale = 0.0, 0.0
+        for k in range(1, math.isqrt(n_need) + 1):
+            m = n_need // (k * k)
+            at = k * k * xs[:m] - 1
+            kf = np.exp((-1.0 + 2j * T) * math.log(k)) * coef[:m]
+            terms = np.concatenate([kf * vp[at], np.conj(kf) * vm[at]])
+            ref += np.sum(terms)
+            scale += np.sum(np.abs(terms))
+        assert abs(spectral.afe_pair(pseudoform, T) - ref) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("T", [3.0, 10.0])
+    @pytest.mark.parametrize("tail_tol", [1e-7, 1e-10])
+    def test_weight_table_sums_each_level_once(self, monkeypatch, T, tail_tol):
+        # one contour sum per table level for both signs, and no panel sampled
+        # twice: each sampled panel is kept or bisected once, so a table grown
+        # from 4 seed panels to P sampled 2 P - 4 of them
+        calls, tables = [], []
+
+        def counted(xs, *args):
+            calls.append(np.size(xs))
+            return weights.contour_weights(xs, *args)
+
+        class Recorded(quadrature.ChebyshevTable):
+            def __init__(self, f, edges):
+                super().__init__(f, edges)
+                tables.append(self)
+
+        monkeypatch.setattr(spectral, "contour_weights", counted)
+        monkeypatch.setattr(spectral, "ChebyshevTable", Recorded)
+        n_need = int(spectral.afe_cutoff(13.78, T, 0.5, tail_tol))
+        spectral._afe_weights(n_need, 13.78, T, 0.5, 1.0, 1.0)
+        table, = tables
+        panels = np.diff(table.edges)
+        levels = 1 + round(math.log2(math.log(n_need) / 4 / panels.min()))
+        assert len(calls) == levels
+        assert sum(calls) == 25 * (2 * panels.size - 4)
+
     def test_eigenvalue_gap_guarded(self, monkeypatch):
         # the data reach past the cutoff (13,284 at T = 3) but lack lambda(7):
         # the gap raises before any contour weight is computed
@@ -264,6 +311,15 @@ class TestKuznetsov:
                                               c_max=c).tail_estimate
                  for c in (25, 50)]
         assert tails[1] <= tails[0]
+
+    def test_tail_is_sampled_at_large_c_max(self, monkeypatch):
+        # the tail grid runs past 16 c_max: one that stopped at c = 9,799 left
+        # (c_max, 16 c_max] empty from c_max = 9,799 on, and the tail read 0.0.
+        # A Kloosterman series of one term keeps the call cheap
+        monkeypatch.setattr(spectral.arith, "kloosterman",
+                            lambda n, m, c: 1.0 if c == 1 else 0.0)
+        phi = spectral.TestFunction(kind="gaussian", width=8.0)
+        assert spectral.kuznetsov_two_sides(1, 1, phi, [], c_max=10_000).tail_estimate > 0.0
 
     @pytest.mark.parametrize("width", [-8.0, 0.0, math.nan, math.inf])
     def test_test_function_width_must_be_finite_and_positive(self, width):

@@ -7,11 +7,12 @@ of E by convolution, so its row integral is exact in coefficient space:
 the constant coefficient on the full strip above y = 1, and a closed-form
 arc weight on the section |x| >= sqrt(1 - y^2) below it (``section_integral``).
 Rows are arrays: a grid passes all its y nodes to one row function, which
-takes them in blocks sharing the FFT length L >= 8K + 1 of |E|^4, samples
-E at L points, forms the powers pointwise and transforms back, exactly.
-The y direction uses Gauss-Legendre panels (split at y = 1, at the truncation
-height A, and at any caller-supplied breakpoints) whose density follows the
-Bessel oscillation scale ~ T/y per factor.  Error estimates are
+takes them in blocks sharing the FFT length L >= 2dK + 1 of the degree-d
+powers (d = 4 for |E|^4), samples E at L points, forms the powers pointwise
+and transforms back, exactly.  The y direction uses Gauss-Legendre panels
+(split at y = 1, at the truncation height A, and at any caller-supplied
+breakpoints) whose density follows the Bessel oscillation scale ~ T/y per
+factor; ``math.fsum`` adds the panel sums.  Error estimates are
 Richardson-style: the whole integral is redone with doubled y node density
 and the difference is reported; no asymptotic error model is assumed.
 
@@ -53,7 +54,7 @@ from eislab.eisenstein import (
     moment_y_max,
 )
 from eislab.errors import DegenerateParameterError, DomainError, ToleranceError
-from eislab.quadrature import _GL_ORDER, OVERSAMPLE, gl_nodes, pairwise_sum, panel_edges
+from eislab.quadrature import _GL_ORDER, OVERSAMPLE, edge_nodes, panel_edges
 from eislab.specfun import (
     DEFAULT_POLICY,
     PrecisionPolicy,
@@ -75,9 +76,11 @@ class YPanel:
 
 @dataclass
 class QuadratureGrid:
-    """y-strip decomposition of F into Gauss-Legendre panels."""
+    """y-strip panels of F, with their y nodes and dy / y^2 weights in order."""
 
     panels: list
+    nodes: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,7 @@ class MomentReport:
 
 _STRIP_RATIO = 1.3  # geometric growth of the y-strips
 _REFINE = 2.0       # node-density factor of the Richardson comparison grid
+_MOMENT_TOL = 1e-4   # largest est_error of a moment, relative to max(1, |value|)
 
 
 def build_grid(y_max: float, y_bandwidth, *, splits=(),
@@ -102,9 +106,10 @@ def build_grid(y_max: float, y_bandwidth, *, splits=(),
 
     ``y_bandwidth(y)`` gives the local bandwidth in radians per unit length,
     taken at each strip's foot, with ``oversample`` nodes per wave.  Below
-    y = 1 a strip is cut in phi = asin y, where ``_integrate_grid``
-    integrates it, at the rate y_bandwidth(a) cos(phi_a) of its foot a, the
-    largest on the strip; its y edges are the sines of the phi edges.  The
+    y = 1, where the section boundary sqrt(1 - y^2) is root-singular, a strip
+    is cut in phi = asin y, which makes the section width analytic, at the
+    rate y_bandwidth(a) cos(phi_a) of its foot a, the largest on the strip;
+    its nodes and y edges are the sines of its phi nodes and edges.  The
     panels are cut in units of the strip, so the one-radian floor of
     ``panel_count`` applies to a strip's whole phase, not to each unit of y.
     """
@@ -117,14 +122,18 @@ def build_grid(y_max: float, y_bandwidth, *, splits=(),
             y *= _STRIP_RATIO
             fine.append(y)
     fine.append(y_max)
-    panels = []
+    panels, ys, ws = [], [], []
     for a, b in zip(fine[:-1], fine[1:]):
         lo, hi, rate = ((math.asin(a), math.asin(b), y_bandwidth(a) * math.sqrt(1.0 - a * a))
                         if b <= 1.0 else (a, b, y_bandwidth(a)))
         cuts = lo + (hi - lo) * panel_edges(0.0, 1.0, (hi - lo) * rate, oversample, 1)
-        cuts = np.sin(cuts) if b <= 1.0 else cuts
+        yn, yw = edge_nodes(cuts)
+        if b <= 1.0:
+            cuts, yn, yw = np.sin(cuts), np.sin(yn), yw * np.cos(yn)
         panels += [YPanel(y0, y1, _GL_ORDER) for y0, y1 in zip(cuts[:-1], cuts[1:])]
-    return QuadratureGrid(panels)
+        ys.append(yn)
+        ws.append(yw / (yn * yn))
+    return QuadratureGrid(panels, np.concatenate(ys), np.concatenate(ws))
 
 
 def section_integral(f, y):
@@ -153,11 +162,11 @@ def section_integral(f, y):
 _FFT_ENTRIES = 8192  # samples per height block, twice that with two passes: bounds working memory
 
 
-def _fft_blocks(K):
+def _fft_blocks(K, degree: int):
     """(L, row indices) blocks of heights with cutoffs K that share the FFT
-    length L of |g|^4, the least power of two >= 8K + 1, at most
-    _FFT_ENTRIES / L heights each."""
-    Ls = 2 ** np.ceil(np.log2(8 * K + 1)).astype(int)
+    length L of a degree-``degree`` product of rows, the least power of two
+    >= 2 degree K + 1, at most _FFT_ENTRIES / L heights each."""
+    Ls = 2 ** np.ceil(np.log2(2 * degree * K + 1)).astype(int)
     for L in np.unique(Ls):
         idx = np.flatnonzero(Ls == L)
         step = max(1, _FFT_ENTRIES // L)
@@ -184,22 +193,11 @@ def _section_of_samples(h, y, M: int):
 
 def _integrate_grid(row_fn, grid: QuadratureGrid):
     """Sum of row_fn(y) dy / y^2 over the grid: one row_fn call on all its y
-    nodes, sums per panel, then a pairwise sum over the panels."""
-    ys, ws = [], []
-    for panel in grid.panels:
-        if panel.y1 <= 1.0 + 1e-12:
-            # below y = 1 the section boundary sqrt(1-y^2) is root-singular;
-            # y = sin(phi) makes the section width analytic in phi
-            pn, pw = gl_nodes(math.asin(min(panel.y0, 1.0)),
-                              math.asin(min(panel.y1, 1.0)), panel.order)
-            yn, yw = np.sin(pn), pw * np.cos(pn)
-        else:
-            yn, yw = gl_nodes(panel.y0, panel.y1, panel.order)
-        ys.append(yn)
-        ws.append(yw / (yn * yn))
-    rows = np.asarray(row_fn(np.concatenate(ys))) * np.concatenate(ws)[:, None]
-    starts = np.cumsum([0] + [len(yn) for yn in ys[:-1]])
-    return pairwise_sum(np.add.reduceat(rows, starts, axis=0))
+    nodes, one sum per 16-node panel, then the correctly rounded sum
+    (``math.fsum``) of the panel sums, real and imaginary parts apart."""
+    rows = np.asarray(row_fn(grid.nodes)) * grid.weights[:, None]
+    sums = np.add.reduceat(rows, np.arange(0, rows.shape[0], _GL_ORDER), axis=0)
+    return np.array([complex(math.fsum(c.real), math.fsum(c.imag)) for c in sums.T])
 
 
 def integrate_rows(row_fn, y_max: float, *, y_bandwidth, splits=(),
@@ -280,7 +278,7 @@ def _weighted_rows(evs, power, degree: int, mass, total: float = 1.0):
     def row_fn(ys):
         m = mass(ys)
         idx, vals = [], []
-        for L, i in _fft_blocks(evs[0].n_max(ys)):
+        for L, i in _fft_blocks(evs[0].n_max(ys), degree):
             gs = []
             for ev in evs:
                 c, w, j = _cut_rows(ev.row_coefficients(ys[i]), m[i], total)
@@ -329,7 +327,14 @@ class FourthMomentResult:
     gaussian_ratio: float                 # p = 4 value / gaussian_prediction
 
 
-def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
+def _check_estimate(name: str, value: float, est: float, tol: float = _MOMENT_TOL):
+    """Raise ToleranceError if the estimate est of value exceeds tol max(1, |value|)."""
+    if est > tol * max(1.0, abs(value)):
+        raise ToleranceError(f"{name} estimate {est:.3e} exceeds tol {tol:.3e}",
+                             value=value, estimate=est)
+
+
+def fourth_moment(setup: SpectralSetup, tol: float = _MOMENT_TOL, *,
                   policy: PrecisionPolicy = DEFAULT_POLICY) -> FourthMomentResult:
     """Fourth and second moments of E_A over F in one quadrature sweep.
 
@@ -346,10 +351,7 @@ def fourth_moment(setup: SpectralSetup, tol: float = 1e-4, *,
     m4 = float(val[0].real)
     second = complex(val[1])
     est4, est2 = float(est[0]), float(est[1])
-    if est4 > tol * max(1.0, abs(m4)):
-        raise ToleranceError(
-            f"fourth moment estimate {est4:.3e} exceeds tol {tol:.3e}",
-            value=m4, estimate=est4)
+    _check_estimate("fourth moment", m4, est4, tol)
     lnT = math.log(T)
     pred4 = FOURTH_MOMENT_CONSTANT * lnT * lnT
     rep4 = MomentReport(T=T, A=setup.A, p=4, value=m4, est_error=est4,
@@ -401,5 +403,6 @@ def smoothed_fourth_moment(bump: Bump) -> SmoothedMomentResult:
     B, delta, hhat0 = bump.B, bump.half_width, bump.hhat0
     ev = EisensteinEvaluator(SpectralSetup(T=bump.T, A=B + delta))
     val, est = _integrate_moment(ev, bump.mass_above, hhat0, (B - delta, B + delta, B))
-    return SmoothedMomentResult(value=float(val[0].real), est_error=float(est[0]),
-                                second=complex(val[1]), hhat0=hhat0)
+    value, est4 = float(val[0].real), float(est[0])
+    _check_estimate("smoothed fourth moment", value, est4)
+    return SmoothedMomentResult(value=value, est_error=est4, second=complex(val[1]), hhat0=hhat0)

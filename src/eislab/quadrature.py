@@ -215,20 +215,3 @@ def _clenshaw(coefs, i, t) -> np.ndarray:
         b1, b2 = ck[i] + t2 * b1 - b2, b1
     return coefs[0][i] + t * b1 - b2
 
-
-def pairwise_sum(values) -> complex:
-    """Sum along a fixed pairwise tree.
-
-    The summation order is part of the result: every moment value and its
-    pinned reference digits come from this tree, so it stays even though a
-    plain ``sum`` would do the same work.
-    """
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        paired = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            paired.append(vals[-1])
-        vals = paired
-    return vals[0]

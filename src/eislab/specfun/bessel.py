@@ -191,15 +191,11 @@ def bessel_k_scaled(T: float, y, policy: PrecisionPolicy = DEFAULT_POLICY):
 # Kuznetsov kernel
 # ---------------------------------------------------------------------------
 
-def _contour(w: float, tmax: float, edges=None) -> float:
-    """Rotation point s1 = asinh(M/w), M = max(4 tmax, pi tmax + 50), or the
-    next of ``edges`` above it (the shift is exact for any s1).  At s1 + i pi/2
-    the integrand e^(-w sinh s1 -+ pi t) is below e^-50 for both signs and
-    every t <= tmax, so the contour ends there."""
-    s1 = float(np.arcsinh(max(4.0 * tmax, np.pi * tmax + 50.0) / w))
-    if edges is not None:
-        s1 = float(edges[min(np.searchsorted(edges, s1), len(edges) - 1)])
-    return s1
+def _rotation_point(w, tmax: float):
+    """s1 = asinh(M/w), M = max(4 tmax, pi tmax + 50), elementwise in w.  At
+    s1 + i pi/2 the integrand e^(-w sinh s1 -+ pi t) is below e^-50 for both
+    signs and every t <= tmax, so the contour may end there or at any s1 above."""
+    return np.arcsinh(max(4.0 * tmax, np.pi * tmax + 50.0) / w)
 
 
 def kuznetsov_kernel_even_many(x: float, ts):
@@ -216,7 +212,7 @@ def kuznetsov_kernel_even_many(x: float, ts):
         raise DomainError("t array must be nonnegative (kernel is even in t)")
     w = 4.0 * np.pi * x
     tmax = float(np.max(ts))
-    s1 = _contour(w, tmax)
+    s1 = _rotation_point(w, tmax)
     total = np.zeros_like(ts, dtype=float)
     # real leg
     n, wt = panel_nodes(0.0, s1, w * np.sinh(s1) + 2.0 * tmax)
@@ -228,9 +224,9 @@ def kuznetsov_kernel_even_many(x: float, ts):
     # Exponents are folded into one matrix before exponentiating: the shared
     # leg factor and the per-t phase can individually leave double range at
     # large t even though their product never does.
+    n, wt = panel_nodes(0.0, np.pi / 2, w * np.cosh(s1) + 2.0 * tmax)
+    zz = s1 + 1j * n
     for sg in (+1.0, -1.0):
-        n, wt = panel_nodes(0.0, np.pi / 2, w * np.cosh(s1) + 2.0 * tmax)
-        zz = s1 + 1j * n
         expo = (1j * w * np.cosh(zz))[None, :] + 1j * sg * 2.0 * np.outer(ts, zz)
         total += np.real(np.exp(expo) @ (1j * wt))
     return (2.0 / np.pi) * total
@@ -246,12 +242,12 @@ def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
         raise DomainError("kuznetsov_kernel_transform needs x > 0 and t >= 0")
     tmax = float(np.max(ts))
     ws = 4.0 * np.pi * xs
-    raw = np.array([_contour(w, tmax) for w in ws])
+    raw = _rotation_point(ws, tmax)
     # real leg: one panel grid for every x, 10 % above the widest bandwidth
     # w cosh(s1) + 2 tmax, each s1 rounded up to one of its panel edges
     edges = panel_edges(0.0, float(raw.max()), 1.1 * (np.max(ws * np.cosh(raw)) + 2.0 * tmax))
     n, wt = edge_nodes(edges)
-    s1 = np.array([_contour(w, tmax, edges) for w in ws])
+    s1 = edges[np.minimum(np.searchsorted(edges, raw), edges.size - 1)]
     em, ex = _panel_exp(edges, 2.0 * ts, 1j)
     g_real = wt * (em @ (ex * a).T).real.ravel()
     inside = n[None, :] < s1[:, None]

@@ -22,6 +22,7 @@ import csv
 import math
 import operator
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
@@ -121,11 +122,13 @@ def ingest_forms(source, tol: float = 1e-4):
     Duplicate (t, parity, n) rows are last-write-wins with a warning.  Forms
     failing lambda(1) = 1 or a Hecke relation beyond ``tol`` are rejected.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "read"):
-        fh = open(source, newline="") if isinstance(source, (str, bytes)) else source
-        rows = list(csv.DictReader(filter(lambda ln: not ln.lstrip().startswith("#"), fh)))
-        if isinstance(source, (str, bytes)):
-            fh.close()
+    path = isinstance(source, (str, bytes))
+    if path or hasattr(source, "read"):
+        try:
+            with open(source, newline="", encoding="utf-8") if path else nullcontext(source) as fh:
+                rows = list(csv.DictReader(ln for ln in fh if not ln.lstrip().startswith("#")))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"Maass-form source {source!r} is not UTF-8 text") from exc
     else:
         rows = list(source)
     if not rows:

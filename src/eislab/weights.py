@@ -364,28 +364,35 @@ def leading_terms(s: complex, t: float, T: float, bump: Bump) -> LeadingTerms:
 # the g(x) <-> G(s) Mellin pair from a product of two K-Bessel factors
 # ---------------------------------------------------------------------------
 
-def _scaled_kk(y, T: float, t: float, policy: PrecisionPolicy = DEFAULT_POLICY):
-    """e^(pi(T+t)/2) K_{iT}(y) K_{it}(y) at an array of y."""
-    return bessel_k_scaled(T, y, policy) * bessel_k_scaled(t, y, policy)
+def _kk_panel_sums(v, w, s: complex, T: float, t: float,
+                   policy: PrecisionPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """int e^(s v) K_{iT}(e^v) K_{it}(e^v) dv over each 16-node panel of the
+    nodes v and weights w of a composite rule in v = log y."""
+    y = np.exp(v)
+    vals = w * bessel_k_scaled(T, y, policy) * bessel_k_scaled(t, y, policy) * np.exp(s * v)
+    return np.exp(-0.5 * np.pi * (T + t)) * vals.reshape(-1, _GL_ORDER).sum(axis=1)
 
 
-def g_lower_incomplete(x: float, T: float, t: float,
-                       policy: PrecisionPolicy = DEFAULT_POLICY) -> complex:
-    """g(x) = int_x^inf y^(1/2 + iT) K_{iT}(y) K_{it}(y) dy / y.
+def g_lower_incomplete(x, T: float, t: float, policy: PrecisionPolicy = DEFAULT_POLICY):
+    """g(x) = int_x^inf y^(1/2 + iT) K_{iT}(y) K_{it}(y) dy / y, for a number
+    x (a complex is returned) or an array of x (an array of its shape).
 
     Integrated in v = log y: there the Bessel phases have bounded rate
     (|d phase/dv| <= T and t respectively), so a fixed node density covers
-    arbitrarily small x.
+    arbitrarily small x.  Every log x is an edge of one v-grid, the panels
+    from the smallest x up to max(x, T, t) + 55, and g at x is the sum of
+    the panel integrals above it; a single x has exactly those panels.
     """
-    if x <= 0:
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0):
         raise DomainError("g needs x > 0")
-    y_hi = max(x, T, t) + 55.0
-    bw = 2.0 * T + t + 3.0
-    nodes, wts = panel_nodes(math.log(x), math.log(y_hi), bw,
-                             policy.bessel_freq_oversample, min_panels=8)
-    y = np.exp(nodes)
-    vals = _scaled_kk(y, T, t, policy) * np.exp((0.5 + 1j * T) * nodes)
-    return complex(np.exp(-0.5 * np.pi * (T + t)) * np.sum(wts * vals))
+    lnx = np.log(x)
+    y_hi = max(float(np.max(x)), T, t) + 55.0
+    edges = np.union1d(lnx, panel_edges(float(np.min(lnx)), math.log(y_hi), 2.0 * T + t + 3.0,
+                                        policy.bessel_freq_oversample, min_panels=8))
+    above = np.cumsum(_kk_panel_sums(*edge_nodes(edges), 0.5 + 1j * T, T, t, policy)[::-1])[::-1]
+    g = above[np.searchsorted(edges, lnx)]
+    return complex(g) if g.ndim == 0 else g
 
 
 def g_mellin_closed(s: complex, T: float, t: float) -> complex:
@@ -397,22 +404,15 @@ def g_mellin_closed(s: complex, T: float, t: float) -> complex:
 
 def g_mellin_numeric(s: complex, T: float, t: float) -> complex:
     """int_0^inf g(x) x^(s-1) dx by iterated quadrature in u = log x on
-    [-32, log(max(T, t) + 40)], dropping ~|g(0)| e^(-32 Re s) below.  Each
-    g(x_j) is a suffix sum of the panel integrals of one grid in v = log y,
-    whose edges are the outer nodes and ``g_lower_incomplete``'s panels.
+    [-32, log(max(T, t) + 40)], dropping ~|g(0)| e^(-32 Re s) below: one
+    ``g_lower_incomplete`` call on every outer node.
     """
     s = complex(s)
     if s.real <= 0:
         raise DomainError("the g-transform converges for Re(s) > 0")
     nodes, wts = panel_nodes(-32.0, math.log(max(T, t) + 40.0), max(abs(s.imag), 2.0) + 2.0,
                              min_panels=28)
-    inner = panel_edges(-32.0, math.log(max(T, t) + 55.0), 2.0 * T + t + 3.0)
-    edges = np.union1d(nodes, inner)
-    v, vw = edge_nodes(edges)
-    vals = vw * _scaled_kk(np.exp(v), T, t) * np.exp((0.5 + 1j * T) * v)
-    above = np.cumsum(np.sum(vals.reshape(-1, _GL_ORDER), axis=1)[::-1])[::-1]
-    g = np.exp(-0.5 * np.pi * (T + t)) * above[np.searchsorted(edges, nodes)]
-    return complex(np.sum(wts * g * np.exp(s * nodes)))
+    return complex(np.sum(wts * g_lower_incomplete(np.exp(nodes), T, t) * np.exp(s * nodes)))
 
 
 def mellin_barnes_kk_numeric(s: complex, T: float, t: float) -> complex:
@@ -429,10 +429,7 @@ def mellin_barnes_kk_numeric(s: complex, T: float, t: float) -> complex:
         raise DomainError("the double-Bessel Mellin integral needs Re(s) > 0")
     u_hi = math.log(max(T, t, 1.0) + 55.0)
     bw = max(abs(s.imag), 2.0) + T + t + 3.0
-    nodes, wts = panel_nodes(-18.0, u_hi, bw)
-    x = np.exp(nodes)
-    vals = _scaled_kk(x, T, t) * np.exp(s * nodes)
-    return complex(np.exp(-0.5 * np.pi * (T + t)) * np.sum(wts * vals))
+    return complex(np.sum(_kk_panel_sums(*panel_nodes(-18.0, u_hi, bw), s, T, t)))
 
 
 def mellin_barnes_kk_closed(s: complex, T: float, t: float) -> complex:

@@ -169,6 +169,13 @@ def test_invalid_values_exit_two():
     assert main(["moment-sweep", "--T", "-3", "--A", "2"]) == 2
 
 
+def test_forms_file_that_is_not_utf8_exits_two(tmp_path):
+    forms = tmp_path / "forms.csv"
+    forms.write_bytes(b"t,parity,n,lambda\n\xff\xfe9.53,even,1,1.0\n")
+    assert main(["kuznetsov", "--forms", str(forms), "--quick",
+                 "--out", str(tmp_path / "kz.csv")]) == 2
+
+
 def _exit_code(argv) -> int:
     try:
         return main(argv)

@@ -86,6 +86,36 @@ class TestIntegrateF:
         moments.fourth_moment(setup, tol=math.inf)
         assert quadrature._gl_rule.cache_info().misses == misses
 
+    def test_grid_nodes_are_gauss_legendre_on_the_panel_edges(self):
+        # below y = 1 each panel's nodes are the sines of a 16-node rule on its
+        # phi = asin y edges, with weights cos(phi) dphi / y^2; above, a rule
+        # on its y edges with weights dy / y^2
+        grid = moments.build_grid(3.0, lambda y: 40.0 / y + 8.0, splits=(2.0,))
+        assert grid.nodes.size == grid.weights.size == sum(p.order for p in grid.panels)
+        x, w = np.polynomial.legendre.leggauss(16)
+        ys, ws = [], []
+        for p in grid.panels:
+            below = p.y1 <= 1.0
+            a, b = (math.asin(p.y0), math.asin(p.y1)) if below else (p.y0, p.y1)
+            n, nw = 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
+            y = np.sin(n) if below else n
+            ys.append(y)
+            ws.append((nw * np.cos(n) if below else nw) / (y * y))
+        assert any(p.y1 <= 1.0 for p in grid.panels) and any(p.y0 >= 1.0 for p in grid.panels)
+        np.testing.assert_allclose(grid.nodes, np.concatenate(ys), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(grid.weights, np.concatenate(ws), rtol=1e-12, atol=0)
+
+    def test_fft_length_follows_the_row_degree(self):
+        # a degree-2 product of rows with cutoff K has modes in -2K..2K, so the
+        # least power of two >= 4K + 1 samples it exactly
+        K = np.array([1, 3, 4, 10, 16, 17, 40, 63, 64])
+        seen = np.zeros(K.size, bool)
+        for L, idx in moments._fft_blocks(K, 2):
+            for k in K[idx]:
+                assert L >= 4 * k + 1 and L // 2 < 4 * k + 1
+            seen[idx] = True
+        assert seen.all()
+
     def test_tolerance_error_carries_value(self):
         # the Richardson estimate of the p = 4 moment is 1.1e-13 at T = 25,
         # 3.0e-16 of the value, which a tol of 1e-17 rejects
@@ -343,6 +373,14 @@ class TestSmoothedMoment:
         monkeypatch.setattr(moments, "_samples", counted)
         moments.smoothed_fourth_moment(Bump(B=2.0, alpha=0.009, T=10.0))
         assert sum(sampled) == 1614
+
+    def test_large_estimate_raises(self, monkeypatch):
+        # the gate of fourth_moment: est_error above 1e-4 max(1, |value|)
+        monkeypatch.setattr(moments, "integrate_rows",
+                            lambda *a, **k: (np.array([50.0, 1.0j]), np.array([0.01, 0.0])))
+        with pytest.raises(ToleranceError) as err:
+            moments.smoothed_fourth_moment(Bump(B=2.0, alpha=0.009, T=10.0))
+        assert err.value.value == 50.0 and err.value.estimate == 0.01
 
     def test_est_error_finite_positive(self, smoothed):
         # the y-grid Richardson estimate of the p=4 value; 1.7e-11 of 44.47 today

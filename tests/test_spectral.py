@@ -24,6 +24,12 @@ def pseudoform():
 
 
 class TestIngest:
+    def test_file_that_is_not_utf8_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "forms.csv"
+        path.write_bytes(b"t,parity,n,lambda\n\xff\xfe9.53,even,1,1.0\n")
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            spectral.ingest_forms(str(path))
+
     def test_fixture_file_accepted(self):
         forms = spectral.ingest_forms(str(DATA))
         assert len(forms) == 2

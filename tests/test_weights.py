@@ -339,6 +339,28 @@ class TestMellinPair:
         G = weights.g_mellin_closed(s, T, t)
         assert abs(weights.g_mellin_numeric(s, T, t) / G - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("T, t", [(3.0, 5.0), (0.5, 0.7), (10.0, 2.0)])
+    def test_g_on_an_array_matches_single_x(self, T, t):
+        # one v-grid with every log x as an edge against one grid per x;
+        # worst relative difference measured 1.4e-14, at (T, t) = (0.5, 0.7)
+        xs = np.geomspace(0.05, 20.0, 8)
+        many = weights.g_lower_incomplete(xs, T, t)
+        one = np.array([weights.g_lower_incomplete(x, T, t) for x in xs])
+        assert many.shape == xs.shape
+        assert np.max(np.abs(many - one) / np.abs(one)) <= 1e-13
+
+    def test_g_mellin_numeric_calls_g_once(self, monkeypatch):
+        calls = []
+        g = weights.g_lower_incomplete
+
+        def counting(*args, **kwargs):
+            calls.append(np.size(args[0]))
+            return g(*args, **kwargs)
+
+        monkeypatch.setattr(weights, "g_lower_incomplete", counting)
+        weights.g_mellin_numeric(1.0, 3.0, 5.0)
+        assert len(calls) == 1 and calls[0] >= 28 * 16
+
     def test_g_tiny_x_converged_without_warning(self):
         # the log-variable quadrature is already converged far below x = 1e-4:
         # doubling the node density moves g(1e-7) by rounding only

@@ -31,14 +31,7 @@ from scipy.special import kv as _kv_real
 from eislab.arith import sigma_complex_many, tau_gen_many
 from eislab.errors import DomainError
 from eislab.quadrature import _CHEB_TOL, _CHEB_Z, ChebyshevTable
-from eislab.specfun import (
-    DEFAULT_POLICY,
-    PrecisionPolicy,
-    bessel_k_scaled,
-    phi_log,
-    scattering,
-    xi_log,
-)
+from eislab.specfun import bessel_k_scaled, phi_log, scattering, xi_log
 
 
 @dataclass(frozen=True)
@@ -50,9 +43,9 @@ class SpectralSetup:
 
     def __post_init__(self):
         if not self.T > 0:
-            raise ValueError("T must be positive")
+            raise DomainError("T must be positive")
         if not self.A > 1:
-            raise ValueError("truncation parameter A must exceed 1")
+            raise DomainError("truncation parameter A must exceed 1")
 
 
 _FLOOR_Y = math.sqrt(3.0) / 2.0
@@ -105,9 +98,8 @@ class EisensteinEvaluator:
     callers must not share one evaluator unlocked.
     """
 
-    def __init__(self, setup: SpectralSetup, policy: PrecisionPolicy = DEFAULT_POLICY):
+    def __init__(self, setup: SpectralSetup):
         self.setup = setup
-        self.policy = policy
         T = setup.T
         self.log_xi_norm = xi_log(1 + 2j * T)
         self.scattering_c = scattering(T)
@@ -160,13 +152,13 @@ class EisensteinEvaluator:
             if self._k_table is None:
                 T = self.setup.T
                 self._k_table = ChebyshevTable(
-                    lambda u: bessel_k_scaled(T, u, self.policy),
+                    lambda u: bessel_k_scaled(T, u),
                     _k_table_edges(T, 2.0 * math.pi * _FLOOR_Y,
                                    self.cutoff_margin + 2.0 * math.pi * self._y_top))
             ks[table] = self._k_table(args[table])
         off = live & ~on_grid[:, None]
         if off.any():
-            ks[off] = bessel_k_scaled(self.setup.T, args[off], self.policy)
+            ks[off] = bessel_k_scaled(self.setup.T, args[off])
         modes = self.mode_prefactor * np.sqrt(ys)[:, None] * self._tau[1:K + 1] * ks
         rows = np.concatenate([modes[:, ::-1], self.constant_term(ys)[:, None], modes], axis=1)
         return rows[0] if np.ndim(y) == 0 else rows

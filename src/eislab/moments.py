@@ -55,13 +55,7 @@ from eislab.eisenstein import (
 )
 from eislab.errors import DegenerateParameterError, DomainError, ToleranceError
 from eislab.quadrature import _GL_ORDER, OVERSAMPLE, edge_nodes, panel_edges
-from eislab.specfun import (
-    DEFAULT_POLICY,
-    PrecisionPolicy,
-    phi_log,
-    phi_log_deriv_critical,
-    scattering,
-)
+from eislab.specfun import phi_log, phi_log_deriv_critical, scattering
 from eislab.weights import Bump
 
 FOURTH_MOMENT_CONSTANT = 36.0 / math.pi  # predicted log^2 T coefficient
@@ -200,8 +194,7 @@ def _integrate_grid(row_fn, grid: QuadratureGrid):
     return np.array([complex(math.fsum(c.real), math.fsum(c.imag)) for c in sums.T])
 
 
-def integrate_rows(row_fn, y_max: float, *, y_bandwidth, splits=(),
-                   oversample: float = OVERSAMPLE):
+def integrate_rows(row_fn, y_max: float, *, y_bandwidth, splits=()):
     """Integrate row integrals over F up to y_max with a refinement estimate.
 
     ``row_fn(ys)`` takes the array of a grid's y nodes and returns an
@@ -210,9 +203,9 @@ def integrate_rows(row_fn, y_max: float, *, y_bandwidth, splits=(),
     value from the refined y grid and the coarse-vs-refined difference as the
     error estimate.
     """
-    grid = build_grid(y_max, y_bandwidth, splits=splits, oversample=oversample)
+    grid = build_grid(y_max, y_bandwidth, splits=splits)
     coarse = _integrate_grid(row_fn, grid)
-    grid2 = build_grid(y_max, y_bandwidth, splits=splits, oversample=oversample * _REFINE)
+    grid2 = build_grid(y_max, y_bandwidth, splits=splits, oversample=OVERSAMPLE * _REFINE)
     fine = _integrate_grid(row_fn, grid2)
     return fine, np.abs(fine - coarse)
 
@@ -307,14 +300,12 @@ def _p4_p2(g):
 def _integrate_moment(ev: EisensteinEvaluator, mass, total: float, splits):
     """``integrate_rows`` of the weighted |E|^4, E^2 rows on ev's moment grid.
 
-    The y density follows the Bessel oscillation scale of four factors,
-    4T/y, with the evaluator's oversampling.
+    The y density follows the Bessel oscillation scale of four factors, 4T/y.
     """
     T = ev.setup.T
     return integrate_rows(
         _weighted_rows((ev,), _p4_p2, 4, mass, total), moment_y_max(ev.setup),
-        y_bandwidth=lambda y: 4.0 * T / y + 8.0, splits=splits,
-        oversample=ev.policy.bessel_freq_oversample)
+        y_bandwidth=lambda y: 4.0 * T / y + 8.0, splits=splits)
 
 
 @dataclass(frozen=True)
@@ -327,15 +318,14 @@ class FourthMomentResult:
     gaussian_ratio: float                 # p = 4 value / gaussian_prediction
 
 
-def _check_estimate(name: str, value: float, est: float, tol: float = _MOMENT_TOL):
+def _check_estimate(name: str, value, est: float, tol: float = _MOMENT_TOL):
     """Raise ToleranceError if the estimate est of value exceeds tol max(1, |value|)."""
     if est > tol * max(1.0, abs(value)):
         raise ToleranceError(f"{name} estimate {est:.3e} exceeds tol {tol:.3e}",
                              value=value, estimate=est)
 
 
-def fourth_moment(setup: SpectralSetup, tol: float = _MOMENT_TOL, *,
-                  policy: PrecisionPolicy = DEFAULT_POLICY) -> FourthMomentResult:
+def fourth_moment(setup: SpectralSetup, tol: float = _MOMENT_TOL) -> FourthMomentResult:
     """Fourth and second moments of E_A over F in one quadrature sweep.
 
     The p = 4 value integrates |E_A|^4; the companion second moment
@@ -343,7 +333,7 @@ def fourth_moment(setup: SpectralSetup, tol: float = _MOMENT_TOL, *,
     Predictions: (36/pi) log^2 T and the Gaussian 3 ||E_A||^4 / vol F for p = 4
     (||E_A||^2 = |int E_A^2|, as phi^(-1/2) E_A is real), 2 log T for |int E_A^2|.
     """
-    ev = EisensteinEvaluator(setup, policy)
+    ev = EisensteinEvaluator(setup)
     T = setup.T
 
     val, est = _integrate_moment(ev, _sharp_cut(setup.A), 1.0, (setup.A,))
@@ -378,11 +368,14 @@ def second_moment_error(res: FourthMomentResult) -> tuple[complex, float]:
 
 
 def real_s_pair_quadrature(s1: float, s2: float, A: float):
-    """Quadrature of int_F E_A(z, s1) E_A(z, s2) dmu for real s in (1, 4]."""
+    """Quadrature of int_F E_A(z, s1) E_A(z, s2) dmu for real s in (1, 4],
+    with its Richardson estimate, gated as the moments are."""
     rows = _weighted_rows((RealSEvaluator(s1), RealSEvaluator(s2)),
                           lambda g1, g2: (g1 * g2)[None], 2, _sharp_cut(A))
     val, est = integrate_rows(rows, A + 4.0, y_bandwidth=lambda y: 30.0 / y, splits=(A,))
-    return complex(val[0]), float(est[0])
+    value, err = complex(val[0]), float(est[0])
+    _check_estimate("real-s pair", value, err)
+    return value, err
 
 
 @dataclass(frozen=True)

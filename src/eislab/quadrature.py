@@ -41,18 +41,18 @@ def panel_count(a, b, bandwidth, oversample: float = OVERSAMPLE, min_panels: int
     return np.maximum(min_panels, np.ceil((b - a) / width).astype(int))
 
 
-def panel_nodes(a: float, b: float, bandwidth: float, oversample: float = OVERSAMPLE,
-                min_panels: int = 2):
+def panel_nodes(a: float, b: float, bandwidth: float, *, min_panels: int = 2):
     """Composite 16-point GL nodes on [a, b] resolving a given bandwidth.
 
     ``bandwidth`` is the largest |d(phase)/du| plus the steepest damping rate
     of the integrand on the interval, in radians per unit length.  Panel
-    widths are chosen so each 16-node panel carries at least ``oversample``
-    nodes per wavelength of the fastest oscillation.
+    widths are chosen so each 16-node panel carries at least ``OVERSAMPLE``
+    nodes per wavelength of the fastest oscillation; ``panel_edges`` takes
+    another density.
     """
     if b <= a:
         return np.empty(0), np.empty(0)
-    return edge_nodes(panel_edges(a, b, bandwidth, oversample, min_panels))
+    return edge_nodes(panel_edges(a, b, bandwidth, min_panels=min_panels))
 
 
 def panel_edges(a: float, b: float, bandwidth: float, oversample: float = OVERSAMPLE,

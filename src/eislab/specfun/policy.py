@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from eislab.errors import DomainError
 from eislab.quadrature import OVERSAMPLE
 
 
@@ -19,7 +20,7 @@ class PrecisionPolicy:
 
     def __post_init__(self):
         if self.bessel_freq_oversample < 4.0:
-            raise ValueError("bessel_freq_oversample must be >= 4")
+            raise DomainError("bessel_freq_oversample must be >= 4")
 
 
 DEFAULT_POLICY = PrecisionPolicy()

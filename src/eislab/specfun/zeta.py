@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from eislab.errors import PoleError
+from eislab.errors import DomainError, PoleError
 from eislab.specfun.gamma import digamma, log_gamma
 
 # B_{2k} for k = 1..14
@@ -108,7 +108,7 @@ def scattering(T: float) -> complex:
     through zeta on Re s = 0, where it loses about 1e-13 at T = 50.
     """
     if not T > 0:
-        raise ValueError("scattering requires T > 0")
+        raise DomainError("scattering requires T > 0")
     lc = xi_log(1 - 2j * T) - xi_log(1 + 2j * T)
     return complex(np.exp(1j * lc.imag) * np.exp(lc.real))
 

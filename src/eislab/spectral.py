@@ -22,7 +22,6 @@ import csv
 import math
 import operator
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache
 from typing import NamedTuple
@@ -45,6 +44,9 @@ from eislab.specfun import (
 from eislab.weights import Bump, _g_ratio_log, contour_weights
 
 
+_HECKE_TOL = 1e-4  # largest Hecke-relation residual an ingested form may carry
+
+
 @dataclass
 class MaassForm:
     """Spectral parameter, parity, Hecke eigenvalues, optional sym^2 value."""
@@ -61,9 +63,6 @@ class MaassForm:
             raise ValidationError(f"parity must be even/odd, got {self.parity}")
 
     def eigenvalue(self, n: int) -> float:
-        if n < 0:
-            lam = self.eigenvalue(-n)
-            return lam if self.parity == "even" else -lam
         try:
             return self.hecke[n]
         except KeyError as exc:
@@ -78,7 +77,7 @@ class MaassForm:
         except KeyError as exc:
             raise MissingEigenvalueError(f"lambda({exc.args[0]}) not in form data") from exc
 
-    def validate(self, tol: float = 1e-4):
+    def validate(self):
         if abs(self.hecke.get(1, 0.0) - 1.0) > 1e-9:
             raise ValidationError("lambda(1) must equal 1")
         keys = sorted(self.hecke)
@@ -97,7 +96,7 @@ class MaassForm:
                     resid = arith.hecke_relation_check(self.hecke, n, m)
                 except MissingEigenvalueError:
                     continue
-                if resid > tol:
+                if resid > _HECKE_TOL:
                     raise ValidationError(
                         f"Hecke relation fails at (n,m)=({n},{m}): residual {resid:.2e}")
         return self
@@ -114,25 +113,26 @@ def divisor_pseudoform(gamma: float, n_max: int) -> MaassForm:
                      hecke={n: float(taus[n]) for n in range(1, n_max + 1)})
 
 
-def ingest_forms(source, tol: float = 1e-4):
-    """Parse Maass-form CSV rows into validated forms.
+def ingest_forms(path):
+    """Parse the Maass-form CSV file at ``path`` into validated forms.
 
     Schema: header ``t,parity,n,lambda``; one row per (form, n); parity in
-    {even, odd}; an optional row with n = 0 carries L(1, sym^2) for the form.
-    Duplicate (t, parity, n) rows are last-write-wins with a warning.  Forms
-    failing lambda(1) = 1 or a Hecke relation beyond ``tol`` are rejected.
+    {even, odd}; an optional row with n = 0 carries L(1, sym^2) for the form;
+    lines starting with ``#`` are comments.  Duplicate (t, parity, n) rows are
+    last-write-wins with a warning.  Forms failing lambda(1) = 1 or a Hecke
+    relation beyond 1e-4 are rejected, and so is a path that cannot be read
+    as UTF-8 text: every failure is a ValidationError naming its cause.
     """
-    path = isinstance(source, (str, bytes))
-    if path or hasattr(source, "read"):
-        try:
-            with open(source, newline="", encoding="utf-8") if path else nullcontext(source) as fh:
-                rows = list(csv.DictReader(ln for ln in fh if not ln.lstrip().startswith("#")))
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"Maass-form source {source!r} is not UTF-8 text") from exc
-    else:
-        rows = list(source)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(ln for ln in fh if not ln.lstrip().startswith("#")))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"Maass-form file {path} is not UTF-8 text") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read Maass-form file {path}: "
+                              f"{exc.strerror or exc}") from exc
     if not rows:
-        raise ValidationError("no data rows in Maass-form source")
+        raise ValidationError(f"no data rows in Maass-form file {path}")
     staged: dict = {}
     for i, row in enumerate(rows):
         try:
@@ -154,7 +154,7 @@ def ingest_forms(source, tol: float = 1e-4):
     out = []
     for (t, parity), data in sorted(staged.items()):
         form = MaassForm(t=t, parity=parity, hecke=data["hecke"], sym2_L1=data["sym2"])
-        form.validate(tol)
+        form.validate()
         out.append(form)
     return out
 
@@ -173,26 +173,25 @@ def afe_cutoff(t: float, T: float, a: float, tail_tol: float,
     return max(q_eff, 1.0) * math.exp(L) + 16.0
 
 
-def _afe_weights(n_need: int, t: float, T: float, a: float, sigma: float,
-                 smoother: float):
+def _afe_weights(n_need: int, t: float, T: float, a: float, smoother: float):
     """(V_plus, V_minus) at x = 1..n_need, read off one two-component
-    ``ChebyshevTable`` in log x on [0, log n_need] of ``contour_weights``:
-    V_pm are smooth in log x, so one contour sum per table level, for both
-    signs, replaces one per x."""
+    ``ChebyshevTable`` in log x on [0, log n_need] of ``contour_weights`` on
+    Re w = 1: V_pm are smooth in log x, so one contour sum per table level,
+    for both signs, replaces one per x."""
     table = ChebyshevTable(
-        lambda u: np.stack(contour_weights(np.exp(u), t, T, a, sigma, smoother), axis=-1),
+        lambda u: np.stack(contour_weights(np.exp(u), t, T, a, 1.0, smoother), axis=-1),
         np.linspace(0.0, math.log(n_need), 5))
     return table(np.log(np.arange(1, n_need + 1))).T
 
 
-def afe_pair(form: MaassForm, T: float, sigma: float = 1.0, *, tail_tol: float = 1e-7,
+def afe_pair(form: MaassForm, T: float, *, tail_tol: float = 1e-7,
              smoother: float = 1.0) -> complex:
     """L(1/2, u) L(1/2 - 2iT, u) via the approximate functional equation.
 
     Both mirror sums are carried: coefficients lambda(n) tau(n, T) over
     n^(1/2 -+ iT) k^(1 -+ 2iT) against the contour weights at x = k^2 n, with
     parity selecting the gamma data (a = 1/2 even, 3/2 odd).  The weights'
-    contour runs on Re w = ``sigma``, up to a height set by the smoother.  The
+    contour runs on Re w = 1, up to a height set by the smoother.  The
     double sum is truncated where the Gaussian contour budget puts the weights
     below ``tail_tol``; the form must carry eigenvalues out to that cutoff.
     The weights at the integers x <= cutoff are read off one two-component
@@ -205,7 +204,7 @@ def afe_pair(form: MaassForm, T: float, sigma: float = 1.0, *, tail_tol: float =
     n_need = int(afe_cutoff(t, T, a, tail_tol, smoother))
     # a missing lambda(n), n <= n_need, raises before any weight is computed
     lam = form.eigenvalues(n_need)
-    vp, vm = _afe_weights(n_need, t, T, a, sigma, smoother)
+    vp, vm = _afe_weights(n_need, t, T, a, smoother)
     coef = lam * arith.tau_gen_many(n_need, T)[1:] \
         * np.exp((-0.5 + 1j * T) * np.log(np.arange(1, n_need + 1)))
     # every (k, n) with x = k^2 n <= n_need, as the indices n - 1 and x - 1

@@ -176,6 +176,16 @@ def test_forms_file_that_is_not_utf8_exits_two(tmp_path):
                  "--out", str(tmp_path / "kz.csv")]) == 2
 
 
+@pytest.mark.parametrize("make_dir", [False, True], ids=["missing", "directory"])
+def test_unreadable_forms_path_exits_two(tmp_path, capsys, make_dir):
+    forms = tmp_path / "forms"
+    if make_dir:
+        forms.mkdir()
+    assert main(["kuznetsov", "--forms", str(forms), "--quick",
+                 "--out", str(tmp_path / "kz.csv")]) == 2
+    assert f"usage error: cannot read Maass-form file {forms}" in capsys.readouterr().err
+
+
 def _exit_code(argv) -> int:
     try:
         return main(argv)

@@ -16,7 +16,7 @@ from eislab.eisenstein import (
 )
 from eislab.errors import ConvergenceError, DomainError
 from eislab.quadrature import ChebyshevTable
-from eislab.specfun import bessel_k_scaled, xi_log
+from eislab.specfun import DEFAULT_POLICY, bessel_k_scaled, xi_log
 
 from helpers import eval_E_independent, lattice_sum_reference, truncated_value
 
@@ -121,7 +121,7 @@ class TestBesselTable:
         # panel was sampled and thrown away, about 2 samples per kept point
         sampled = []
 
-        def counted(T, u, policy):
+        def counted(T, u, policy=DEFAULT_POLICY):
             sampled.append(np.size(u))
             return bessel_k_scaled(T, u, policy)
 
@@ -227,11 +227,11 @@ class TestRealS:
 
 
 def test_setup_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SpectralSetup(T=10.0, A=0.9)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SpectralSetup(T=0.0, A=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         SpectralSetup(T=-1.0, A=2.0)
 
 

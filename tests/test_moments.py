@@ -214,6 +214,14 @@ class TestMaassSelberg:
         quad, est = moments.real_s_pair_quadrature(2.0, 3.0, 2.0)
         assert abs(quad - closed) / abs(closed) < 1e-6
 
+    def test_real_s_pair_large_estimate_raises(self, monkeypatch):
+        # the gate of fourth_moment: est_error above 1e-4 max(1, |value|)
+        monkeypatch.setattr(moments, "integrate_rows",
+                            lambda *a, **k: (np.array([50.0 + 0j]), np.array([0.01])))
+        with pytest.raises(ToleranceError) as err:
+            moments.real_s_pair_quadrature(2.0, 3.0, 2.0)
+        assert err.value.value == 50.0 and err.value.estimate == 0.01
+
     def test_truncation_derivative_identity(self):
         # d/dA of the closed form equals e(A,s1) e(A,s2) / A^2
         s1, s2, A = 2.0, 3.0, 2.0
@@ -278,19 +286,25 @@ class TestFourthMoment:
         res = moments.fourth_moment(SpectralSetup(T=T, A=2.0), tol=math.inf)
         assert moments.second_moment_error(res)[1] <= 1e-13
 
+    @staticmethod
+    def _p4_at_density(setup, factor):
+        """fourth_moment's p = 4 value with its y bandwidth scaled by factor(y)."""
+        T = setup.T
+        rows = moments._weighted_rows((EisensteinEvaluator(setup),), moments._p4_p2, 4,
+                                      moments._sharp_cut(setup.A))
+        val, _ = moments.integrate_rows(
+            rows, moment_y_max(setup), splits=(setup.A,),
+            y_bandwidth=lambda y: (4.0 * T / y + 8.0) * factor(y))
+        return val[0].real
+
     @pytest.mark.parametrize("T", [100.0, 200.0])
     def test_p4_holds_at_four_times_the_density_below_y_1(self, T):
         # the same rows on a grid with 4x the bandwidth below y = 1; measured
         # 1.2e-16 and 2.8e-16, where panels sized in y missed by 1.5e-8 and 3.0e-8
         setup = SpectralSetup(T=T, A=2.0)
-        ev = EisensteinEvaluator(setup)
-        rows = moments._weighted_rows((ev,), moments._p4_p2, 4, moments._sharp_cut(setup.A))
-        val, _ = moments.integrate_rows(
-            rows, moment_y_max(setup), splits=(setup.A,),
-            y_bandwidth=lambda y: (4.0 * T / y + 8.0) * (4.0 if y < 1.0 else 1.0),
-            oversample=ev.policy.bessel_freq_oversample)
+        val = self._p4_at_density(setup, lambda y: 4.0 if y < 1.0 else 1.0)
         m4 = moments.fourth_moment(setup, tol=math.inf).report.value
-        assert abs(val[0].real - m4) <= 1e-11 * m4
+        assert abs(val - m4) <= 1e-11 * m4
 
     def test_second_moment_error_sees_the_phase(self):
         closed = moments.maass_selberg_limit(10.0, 1.5)
@@ -324,14 +338,12 @@ class TestFourthMoment:
             assert 0.1 < rep.ratio < 10.0
 
     def test_grid_refinement_within_estimate(self):
-        from eislab.specfun import PrecisionPolicy
+        # the y grid at 12 in place of 8 nodes per wavelength; the K-Bessel
+        # density is checked against the 16x helpers.eval_E_independent
         setup = SpectralSetup(T=10.0, A=1.5)
-        base = moments.fourth_moment(setup, tol=math.inf)
-        dense = moments.fourth_moment(
-            setup, tol=math.inf,
-            policy=PrecisionPolicy(bessel_freq_oversample=12.0))
-        assert abs(dense.report.value - base.report.value) <= \
-            max(base.report.est_error, 1e-10 * base.report.value) * 4 + 1e-9
+        base = moments.fourth_moment(setup, tol=math.inf).report
+        dense = self._p4_at_density(setup, lambda y: 1.5)
+        assert abs(dense - base.value) <= max(base.est_error, 1e-10 * base.value) * 4 + 1e-9
 
 
 @functools.lru_cache(maxsize=None)
@@ -403,7 +415,7 @@ class TestSmoothedMoment:
         # form oscillates like A^(2iT), so the rule is dense (624 nodes).
         # Measured 3.1e-14 and 6.9e-14; a 4-node rule in A misses by 3.3e-2 and 2.0e-2.
         bump, res = _smoothed(T)
-        s, w = panel_nodes(-3.0, 3.0, 80.0, 8.0)
+        s, w = panel_nodes(-3.0, 3.0, 80.0)
         dA_h = bump.scale * bump.half_width * w * np.exp(-np.cosh(s) ** 2) / np.cosh(s) ** 2
         ref = sum(wt * moments.maass_selberg_limit(T, bump.B + bump.half_width * math.tanh(si))
                   for si, wt in zip(s, dA_h))

@@ -2,9 +2,9 @@
 
 ``assert`` statements are stripped under -O, so every check the package
 makes at run time must raise a typed ``eislab.errors`` exception instead.
-The same source scan keeps ``policy`` off public functions whose callers
-all use the default, keeps calls from restating the default oversampling,
-and keeps every public name reachable from a command.
+The same source scan keeps a parameter default only where some command or
+workload sets the parameter, keeps calls from restating the default
+oversampling, and keeps every public name reachable from a command.
 """
 
 import ast
@@ -18,35 +18,6 @@ import eislab
 
 PACKAGE = Path(eislab.__file__).resolve().parent
 ROOT = PACKAGE.parents[1]
-
-
-# the public functions whose ``policy`` some caller sets to a second value
-POLICY_TAKERS = {"bessel_k_scaled", "EisensteinEvaluator", "fourth_moment",
-                 "g_lower_incomplete"}
-
-
-def _functions(tree):
-    """(name, def) for module-level functions and class methods; a class's
-    ``__init__`` goes by the class name."""
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            yield node.name, node
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef):
-                    name = node.name if item.name == "__init__" else f"{node.name}.{item.name}"
-                    yield name, item
-
-
-def test_policy_parameter_only_where_a_caller_varies_it():
-    takers = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for name, fn in _functions(ast.parse(path.read_text(), filename=str(path))):
-            params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-            public = not any(part.startswith("_") for part in name.split("."))
-            if public and "policy" in {a.arg for a in params}:
-                takers.add(name)
-    assert takers == POLICY_TAKERS
 
 
 def test_no_call_restates_the_default_oversampling():
@@ -108,6 +79,7 @@ ENTRY_POINTS = [PACKAGE / "cli.py", PACKAGE / "acceptance.py",
                 *sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
 # the tests' high-precision reference module, which no command imports by design
 REFERENCE_MODULES = {"oracles.py"}
+
 # "eislab.eisenstein:EisensteinEvaluator.eval_row", as the bench tracer names its layers
 _QUALIFIED = re.compile(r"eislab(?:\.\w+)*:([\w.]+)")
 
@@ -220,3 +192,82 @@ def test_every_public_name_is_reached_from_a_command():
     unreached = unreached_public_names()
     assert not unreached, "nothing under cli, acceptance, bench/ or scripts/ reaches: " \
         + ", ".join(unreached)
+
+
+# defaulted parameters that no package code or entry point passes, each kept
+# for a caller outside that scan
+UNSET_DEFAULTS = {
+    # the console script calls main() and argparse reads sys.argv; tests pass a list
+    "cli:main.argv",
+    # afe_cutoff sizes the series against it (ROADMAP item 12); tests vary it
+    "spectral:afe_pair.smoother",
+}
+
+
+def _functions(tree):
+    """(name, def, bound) for module-level functions and class methods; a
+    class's ``__init__`` goes by the class name; bound is 1 for a method,
+    whose first parameter a call does not pass."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = node.name if item.name == "__init__" else f"{node.name}.{item.name}"
+                    yield name, item, 1
+
+
+def defaulted_parameters():
+    """{"module:function.parameter": (callee name, parameter, position or
+    None)} for every parameter with a default of a public function or method
+    of the package outside the reference modules; a keyword-only one has no
+    position.  Dataclass fields are not parameters here."""
+    params = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name in REFERENCE_MODULES:
+            continue
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        for name, fn, bound in _functions(ast.parse(path.read_text(), filename=str(path))):
+            if any(part.startswith("_") for part in name.split(".")):
+                continue
+            args = fn.args
+            positional = (args.posonlyargs + args.args)[bound:]
+            first = len(positional) - len(args.defaults)
+            callee = name.split(".")[-1]
+            for i, arg in enumerate(positional[first:], first):
+                params[f"{module}:{name}.{arg.arg}"] = (callee, arg.arg, i)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    params[f"{module}:{name}.{arg.arg}"] = (callee, arg.arg, None)
+    return params
+
+
+def unset_defaults():
+    """The defaulted parameters that no call in the package or an entry point
+    passes, by keyword, by position, or by forwarding ``*args`` or
+    ``**kwargs``.  A call is matched to a function by its name alone, so a
+    same-named callee can only hide a parameter, never flag one."""
+    params = defaulted_parameters()
+    passed = set()
+    callers = [p for p in sorted(PACKAGE.rglob("*.py")) if p.name not in REFERENCE_MODULES]
+    for path in dict.fromkeys(callers + ENTRY_POINTS):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords = {k.arg for k in node.keywords}
+            forwards = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+            for key, (name, arg, position) in params.items():
+                if name == callee and (forwards or arg in keywords
+                                       or position is not None and position < len(node.args)):
+                    passed.add(key)
+    return sorted(set(params) - passed)
+
+
+def test_every_default_is_set_by_some_caller():
+    # a parameter that every command and workload leaves at its default is a
+    # constant: make it one, or name the caller that needs it in UNSET_DEFAULTS
+    unset = unset_defaults()
+    assert unset == sorted(UNSET_DEFAULTS), "no caller sets, or UNSET_DEFAULTS lists " \
+        "needlessly: " + ", ".join(sorted(set(unset) ^ UNSET_DEFAULTS))

@@ -238,6 +238,10 @@ class TestXiAndScattering:
         ref = np.exp(oracles.hp_xi_log(1 - 2j * T) - oracles.hp_xi_log(1 + 2j * T))
         assert abs(scattering(T) - ref) < 1e-14
 
+    def test_scattering_domain(self):
+        with pytest.raises(DomainError):
+            scattering(0.0)
+
 
 class TestBesselK:
     def test_k0_reference(self):
@@ -380,5 +384,5 @@ class TestKuznetsovKernel:
 
 
 def test_precision_policy_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         PrecisionPolicy(bessel_freq_oversample=2.0)

@@ -260,7 +260,7 @@ class TestContourWeights:
         xs = np.append(np.arange(1.0, 20001.0), 1e6)
         vp, vm = weights.contour_weights(xs, t, T, parity_a, sigma, smoother)
         bw = math.log(1e6) + 2.0 * sigma * smoother + 4.0
-        nodes, wts = panel_nodes(-height, height, bw, 8.0, min_panels=8)
+        nodes, wts = panel_nodes(-height, height, bw, min_panels=8)
         w = sigma + 1j * nodes
         for got, sT in ((vp, 1.0), (vm, -1.0)):
             core = (np.exp(smoother * w * w + weights._g_ratio_log(w, t, T, parity_a, sT))

@@ -17,7 +17,7 @@ A second coefficient path handles real s in (1, 4]:
     E(z, s) = y^s + phi(s) y^(1-s) + (4 / xi(2s)) sum_{n >= 1} n^(s-1/2)
               sigma_{1-2s}(n) sqrt(y) K_{s-1/2}(2 pi n y) cos(2 pi n x),
 
-with the real-order K-Bessel from scipy.
+with the real-order K-Bessel ``bessel_k_real``.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kv as _kv_real
 
 from eislab.arith import sigma_complex_many, tau_gen_many
 from eislab.errors import DomainError
 from eislab.quadrature import _CHEB_TOL, _CHEB_Z, ChebyshevTable
-from eislab.specfun import bessel_k_scaled, phi_log, scattering, xi_log
+from eislab.specfun import bessel_k_real, bessel_k_scaled, phi_log, scattering, xi_log
 
 
 @dataclass(frozen=True)
@@ -199,8 +198,9 @@ class RealSEvaluator:
         nms = self.n_max(ys)
         K = int(nms.max())
         ns = np.arange(1, K + 1)
-        kvals = np.where(ns <= nms[:, None],
-                         _kv_real(self.s - 0.5, (2.0 * np.pi * ns) * ys[:, None]), 0.0)
+        live = ns <= nms[:, None]
+        kvals = np.zeros(live.shape)
+        kvals[live] = bessel_k_real(self.s - 0.5, ((2.0 * np.pi * ns) * ys[:, None])[live])
         sig = sigma_complex_many(K, 1.0 - 2.0 * self.s)[1:].real
         # cos(2 pi n x) = (e(nx) + e(-nx)) / 2
         half = 0.5 * self.pref * ns ** (self.s - 0.5) * sig * np.sqrt(ys)[:, None] * kvals

@@ -14,6 +14,7 @@ from eislab.specfun.zeta import (
     zeta,
 )
 from eislab.specfun.bessel import (
+    bessel_k_real,
     bessel_k_scaled,
     kuznetsov_kernel_even_many,
     kuznetsov_kernel_transform,
@@ -30,6 +31,7 @@ __all__ = [
     "scattering",
     "xi_log",
     "zeta",
+    "bessel_k_real",
     "bessel_k_scaled",
     "kuznetsov_kernel_even_many",
     "kuznetsov_kernel_transform",

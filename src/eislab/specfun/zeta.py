@@ -24,16 +24,9 @@ import math
 import numpy as np
 
 from eislab.errors import DomainError, PoleError
-from eislab.specfun.gamma import digamma, log_gamma
+from eislab.specfun.gamma import _BERNOULLI_2K, _TWO_K, digamma, log_gamma
 
-# B_{2k} for k = 1..14
-_BERNOULLI_2K = np.array([
-    1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730,
-    7.0 / 6, -3617.0 / 510, 43867.0 / 798, -174611.0 / 330, 854513.0 / 138,
-    -236364091.0 / 2730, 8553103.0 / 6, -23749461029.0 / 870,
-])
-_EM_TERMS = 14
-_TWO_K = 2.0 * np.arange(1, _EM_TERMS + 1)
+_EM_TERMS = _BERNOULLI_2K.size
 _EM_COEF = _BERNOULLI_2K / np.array([math.factorial(2 * k) for k in range(1, _EM_TERMS + 1)],
                                     dtype=float)
 

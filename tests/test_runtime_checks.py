@@ -74,6 +74,34 @@ def test_corrupted_divisors_raise_typed_errors_under_optimize():
     assert lines[2].startswith("InvariantError: Weil bound violated")
 
 
+# the imports of every command and one small call of each workload's kind of
+# work, which between them reach log_gamma, digamma and the real-order K
+_SCIPY_FREE = """
+import sys
+
+import eislab
+import eislab.acceptance
+import eislab.cli
+from eislab import moments, spectral
+from eislab.eisenstein import SpectralSetup
+
+moments.fourth_moment(SpectralSetup(3.0, 2.0))
+moments.real_s_pair_quadrature(2.0, 3.0, 2.0)
+spectral.afe_pair(spectral.divisor_pseudoform(13.78, 1000), 1.0, tail_tol=1e-3)
+print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_the_lab_runs_without_scipy():
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(PACKAGE.parent),
+                                           os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_FREE],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [], "scipy modules loaded: " + done.stdout
+
+
 # what runs: the two command modules, the benchmark and the scripts
 ENTRY_POINTS = [PACKAGE / "cli.py", PACKAGE / "acceptance.py",
                 *sorted((ROOT / "bench").glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import mpmath as mp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from eislab.errors import DomainError, PoleError
 from eislab.quadrature import ragged_panel_nodes
 from eislab.specfun import (
     PrecisionPolicy,
+    bessel_k_real,
     bessel_k_scaled,
     digamma,
     kuznetsov_kernel_even_many,
@@ -44,6 +46,18 @@ def _box_sample(n=100, seed=4):
     return list(re + 1j * im)
 
 
+def _contour_sample():
+    """The heights the AFE weights' contours reach: Re z in {0.75, 1.25},
+    |Im z| <= 120."""
+    return [complex(re, im) for re in (0.75, 1.25) for im in np.linspace(-120.0, 120.0, 241)]
+
+
+def _worst_error(values, refs):
+    """The largest |value - ref| / max(1, |ref|)."""
+    refs = np.asarray(refs)
+    return float(np.max(np.abs(np.asarray(values) - refs) / np.maximum(1.0, np.abs(refs))))
+
+
 class TestLogGamma:
     def test_gamma_one(self):
         assert abs(log_gamma(1.0)) < 1e-14
@@ -67,9 +81,28 @@ class TestLogGamma:
         for z in [-1.5 + 0.5j, -2.3 - 4j, -0.25 + 12j]:
             assert abs(log_gamma(z) - oracles.hp_log_gamma(z)) < 1e-11
 
+    def test_as_accurate_as_scipy(self):
+        # against the 50-digit oracle, within twice scipy.special.loggamma's
+        # worst error on the same points, plus 1e-15
+        from scipy import special
+        zs = np.array(_box_sample(500) + _contour_sample())
+        ref = [oracles.hp_log_gamma(z) for z in zs]
+        assert _worst_error(log_gamma(zs), ref) \
+            <= 2.0 * _worst_error(special.loggamma(zs), ref) + 1e-15
+
+    def test_negative_axis_branch_matches_scipy(self):
+        # at Im z = +0.0 the branch is the limit from above, as in
+        # scipy.special.loggamma: a wrong multiple of 2 pi i is off by 6.28
+        from scipy import special
+        xs = -np.concatenate([np.linspace(0.05, 9.95, 100), [12.25, 100.7]])
+        zs = xs + 0.0j
+        assert not np.signbit(zs.imag).any()
+        assert _worst_error(log_gamma(zs), special.loggamma(zs)) < 1e-13
+
     def test_pole_raises(self):
-        # scipy alone returns nan at a pole; the wrappers must raise, for a
-        # scalar and for an array holding one pole among regular points
+        # the series and recurrence alone would give inf or nan at a pole;
+        # the functions must raise, for a scalar and for an array holding
+        # one pole among regular points
         for fn in (log_gamma, digamma):
             for z in (-3.0, np.array([0.5 + 1j, 2.0, -4.0, -1.5])):
                 with pytest.raises(PoleError):
@@ -98,6 +131,14 @@ class TestDigamma:
     def test_against_oracle(self):
         for z in [0.5 + 7j, 3.0 - 2j, -1.2 + 0.4j] + _box_sample():
             assert abs(digamma(z) - oracles.hp_digamma(z)) < 1e-11
+
+    def test_as_accurate_as_scipy(self):
+        # against the 50-digit oracle, within twice scipy.special.psi's worst
+        # error on the same points, plus 1e-15
+        from scipy import special
+        zs = np.array(_box_sample(500) + _contour_sample())
+        ref = [oracles.hp_digamma(z) for z in zs]
+        assert _worst_error(digamma(zs), ref) <= 2.0 * _worst_error(special.psi(zs), ref) + 1e-15
 
 
 class TestStirlingGamma:
@@ -331,6 +372,25 @@ class TestBesselK:
         monkeypatch.setattr(bessel, "ragged_panel_nodes", counting)
         bessel_k_scaled(T, y)
         assert 0 < sum(nodes) <= most
+
+
+class TestBesselKReal:
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 1.523, 2.5, 3.5])
+    def test_against_mpmath(self, nu):
+        xs = np.geomspace(0.5, 500.0, 61)
+        with mp.workdps(30):
+            ref = np.array([float(mp.besselk(nu, x)) for x in xs])
+        assert np.max(np.abs(bessel_k_real(nu, xs) / ref - 1.0)) <= 1e-14
+
+    def test_shapes_order_sign_and_domain(self):
+        xs = np.array([[0.5, 6.0], [60.0, 600.0]])
+        got = bessel_k_real(2.5, xs)
+        assert got.shape == xs.shape and isinstance(bessel_k_real(2.5, 6.0), float)
+        assert np.array_equal(got, bessel_k_real(-2.5, xs))
+        assert bessel_k_real(1.5, 1e6) == 0.0  # e^-x underflows past x ~ 745
+        for bad in (0.0, -1.0, 2.0 ** -21, np.inf, np.nan):
+            with pytest.raises(DomainError):
+                bessel_k_real(1.5, bad)
 
 
 def test_kernel_accuracy_survey_passes():

@@ -219,9 +219,10 @@ def _k_real_nodes(nu: float, lo: int, hi: int):
     s = np.where(live, 2.0 * np.sinh(0.5 * t) ** 2, 0.0)
     w = np.where(live, h[:, None] * np.cosh(nu * t), 0.0)
     w[:, 0] *= 0.5
+    last = last.astype(int)
     for v in (s, w, last):
         v.flags.writeable = False
-    return s, w, last.astype(int)
+    return s, w, last
 
 
 def bessel_k_real(nu: float, x):

@@ -129,13 +129,11 @@ def _log_gamma(z):
     w, r, near, live, f = _shift(z)
     out = (w - 0.5) * np.log(w) - w + 0.5 * _LN_2PI + w * _series(w, r, _LG_COEF, _LG_RADII)
     if near.size:
-        # log prod_k (z + k): the modulus from the product of the squared
-        # moduli, real so that a lone point rounds as in a batch, and the
-        # argument as the sum of the factors' arguments, each in
-        # (-pi/2, pi/2], so that no branch cut is crossed
+        # log prod_k (z + k): the modulus from the product, the argument as
+        # the sum of the factors' arguments, each in (-pi/2, pi/2], so that
+        # no branch cut is crossed
         f = np.where(live, f, 1.0)
-        modulus2 = (f.real * f.real + f.imag * f.imag).prod(axis=0)
-        out[near] -= 0.5 * np.log(modulus2) + 1j * np.arctan2(f.imag, f.real).sum(axis=0)
+        out[near] -= np.log(np.abs(f.prod(axis=0))) + 1j * np.arctan2(f.imag, f.real).sum(axis=0)
     return out
 
 

@@ -59,12 +59,15 @@ for call in (lambda: arith.tau_gen(3, 1.7), lambda: arith.tau_gen(3, np.array([0
 """
 
 
+def _package_env():
+    """The environment of a subprocess that imports this checkout's package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent),
+                                                        os.environ.get("PYTHONPATH", "")]))
+
+
 def test_corrupted_divisors_raise_typed_errors_under_optimize():
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(PACKAGE.parent),
-                                           os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_DIVISORS],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_package_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 3
@@ -93,11 +96,8 @@ print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("sc
 
 
 def test_the_lab_runs_without_scipy():
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(PACKAGE.parent),
-                                           os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", _SCIPY_FREE],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=_package_env(), timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [], "scipy modules loaded: " + done.stdout
 

@@ -5,6 +5,8 @@ makes at run time must raise a typed ``eislab.errors`` exception instead.
 The same source scan keeps a parameter default only where some command or
 workload sets the parameter, keeps calls from restating the default
 oversampling, and keeps every public name reachable from a command.
+Two subprocess runs check that the lab loads no scipy module and that a
+repeated fourth-moment pass takes its arrays from the heap it already has.
 """
 
 import ast
@@ -13,6 +15,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import eislab
 
@@ -100,6 +104,31 @@ def test_the_lab_runs_without_scipy():
                           capture_output=True, text=True, env=_package_env(), timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [], "scipy modules loaded: " + done.stdout
+
+
+# the page faults of the last of three equal fourth-moment passes: a pass
+# whose arrays are mapped afresh faults on each of their pages
+_REPEATED_PASS_FAULTS = """
+import resource
+
+from eislab import moments
+from eislab.eisenstein import SpectralSetup
+
+setups = [SpectralSetup(T, 2.0) for T in (10.03, 24.88, 49.54)]
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for setup in setups:
+        moments.fourth_moment(setup)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not eislab._glibc(), reason="the malloc thresholds are glibc's")
+def test_a_repeated_moment_pass_reuses_the_heap():
+    done = subprocess.run([sys.executable, "-c", _REPEATED_PASS_FAULTS],
+                          capture_output=True, text=True, env=_package_env(), timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 100, f"{done.stdout.strip()} page faults in a repeated pass"
 
 
 # what runs: the two command modules, the benchmark and the scripts

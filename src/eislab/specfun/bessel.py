@@ -72,9 +72,10 @@ runs along the real axis to s1 and up to s1 + i pi/2, with
 w sinh s1 = max(4 t_max, pi t_max + 50).  On the line Im s = pi/2 the
 integrand of either sign is e^(-w sinh x -+ pi t), at most e^-50 at x = s1
 for every t <= t_max and falling like e^(-w sinh x) past it, so the contour
-ends there.  ``kuznetsov_kernel_even_many`` evaluates one x at a time and
-is kept as the reference that the tests and the benchmark check the
-transform below against; the library's own callers use the transform.
+ends there.  ``kuznetsov_kernel_even_many`` evaluates one x at a time on
+that contour and is kept as the reference that the tests and the benchmark
+check the transform below against; the library's own callers use the
+transform, whose vertical legs end lower.
 
 ``kuznetsov_kernel_transform(xs, ts, a)`` returns sum_t a_t K(x, t) for many
 x at once with the t- and s-integrals swapped, since the t-sums
@@ -93,12 +94,21 @@ is shared by a panel's 16 nodes.
 * Vertical legs s1 + ir: G = B @ e^(+-2it s1) with B[r, t] = a_t e^(-+2tr),
   B factored by panel as above: one matrix product for all x.  The growing
   sign's rows are scaled by e^(-2 t_max r), folded back into the leg factor,
-  so |B| <= |a| and nothing overflows.
+  so |B| <= |a| and nothing overflows.  e^(2it s1) is the real leg's panel
+  factor at the panel that ends at s1, times e^(2it half), so it too keeps
+  twice double precision.  The legs end at r_end, the least r in (0, pi/2]
+  where sum_t |a_t| e^(2tr - W sin r) <= e^-50 sum_t |a_t|, W = min_x w sinh s1
+  (``_leg_end``): that bounds the integrand of both signs at s1 + ir, and
+  past the corner, on Im s = r_end, |e^(iw cosh s)| = e^(-w sinh Re s sin r_end)
+  keeps falling, which is the argument for ending at pi/2 with pi/2 replaced
+  by r_end.  On Gaussian weights r_end is 0.11-0.63, and a leg takes 112
+  nodes where one to pi/2 took 256-1,536.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -273,6 +283,16 @@ def _rotation_point(w, tmax: float):
     return np.arcsinh(max(4.0 * tmax, np.pi * tmax + 50.0) / w)
 
 
+def _t_nodes(ts) -> np.ndarray:
+    """The t array of a Kuznetsov kernel call: non-empty, 1-d and >= 0."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise DomainError(f"kuznetsov kernel needs a non-empty 1-d t array, got shape {ts.shape}")
+    if (ts < 0).any():
+        raise DomainError("t array must be nonnegative (kernel is even in t)")
+    return ts
+
+
 def kuznetsov_kernel_even_many(x: float, ts):
     """Even part of the trace-formula kernel at one x > 0 over an array of t >= 0:
     (4/pi) int_0^inf cos(w cosh s) cos(2 t s) ds, w = 4 pi x.
@@ -282,9 +302,7 @@ def kuznetsov_kernel_even_many(x: float, ts):
     """
     if x <= 0.0:
         raise DomainError(f"kuznetsov kernel requires x > 0, got {x}")
-    ts = np.asarray(ts, dtype=float)
-    if (ts < 0).any():
-        raise DomainError("t array must be nonnegative (kernel is even in t)")
+    ts = _t_nodes(ts)
     w = 4.0 * np.pi * x
     tmax = float(np.max(ts))
     s1 = _rotation_point(w, tmax)
@@ -307,14 +325,51 @@ def kuznetsov_kernel_even_many(x: float, ts):
     return (2.0 / np.pi) * total
 
 
+def _leg_end(ts, a, W: float) -> float:
+    """The smallest r in (0, pi/2] with sum_t |a_t| e^(2tr - W sin r) <= e^-50 sum_t |a_t|,
+    by bisection; 0.0 for an all-zero a.
+
+    The left side is a logsumexp minus W sin r, convex on [0, pi/2], so the
+    bound holds on an interval that reaches pi/2, where W >= pi t_max + 50
+    (``_rotation_point``) meets it term by term; the returned r meets it and
+    r (1 - 1e-6) does not."""
+    keep = a != 0.0
+    if not keep.any():
+        return 0.0
+    mag, ts = np.abs(a[keep]), ts[keep]
+    top = float(ts.max())  # its term keeps the t-sum below from underflowing to 0
+    bound = math.log(mag.sum()) - 50.0
+    lo, hi = 0.0, np.pi / 2
+    while hi - lo > 1e-6 * hi:
+        r = 0.5 * (lo + hi)
+        if math.log(mag @ np.exp(2.0 * (ts - top) * r)) + 2.0 * top * r - W * math.sin(r) <= bound:
+            hi = r
+        else:
+            lo = r
+    return hi
+
+
+def _edge_phases(edges, em, k, ts) -> np.ndarray:
+    """e^(2i t s) at the panel edges s = edges[k], k >= 1, as an (N_t, len(k))
+    array, from the factors em of ``_panel_exp(edges, 2 ts, 1j)``: an edge is
+    its panel's mid plus half the panel width, so each phase keeps em's twice
+    double precision."""
+    half = 0.5 * (edges[-1] - edges[0]) / (edges.size - 1)
+    return (em[k - 1] * np.exp(2j * half * ts)).T
+
+
 def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
     """sum_t a_t K(x, t) for every x of ``xs``, K the even kernel at t >= 0,
     by the contracted transform of the module docstring."""
-    xs, ts, a = (np.asarray(v, dtype=float) for v in (xs, ts, a))
+    ts = _t_nodes(ts)
+    xs, a = (np.asarray(v, dtype=float) for v in (xs, a))
+    if xs.ndim != 1 or xs.size == 0 or a.shape != ts.shape:
+        raise DomainError(f"kuznetsov_kernel_transform needs a non-empty 1-d x array and one a "
+                          f"per t, got x, t and a of shapes {xs.shape}, {ts.shape}, {a.shape}")
     if not all(np.isfinite(v).all() for v in (xs, ts, a)):
         raise DomainError("kuznetsov_kernel_transform needs finite x, t and a")
-    if (xs <= 0.0).any() or (ts < 0).any():
-        raise DomainError("kuznetsov_kernel_transform needs x > 0 and t >= 0")
+    if (xs <= 0.0).any():
+        raise DomainError("kuznetsov_kernel_transform needs x > 0")
     tmax = float(np.max(ts))
     ws = 4.0 * np.pi * xs
     raw = _rotation_point(ws, tmax)
@@ -322,17 +377,19 @@ def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
     # w cosh(s1) + 2 tmax, each s1 rounded up to one of its panel edges
     edges = panel_edges(0.0, float(raw.max()), 1.1 * (np.max(ws * np.cosh(raw)) + 2.0 * tmax))
     n, wt = edge_nodes(edges)
-    s1 = edges[np.minimum(np.searchsorted(edges, raw), edges.size - 1)]
+    k = np.minimum(np.searchsorted(edges, raw), edges.size - 1)
+    s1 = edges[k]
     em, ex = _panel_exp(edges, 2.0 * ts, 1j)
     g_real = wt * (em @ (ex * a).T).real.ravel()
     inside = n[None, :] < s1[:, None]
     total = 2.0 * (np.cos(np.outer(ws, np.cosh(n))) * inside) @ g_real
-    # vertical legs s1 + i r: sum_t a_t e^(i sg 2t(s1 + ir)) = (B @ e^(i sg 2t s1))[r]
+    # vertical legs s1 + i r, r <= r_end: sum_t a_t e^(i sg 2t(s1 + ir)) = (B @ e^(i sg 2t s1))[r]
     # with B[r, t] = a_t e^(-sg 2tr), factored by panel; the growing sign's rows
     # carry e^(-2 tmax r), so |B| <= |a|, and the leg factor takes e^(2 tmax r) back
-    r_edges = panel_edges(0.0, np.pi / 2, float(np.max(ws * np.cosh(s1))) + 2.0 * tmax)
+    r_end = _leg_end(ts, a, float(np.min(ws * np.sinh(s1))))
+    r_edges = panel_edges(0.0, r_end, float(np.max(ws * np.cosh(s1))) + 2.0 * tmax)
     r, wr = edge_nodes(r_edges)
-    phase = np.exp(2j * np.outer(ts, s1))
+    phase = _edge_phases(edges, em, k, ts)
     arg = 1j * ws[:, None] * np.cosh(s1[:, None] + 1j * r[None, :])
     for sg in (1.0, -1.0):
         lift = (1.0 - sg) * tmax * r
@@ -342,4 +399,3 @@ def kuznetsov_kernel_transform(xs, ts, a) -> np.ndarray:
         g_vert = rows @ phase.real + (1j * sg) * (rows @ phase.imag)
         total += np.real(((1j * wr) * leg * g_vert.T).sum(axis=1))
     return (2.0 / np.pi) * total
-

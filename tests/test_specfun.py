@@ -442,6 +442,26 @@ class TestKuznetsovKernel:
         with pytest.raises(DomainError, match="finite"):
             kuznetsov_kernel_transform(args["xs"], args["ts"], args["a"])
 
+    # each of these ended in a bare numpy ValueError or IndexError, or, for
+    # one a against two t, in a silently broadcast sum
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: kuznetsov_kernel_even_many(1.0, []), id="empty-t"),
+        pytest.param(lambda: kuznetsov_kernel_transform([0.5], [], []), id="transform-empty-t"),
+        pytest.param(lambda: kuznetsov_kernel_transform([], [0.0, 2.0], [1.0, 0.5]),
+                     id="transform-empty-x"),
+        pytest.param(lambda: kuznetsov_kernel_transform([0.5], [0.0, 2.0, 4.0], [1.0, 0.5]),
+                     id="transform-a-shorter-than-t"),
+        pytest.param(lambda: kuznetsov_kernel_transform([0.5], [0.0, 2.0], [1.0]),
+                     id="transform-one-a-for-two-t"),
+        pytest.param(lambda: kuznetsov_kernel_even_many(1.0, [[0.0, 2.0], [4.0, 6.0]]),
+                     id="2d-t"),
+        pytest.param(lambda: kuznetsov_kernel_transform([0.5], [[0.0, 2.0]], [[1.0, 0.5]]),
+                     id="transform-2d-t"),
+    ])
+    def test_malformed_input_is_a_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
+
 
 def test_precision_policy_invariants():
     with pytest.raises(DomainError):

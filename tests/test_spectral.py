@@ -10,7 +10,7 @@ import pytest
 from eislab import arith, oracles, quadrature, spectral, weights
 from eislab.errors import DomainError, MissingEigenvalueError, ValidationError
 from eislab.quadrature import edge_nodes, panel_edges, panel_nodes
-from eislab.specfun import kuznetsov_kernel_even_many, kuznetsov_kernel_transform, zeta
+from eislab.specfun import bessel, kuznetsov_kernel_even_many, kuznetsov_kernel_transform, zeta
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "maass_forms.csv"
 CS_TO_50 = tuple(sorted(set(range(1, 51))
@@ -307,13 +307,52 @@ class TestKuznetsov:
     def test_contracted_transform_flat_weights_small_t(self):
         # at t_max = 5 the pi t_max + 50 term sets the rotation point (65.7,
         # against 4 t_max = 20), and flat weights, unlike the Gaussians
-        # above, keep t near t_max at full size: where ending the contour at
-        # s1 + i pi/2 would leave the most behind if that term were too small
+        # above, keep t near t_max at full size: where ending the vertical
+        # legs would leave the most behind if that term were too small.  The
+        # transform's legs end at r_end = 1.10 here, the reference's at pi/2
         ts, a = panel_nodes(0.0, 5.0, 10.0)
         xs = 1.0 / np.array([1.0, 3.0, 40.0])
         got = kuznetsov_kernel_transform(xs, ts, a)
         ref = np.array([a @ kuznetsov_kernel_even_many(x, ts) for x in xs])
         assert np.max(np.abs(got - ref)) < 1e-13
+
+    @pytest.mark.parametrize("width", [2.0, 8.0, 20.0, None], ids=["w2", "w8", "w20", "flat"])
+    def test_vertical_leg_end_is_where_the_bound_starts_to_hold(self, width):
+        # the transform's vertical legs end at the least r where
+        # sum_t |a_t| e^(2tr - W sin r) <= e^-50 sum_t |a_t|; a test above
+        # cannot see an end moved to 0.5 of it (its error stays at 3e-16)
+        if width is None:
+            ts, a = panel_nodes(0.0, 5.0, 10.0)
+        else:
+            phi = spectral.TestFunction(kind="gaussian", width=width)
+            ts, a = spectral._kernel_weights(phi, 1.0 / 800)
+        tmax = float(ts.max())
+        W = max(4.0 * tmax, np.pi * tmax + 50.0)  # w sinh s1 at the rotation point
+
+        def excess(r):
+            return math.log(np.sum(np.abs(a) * np.exp(2.0 * ts * r - W * math.sin(r)))
+                            / np.sum(np.abs(a))) + 50.0
+
+        end = bessel._leg_end(ts, a, W)
+        assert excess(end) <= 0.0
+        assert end > 0.0 and excess(0.99 * end) > 0.0
+        if width is not None:
+            assert end < np.pi / 2
+        assert bessel._leg_end(ts, 0.0 * a, W) == 0.0
+        assert not kuznetsov_kernel_transform([1.0, 1.0 / 3.0], ts, 0.0 * a).any()
+
+    def test_vertical_leg_phases_from_the_panel_factors(self):
+        # e^(2i t s1) at every panel edge of a width-20 grid (phases up to
+        # ~1,100) agree with the plain exponential to its own rounding
+        phi = spectral.TestFunction(kind="gaussian", width=20.0)
+        ts, _ = spectral._kernel_weights(phi, 1.0 / 40)
+        edges = panel_edges(0.0, 4.5, 1.1 * (4.0 * np.pi * math.cosh(4.5) + 2.0 * ts.max()))
+        em, _ = quadrature._panel_exp(edges, 2.0 * ts, 1j)
+        k = np.arange(1, edges.size)
+        got = bessel._edge_phases(edges, em, k, ts)
+        phase = 2.0 * np.outer(ts, edges[k])
+        assert phase.max() > 1000.0
+        assert np.all(np.abs(got - np.exp(1j * phase)) <= 4.0 * np.finfo(float).eps * (1.0 + phase))
 
     def test_tail_monotone_under_doubling(self, fixture_forms):
         phi = spectral.TestFunction(kind="gaussian", width=8.0)

@@ -30,7 +30,7 @@ import numpy as np
 from eislab.arith import sigma_complex_many, tau_gen_many
 from eislab.errors import DomainError
 from eislab.quadrature import _CHEB_TOL, _CHEB_Z, ChebyshevTable
-from eislab.specfun import bessel_k_real, bessel_k_scaled, phi_log, scattering, xi_log
+from eislab.specfun import bessel_k_real, bessel_k_scaled, xi_log
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class EisensteinEvaluator:
         self.setup = setup
         T = setup.T
         self.log_xi_norm = xi_log(1 + 2j * T)
-        self.scattering_c = scattering(T)
+        self.scattering_c = complex(np.exp(-2j * self.log_xi_norm.imag))
         # 2 e^{-pi T/2} / xi(1+2iT), the O(1) prefactor of the scaled modes
         self.mode_prefactor = complex(2.0 * np.exp(-np.pi * T / 2 - self.log_xi_norm))
         self.cutoff_margin = T + 10.0 * T ** (1.0 / 3.0) + 40.0
@@ -175,8 +175,7 @@ class RealSEvaluator:
             raise DomainError("RealSEvaluator supports real s in (1, 4]")
         self.s = float(s)
         self.log_xi_2s = xi_log(2.0 * s)
-        lp = phi_log(complex(s))
-        self.phi_s = complex(np.exp(lp))
+        self.phi_s = complex(np.exp(xi_log(2.0 * s - 1.0) - self.log_xi_2s))  # xi(2s-1)/xi(2s)
         self.pref = complex(4.0 * np.exp(-self.log_xi_2s))
 
     def n_max(self, y):

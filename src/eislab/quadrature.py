@@ -155,15 +155,13 @@ _CHEB_Z = 4.0873
 class ChebyshevTable:
     """Piecewise degree-24 Chebyshev interpolant of f on [edges[0], edges[-1]],
     starting from the seed partition ``edges``; f maps a 1-d array of points
-    to the array of its values, or of its values along a second axis of
-    components, which share the panels.
+    to the array of its real or complex values.
 
     Each level of pending panels is sampled in one f call.  A panel is kept
-    once, for every component, its last three coefficients are at most 1e-14
-    of that component's peak |f| over every sample so far (Trefethen, ATAP,
-    ch. 8), and bisected into the next level otherwise, so a seed that is too
-    coarse costs one more level, never accuracy; a failing panel narrower
-    than 2^-6 raises ConvergenceError.
+    once its last three coefficients are at most 1e-14 of the peak |f| over
+    every sample so far (Trefethen, ATAP, ch. 8), and bisected into the next
+    level otherwise, so a seed that is too coarse costs one more level, never
+    accuracy; a failing panel narrower than 2^-6 raises ConvergenceError.
     """
 
     def __init__(self, f, edges):
@@ -173,15 +171,14 @@ class ChebyshevTable:
         while a.size:
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             vals = f((mid[:, None] + half[:, None] * _CHEB_NODES).ravel())
-            self.shape, self.dtype = vals.shape[1:], np.result_type(vals, float)
-            self.peak = np.maximum(self.peak, np.max(np.abs(vals), axis=0))
-            # every real part (re, im interleaved) in one fit: (panels, parts, degree + 1)
-            parts = np.ascontiguousarray(vals, self.dtype).reshape(a.size, _CHEB_DEG + 1, -1)
-            coef = (np.moveaxis(parts.view(float), 2, 1).reshape(-1, _CHEB_DEG + 1)
-                    @ _CHEB_FIT.T).reshape(a.size, -1, _CHEB_DEG + 1)
-            tail = np.abs(coef[..., -3:])
-            tail = np.hypot(tail[:, ::2], tail[:, 1::2]) if self.dtype == complex else tail
-            ok = np.all(np.max(tail, axis=2) <= _CHEB_TOL * self.peak, axis=1)
+            self.peak = max(self.peak, float(np.max(np.abs(vals))))
+            # the real part, or re and im interleaved, in one fit: (panels, parts, degree + 1)
+            parts = np.ascontiguousarray(vals, np.result_type(vals, float)).view(float)
+            parts = np.moveaxis(parts.reshape(a.size, _CHEB_DEG + 1, -1), 2, 1)
+            coef = (parts.reshape(-1, _CHEB_DEG + 1) @ _CHEB_FIT.T).reshape(parts.shape)
+            # |c_k| of the last three coefficients, re and im taken together
+            tail = np.hypot.reduce(np.abs(coef[..., -3:]), axis=1)
+            ok = np.max(tail, axis=1) <= _CHEB_TOL * self.peak
             stuck = ~ok & (b - a < _CHEB_MIN_WIDTH)
             if stuck.any():
                 i = int(np.argmax(stuck))
@@ -197,14 +194,13 @@ class ChebyshevTable:
         self.coefs = np.ascontiguousarray(np.concatenate(coefs)[order].transpose(1, 2, 0))
 
     def __call__(self, x) -> np.ndarray:
-        """The interpolant at an array of x in the table's span, components
-        along a trailing axis, by Clenshaw's recurrence on each real part."""
+        """The interpolant at an array of x in the table's span, by Clenshaw's
+        recurrence on each real part."""
         i = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, self.edges.size - 2)
         a, b = self.edges[i], self.edges[i + 1]
         t = np.clip((x - 0.5 * (a + b)) / (0.5 * (b - a)), -1.0, 1.0)
-        parts = [_clenshaw(c, i, t) for c in self.coefs]
-        out = parts[0] if len(parts) == 1 else np.stack(parts, axis=-1).view(self.dtype)
-        return out.reshape(np.shape(x) + self.shape)
+        re, *im = (_clenshaw(c, i, t) for c in self.coefs)
+        return re + 1j * im[0] if im else re
 
 
 def _clenshaw(coefs, i, t) -> np.ndarray:

@@ -95,15 +95,14 @@ def phi_log(s) -> complex:
 
 def scattering(T: float) -> complex:
     """The scattering value c = xi(1-2iT)/xi(1+2iT) = phi(1/2+iT) at height
-    T > 0, in log-polar space; unimodular up to rounding.
+    T > 0, unimodular: xi(conj s) = conj xi(s) makes it exp(-2i Im log xi(1+2iT)).
 
-    Both xi values sit on the 1-line: phi_log(1/2+iT) gives the same number
+    The xi value sits on the 1-line: phi_log(1/2+iT) gives the same number
     through zeta on Re s = 0, where it loses about 1e-13 at T = 50.
     """
     if not T > 0:
         raise DomainError("scattering requires T > 0")
-    lc = xi_log(1 - 2j * T) - xi_log(1 + 2j * T)
-    return complex(np.exp(1j * lc.imag) * np.exp(lc.real))
+    return complex(np.exp(-2j * xi_log(1 + 2j * T).imag))
 
 
 def phi_log_deriv_critical(T: float) -> float:

@@ -41,7 +41,7 @@ from eislab.specfun import (
     scattering,
     zeta,
 )
-from eislab.weights import Bump, _g_ratio_log, contour_weights
+from eislab.weights import Bump, _g_ratio_log, _mirror_phase, contour_weights
 
 
 _HECKE_TOL = 1e-4  # largest Hecke-relation residual an ingested form may carry
@@ -167,44 +167,49 @@ def afe_cutoff(t: float, T: float, a: float, tail_tol: float,
                smoother: float = 1.0) -> float:
     """Series length: terms past Q_eff exp(2 sqrt(smoother ln(1/tol))) are
     below the Gaussian contour-shift budget e^(-L^2 / (4 smoother))."""
-    g1 = _g_ratio_log(1.0, t, T, a, +1.0)
+    g1 = _g_ratio_log(1.0, t, T, a)
     q_eff = float(np.exp(g1.real))  # |G(1)| ~ conductor^(1/2) growth base
     L = 2.0 * math.sqrt(smoother * max(-math.log(tail_tol), 1.0))
     return max(q_eff, 1.0) * math.exp(L) + 16.0
 
 
 def _afe_weights(n_need: int, t: float, T: float, a: float, smoother: float):
-    """(V_plus, V_minus) at x = 1..n_need, read off one two-component
-    ``ChebyshevTable`` in log x on [0, log n_need] of ``contour_weights`` on
-    Re w = 1: V_pm are smooth in log x, so one contour sum per table level,
-    for both signs, replaces one per x."""
-    table = ChebyshevTable(
-        lambda u: np.stack(contour_weights(np.exp(u), t, T, a, 1.0, smoother), axis=-1),
-        np.linspace(0.0, math.log(n_need), 5))
-    return table(np.log(np.arange(1, n_need + 1))).T
+    """V_plus at x = 1..n_need, read off one ``ChebyshevTable`` in log x on
+    [0, log n_need] of ``contour_weights`` on Re w = 1: V_plus is smooth in
+    log x, so one contour sum per table level replaces one per x."""
+    table = ChebyshevTable(lambda u: contour_weights(np.exp(u), t, T, a, 1.0, smoother),
+                           np.linspace(0.0, math.log(n_need), 5))
+    return table(np.log(np.arange(1, n_need + 1)))
 
 
 def afe_pair(form: MaassForm, T: float, *, tail_tol: float = 1e-7,
              smoother: float = 1.0) -> complex:
     """L(1/2, u) L(1/2 - 2iT, u) via the approximate functional equation.
 
-    Both mirror sums are carried: coefficients lambda(n) tau(n, T) over
-    n^(1/2 -+ iT) k^(1 -+ 2iT) against the contour weights at x = k^2 n, with
-    parity selecting the gamma data (a = 1/2 even, 3/2 odd).  The weights'
-    contour runs on Re w = 1, up to a height set by the smoother.  The
-    double sum is truncated where the Gaussian contour budget puts the weights
-    below ``tail_tol``; the form must carry eigenvalues out to that cutoff.
-    The weights at the integers x <= cutoff are read off one two-component
-    Chebyshev table in log x (``_afe_weights``), within 1e-13 of the peak
-    weight of one contour sum per x, and the double sum is one gather over
+    The plus sum S has coefficients lambda(n) tau(n, T) over
+    n^(1/2 - iT) k^(1 - 2iT) against the contour weights V_plus at x = k^2 n,
+    with parity selecting the gamma data (a = 1/2 even, 3/2 odd); the minus
+    sum, the conjugate coefficients against V_minus = C conj V_plus, is C conj S
+    (``weights._mirror_phase``).  The weights' contour runs on Re w = 1, up to
+    a height set by the smoother.  The double sum is truncated where the
+    Gaussian contour budget puts the weights below ``tail_tol``; the form must
+    carry eigenvalues out to that cutoff.  V_plus at the integers x <= cutoff
+    is read off one Chebyshev table in log x (``_afe_weights``), within 1e-13
+    of the peak weight of one contour sum per x, and S is one gather over
     every (k, n) with k^2 n <= cutoff.
     """
+    if not math.isfinite(T):
+        raise DomainError(f"afe_pair needs a finite T, got {T}")
+    if not 0.0 < tail_tol < 1.0:
+        raise DomainError(f"afe_pair needs 0 < tail_tol < 1, got {tail_tol}")
+    if not 0.0 < smoother < math.inf:
+        raise DomainError(f"afe_pair needs a finite smoother > 0, got {smoother}")
     a = 0.5 if form.parity == "even" else 1.5
     t = form.t
     n_need = int(afe_cutoff(t, T, a, tail_tol, smoother))
     # a missing lambda(n), n <= n_need, raises before any weight is computed
     lam = form.eigenvalues(n_need)
-    vp, vm = _afe_weights(n_need, t, T, a, smoother)
+    vp = _afe_weights(n_need, t, T, a, smoother)
     coef = lam * arith.tau_gen_many(n_need, T)[1:] \
         * np.exp((-0.5 + 1j * T) * np.log(np.arange(1, n_need + 1)))
     # every (k, n) with x = k^2 n <= n_need, as the indices n - 1 and x - 1
@@ -212,9 +217,8 @@ def afe_pair(form: MaassForm, T: float, *, tail_tol: float = 1e-7,
     m = n_need // (ks * ks)
     n = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
     at = np.repeat(ks * ks, m) * (n + 1) - 1
-    # the minus sum's coefficients are the conjugates of the plus sum's
-    plus = np.repeat(np.exp((-1.0 + 2j * T) * np.log(ks)), m) * coef[n]
-    return complex(np.sum(plus * vp[at]) + np.sum(np.conj(plus) * vm[at]))
+    plus = np.sum(np.repeat(np.exp((-1.0 + 2j * T) * np.log(ks)), m) * coef[n] * vp[at])
+    return complex(plus + _mirror_phase(t, T, a) * np.conj(plus))
 
 
 def zeta_product_oracle(gamma: float, T: float) -> complex:
@@ -474,7 +478,7 @@ class DiagonalTerms(NamedTuple):
 
 def bracket_factor(T: float) -> complex:
     """1 + Gamma(1/2 - iT)/Gamma(1/2 + iT) e^(-2iT) T^(2iT); tends to 2."""
-    lg_ratio = log_gamma(0.5 - 1j * T) - log_gamma(0.5 + 1j * T)
+    lg_ratio = -2j * log_gamma(0.5 + 1j * T).imag  # log of Gamma(1/2 - iT) / Gamma(1/2 + iT)
     return complex(1.0 + np.exp(lg_ratio - 2j * T + 2j * T * math.log(T)))
 
 
@@ -494,7 +498,7 @@ def diagonal_main_terms(T: float, bump: Bump) -> DiagonalTerms:
     h0 = bump.hhat0
     ln2T = math.log(T) ** 2
     zp = zeta(1 + 2j * T)
-    zm = zeta(1 - 2j * T)
+    zm = np.conj(zp)  # zeta(1 - 2iT)
     dpp = h0 * (12.0 / math.pi ** 2) * zp * zm * zm * ln2T
     # pi^(-4iT) e^(-2iT) T^(2iT), assembled from logarithms
     phase = np.exp(-4j * T * math.log(math.pi) - 2j * T + 2j * T * math.log(T))

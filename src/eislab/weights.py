@@ -226,29 +226,36 @@ def weight_Hcal_pm(s, t: float, T: float, bump: Bump):
     return (plus, minus) if s.ndim else (complex(plus), complex(minus))
 
 
-def _g_ratio_log(w, t: float, T: float, a: float, sign_T: float):
-    """log G_{sign_T, a}(w, t): shifted over unshifted products of four
-    Gamma_R(s) = pi^(-s/2) Gamma(s/2), each pi^(-2z) exp Q(z).
-
-    The plus variant (sign_T = +1) carries the -2iT shift in its numerator
-    and the minus variant +2iT; the denominator is the unshifted product at
-    the -2iT normalization for both, matching the functional-equation pairing
-    of the central-value product.
+def _g_ratio_log(w, t: float, T: float, a: float):
+    """log G_a(w, t): shifted over unshifted products of four
+    Gamma_R(s) = pi^(-s/2) Gamma(s/2), each pi^(-2z) exp Q(z), with the -2iT
+    shift in the numerator and the unshifted product at the -2iT
+    normalization below, the functional-equation pairing of the central-value
+    product; the weight with the +2iT shift is its mirror (``_mirror_phase``).
     """
-    z = a + np.asarray(w, dtype=complex) - 1j * sign_T * T
-    return (_log_gamma_quad(z, T, t) - _log_gamma_quad(a - 1j * T, T, t)
-            - 2.0 * (z - a + 1j * T) * math.log(math.pi))
+    return (_log_gamma_quad(a + np.asarray(w, dtype=complex) - 1j * T, T, t)
+            - _log_gamma_quad(a - 1j * T, T, t) - 2.0 * w * math.log(math.pi))
+
+
+def _mirror_phase(t: float, T: float, a: float) -> complex:
+    """The unimodular C with V_minus(x) = C conj V_plus(x) at real x.
+
+    Q(conj z) = conj Q(z) gives log G_minus(w) = conj log G_plus(conj w) + log C,
+    log C = Q(a + iT) - Q(a - iT) - 4iT log pi = -2i (Im Q(a - iT) + 2T log pi),
+    and the contour Re w = sigma is symmetric about the real axis."""
+    q = _log_gamma_quad(a - 1j * T, T, t).imag
+    return complex(np.exp(-2j * (q + 2.0 * T * math.log(math.pi))))
 
 
 def contour_weights(xs: np.ndarray, t: float, T: float, a: float, sigma: float,
-                    smoother: float = 1.0):
-    """(V_plus, V_minus) at a 1-d array of x >= 1 on one shared contour.
+                    smoother: float = 1.0) -> np.ndarray:
+    """V_plus at a 1-d array of x >= 1 on one shared contour.
 
-    V_pm(x) = (1/2 pi i) int_(sigma) e^(smoother w^2) x^(-w) G_(pm,a)(w,t) dw/w,
+    V_plus(x) = (1/2 pi i) int_(sigma) e^(smoother w^2) x^(-w) G_a(w,t) dw/w,
     truncated at |Im w| = max(10, sqrt(46/smoother + sigma^2) + 3), past
     which e^(smoother w^2) is below e^-46.  ``smoother`` = 1 is the
     production weight; other values give independent smoothings of the same
-    identity for cross-checks.
+    identity for cross-checks.  V_minus is C conj V_plus (``_mirror_phase``).
     """
     height = max(10.0, math.sqrt(46.0 / smoother + sigma * sigma) + 3.0)
     lnx = np.log(xs)
@@ -256,9 +263,8 @@ def contour_weights(xs: np.ndarray, t: float, T: float, a: float, sigma: float,
     edges = panel_edges(-height, height, bw, min_panels=8)
     nodes, wts = edge_nodes(edges)
     w = sigma + 1j * nodes
-    cores = [np.exp(smoother * w * w + _g_ratio_log(w, t, T, a, sT)) / w * (wts / (2.0 * np.pi))
-             for sT in (+1.0, -1.0)]
-    return tuple(_contour_apply(lnx, sigma, edges, cores))
+    core = np.exp(smoother * w * w + _g_ratio_log(w, t, T, a)) / w * (wts / (2.0 * np.pi))
+    return _contour_apply(lnx, sigma, edges, [core])[0]
 
 
 def weight_V_pm(x, t: float, T: float, parity: str = "even", sigma: float = 1.0):
@@ -266,7 +272,7 @@ def weight_V_pm(x, t: float, T: float, parity: str = "even", sigma: float = 1.0)
 
     V_pm(x, t) = (1/2 pi i) int_(sigma) e^(w^2) x^(-w) G_(pm, a)(w, t) dw / w,
     a = 1/2 for even parity and 3/2 for odd, truncated as in
-    ``contour_weights``.
+    ``contour_weights``; V_minus = C conj V_plus (``_mirror_phase``).
     """
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
@@ -274,10 +280,11 @@ def weight_V_pm(x, t: float, T: float, parity: str = "even", sigma: float = 1.0)
         raise DomainError("contour abscissa must be positive")
     a = 0.5 if parity == "even" else 1.5
     xv = np.asarray(x, dtype=float)
-    if np.any(xv < 1.0):
-        raise DomainError("weight_V_pm is defined for x >= 1")
+    if not np.all((xv >= 1.0) & (xv < np.inf)):
+        raise DomainError("weight_V_pm is defined for finite x >= 1")
+    vp = contour_weights(xv.ravel(), t, T, a, sigma)
     return tuple(v.reshape(xv.shape) if xv.ndim else complex(v[0])
-                 for v in contour_weights(xv.ravel(), t, T, a, sigma))
+                 for v in (vp, _mirror_phase(t, T, a) * np.conj(vp)))
 
 
 class VcalResult(NamedTuple):
@@ -297,8 +304,8 @@ def weight_Vcal_pm(x, t: float, T: float, bump: Bump, sigma: float = 0.75) -> Vc
     estimated tail is recorded in the result.
     """
     xv = np.asarray(x, dtype=float)
-    if np.any(xv < 1.0):
-        raise DomainError("weight_Vcal_pm is defined for x >= 1")
+    if not np.all((xv >= 1.0) & (xv < np.inf)):
+        raise DomainError("weight_Vcal_pm is defined for finite x >= 1")
     h_cap = bump_transform_decay_height(bump, sigma, _VCAL_TAIL_TOL)
     # the gamma ratios only decay for good past the ridge at |Im s| = 2T + |t|
     # (where the shifted numerator arguments cross the real axis)

@@ -1,5 +1,4 @@
-"""The panel-factored exponentials of ``quadrature._panel_exp`` and the
-component axis of ``quadrature.ChebyshevTable``."""
+"""The panel-factored exponentials of ``quadrature._panel_exp``."""
 
 import math
 
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 
 from eislab import quadrature
-from eislab.quadrature import ChebyshevTable, _panel_exp
+from eislab.quadrature import _panel_exp
 
 # imaginary units over a span with panel midpoints of both signs and k up to
 # 2,300 (criterion 9's 2 t_max), phases to 2e4; the real unit as on the
@@ -54,23 +53,3 @@ def test_exponential_count(panels, monkeypatch):
     k = np.linspace(0.0, 90.0, 50)
     _panel_exp(np.linspace(0.0, 7.0, panels + 1), k, 1j)
     assert counting.exps <= (2 * math.ceil(math.sqrt(panels)) + 16) * k.size
-
-
-def test_two_component_table_reads_as_two_one_component_tables():
-    # the components need different panels; the pair keeps the finer set, and
-    # a one-component table on that set reads the same bits as the pair
-    fs = (lambda u: np.exp(9j * u), lambda u: (1.0 + u) * np.exp(-2j * u))
-    pair = ChebyshevTable(lambda u: np.stack([f(u) for f in fs], axis=-1),
-                          np.linspace(0.0, 6.0, 4))
-    x = np.random.default_rng(0).uniform(0.0, 6.0, 1000)
-    got = pair(x)
-    assert got.shape == (1000, 2) and got.dtype == complex
-    for j, f in enumerate(fs):
-        alone = ChebyshevTable(f, pair.edges)
-        assert np.array_equal(alone.edges, pair.edges)
-        assert np.array_equal(got[:, j], alone(x))
-        assert np.max(np.abs(got[:, j] - f(x))) <= 1e-13 * pair.peak[j]
-    # from the same seed the first component alone needs the pair's 12 panels,
-    # the second keeps the 3 seed panels
-    seeded = [ChebyshevTable(f, np.linspace(0.0, 6.0, 4)).edges.size - 1 for f in fs]
-    assert seeded == [pair.edges.size - 1, 3]

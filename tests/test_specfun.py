@@ -279,6 +279,15 @@ class TestXiAndScattering:
         ref = np.exp(oracles.hp_xi_log(1 - 2j * T) - oracles.hp_xi_log(1 + 2j * T))
         assert abs(scattering(T) - ref) < 1e-14
 
+    @pytest.mark.parametrize("T", [5.0, 17.3, 24.88, 49.54, 200.0])
+    def test_scattering_is_the_two_xi_quotient(self, T):
+        # c from one xi value, exp(-2i Im log xi(1 + 2iT)), against the
+        # quotient xi(1 - 2iT) / xi(1 + 2iT) of two
+        c = scattering(T)
+        ref = np.exp(xi_log(1 - 2j * T) - xi_log(1 + 2j * T))
+        np.testing.assert_array_max_ulp(np.array([c.real, c.imag]),
+                                        np.array([ref.real, ref.imag]), maxulp=4)
+
     def test_scattering_domain(self):
         with pytest.raises(DomainError):
             scattering(0.0)

@@ -153,6 +153,21 @@ class TestAFE:
         with pytest.raises(MissingEigenvalueError):
             spectral.afe_pair(form, 3.0)  # demo form is far too short
 
+    @pytest.mark.parametrize("tail_tol", [0.0, -1e-7, math.nan, 1.0])
+    def test_tail_tol_outside_unit_interval_rejected(self, tail_tol):
+        with pytest.raises(DomainError, match="tail_tol"):
+            spectral.afe_pair(spectral.divisor_pseudoform(13.78, 50), 3.0, tail_tol=tail_tol)
+
+    @pytest.mark.parametrize("smoother", [0.0, -1.0, math.nan, math.inf])
+    def test_smoother_not_finite_positive_rejected(self, smoother):
+        with pytest.raises(DomainError, match="smoother"):
+            spectral.afe_pair(spectral.divisor_pseudoform(13.78, 50), 3.0, smoother=smoother)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    def test_non_finite_height_rejected(self, T):
+        with pytest.raises(DomainError, match="finite T"):
+            spectral.afe_pair(spectral.divisor_pseudoform(13.78, 50), T)
+
     def test_insufficient_eigenvalues_guarded(self):
         short = spectral.divisor_pseudoform(13.78, 50)
         with pytest.raises(MissingEigenvalueError):
@@ -165,36 +180,38 @@ class TestAFE:
         # past its end, misses the weights at every x > sqrt(n_need)
         t, a = 13.78, 0.5
         n_need = int(spectral.afe_cutoff(t, T, a, tail_tol))
-        direct = weights.contour_weights(np.arange(1, n_need + 1), t, T, a, 1.0)
-        for table, ref in zip(spectral._afe_weights(n_need, t, T, a, 1.0), direct):
-            assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ref = weights.contour_weights(np.arange(1, n_need + 1), t, T, a, 1.0)
+        table = spectral._afe_weights(n_need, t, T, a, 1.0)
+        assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("T", [3.0, 10.0])
     def test_double_sum_matches_a_loop_over_k(self, pseudoform, T):
         # the one gather over every k^2 n <= n_need against a sum per k on the
-        # same weights; only the summation order differs
+        # same weights, and the minus sum as the mirror C conj S of the plus
+        # sum S; only the summation order differs
         t, a = pseudoform.t, 0.5
         n_need = int(spectral.afe_cutoff(t, T, a, 1e-7))
-        vp, vm = spectral._afe_weights(n_need, t, T, a, 1.0)
+        vp = spectral._afe_weights(n_need, t, T, a, 1.0)
         xs = np.arange(1, n_need + 1)
         coef = pseudoform.eigenvalues(n_need) * arith.tau_gen_many(n_need, T)[1:] \
             * np.exp((-0.5 + 1j * T) * np.log(xs))
-        ref, scale = 0.0, 0.0
+        plus, scale = 0.0, 0.0
         for k in range(1, math.isqrt(n_need) + 1):
             m = n_need // (k * k)
             at = k * k * xs[:m] - 1
-            kf = np.exp((-1.0 + 2j * T) * math.log(k)) * coef[:m]
-            terms = np.concatenate([kf * vp[at], np.conj(kf) * vm[at]])
-            ref += np.sum(terms)
-            scale += np.sum(np.abs(terms))
+            terms = np.exp((-1.0 + 2j * T) * math.log(k)) * coef[:m] * vp[at]
+            plus += np.sum(terms)
+            # the plus terms and the minus terms, of the same moduli
+            scale += 2.0 * np.sum(np.abs(terms))
+        ref = plus + weights._mirror_phase(t, T, a) * np.conj(plus)
         assert abs(spectral.afe_pair(pseudoform, T) - ref) <= 1e-14 * scale
 
     @pytest.mark.parametrize("T", [3.0, 10.0])
     @pytest.mark.parametrize("tail_tol", [1e-7, 1e-10])
     def test_weight_table_sums_each_level_once(self, monkeypatch, T, tail_tol):
-        # one contour sum per table level for both signs, and no panel sampled
-        # twice: each sampled panel is kept or bisected once, so a table grown
-        # from 4 seed panels to P sampled 2 P - 4 of them
+        # one contour sum per table level, and no panel sampled twice: each
+        # sampled panel is kept or bisected once, so a table grown from 4 seed
+        # panels to P sampled 2 P - 4 of them
         calls, tables = [], []
 
         def counted(xs, *args):

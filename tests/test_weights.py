@@ -195,8 +195,8 @@ class TestGammaRatioWeights:
         # |G_(1/2) - G_(3/2)| at fixed w shrinks like 1/t
         w = np.array([0.1 + 0.3j])
         for t in (50.0, 100.0, 200.0):
-            d = abs(np.exp(weights._g_ratio_log(w, t, t, 0.5, +1.0))[0]
-                    - np.exp(weights._g_ratio_log(w, t, t, 1.5, +1.0))[0])
+            d = abs(np.exp(weights._g_ratio_log(w, t, t, 0.5))[0]
+                    - np.exp(weights._g_ratio_log(w, t, t, 1.5))[0])
             assert d <= 1.5 / t
 
 
@@ -221,6 +221,16 @@ class TestContourWeights:
             vp, vm = weights.weight_V_pm(x, t, T, "even")
             env = t * math.sqrt(4 * T * T - t * t) / x
             assert max(abs(vp), abs(vm)) <= 100.0 * env
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, [2.0, math.nan]])
+    def test_v_non_finite_x_rejected(self, x):
+        with pytest.raises(DomainError, match="finite x"):
+            weights.weight_V_pm(x, 60.0, 50.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, [2.0, math.nan]])
+    def test_vcal_non_finite_x_rejected(self, bump50, x):
+        with pytest.raises(DomainError, match="finite x"):
+            weights.weight_Vcal_pm(x, 60.0, 50.0, bump50)
 
     def test_vcal_contour_independence(self, bump50):
         c1 = weights.weight_Vcal_pm(2.0, 60.0, 50.0, bump50, sigma=0.5)
@@ -254,20 +264,26 @@ class TestContourWeights:
     @pytest.mark.parametrize("smoother", [1.0, 0.5])
     def test_factored_contour_weights_match_dense_exponentials(self, parity_a, smoother):
         # x^(-w) factored by panel against exp(outer(-log x, w)) on the same
-        # nodes, the documented truncation, for x = 1..20000 and x = 10^6
-        t, T, sigma = 9.5337, 3.0, 1.0
+        # nodes, the documented truncation, for x = 1..20000 and x = 10^6.
+        # V_minus is the mirror C conj V_plus; its reference is summed from
+        # the +2iT-shifted gamma ratio itself, so it checks the mirror too
+        t, sigma = 9.5337, 1.0
         height = max(10.0, math.sqrt(46.0 / smoother + sigma * sigma) + 3.0)
         xs = np.append(np.arange(1.0, 20001.0), 1e6)
-        vp, vm = weights.contour_weights(xs, t, T, parity_a, sigma, smoother)
         bw = math.log(1e6) + 2.0 * sigma * smoother + 4.0
         nodes, wts = panel_nodes(-height, height, bw, min_panels=8)
         w = sigma + 1j * nodes
-        for got, sT in ((vp, 1.0), (vm, -1.0)):
-            core = (np.exp(smoother * w * w + weights._g_ratio_log(w, t, T, parity_a, sT))
-                    / w * (wts / (2.0 * np.pi)))
-            ref = np.concatenate([np.exp(np.outer(-np.log(xs[i:i + 2000]), w)) @ core
-                                  for i in range(0, xs.size, 2000)])
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for T in (3.0, 10.0):
+            vp = weights.contour_weights(xs, t, T, parity_a, sigma, smoother)
+            vm = weights._mirror_phase(t, T, parity_a) * np.conj(vp)
+            q0 = weights._log_gamma_quad(parity_a - 1j * T, T, t)
+            for got, shift in ((vp, -1j * T), (vm, 1j * T)):
+                log_g = (weights._log_gamma_quad(parity_a + w + shift, T, t) - q0
+                         - 2.0 * (w + shift + 1j * T) * math.log(math.pi))
+                core = np.exp(smoother * w * w + log_g) / w * (wts / (2.0 * np.pi))
+                ref = np.concatenate([np.exp(np.outer(-np.log(xs[i:i + 2000]), w)) @ core
+                                      for i in range(0, xs.size, 2000)])
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestOutputShape:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,11 +162,9 @@ def weights_audit_checks() -> list:
     checks.append(Check("V support", abs(vfar[0]) / abs(vbase[0]), 1e-10))
 
     # envelopes with fitted constants
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfit_h = np.max([abs(weights.weight_Hcal(tt, TT)) ** 2 * abs(tt)
-                         * math.sqrt(4 * TT * TT - tt * tt)
-                         for TT in (20.0, 50.0, 100.0) for tt in (0.7 * TT, TT, 1.3 * TT)])
+    cfit_h = np.max([abs(weights.weight_Hcal(tt, TT)) ** 2 * abs(tt)
+                     * math.sqrt(4 * TT * TT - tt * tt)
+                     for TT in (20.0, 50.0, 100.0) for tt in (0.7 * TT, TT, 1.3 * TT)])
     checks.append(Check("Hcal envelope", cfit_h, 100.0))
     cfit_hs = []
     for tt in (0.8 * T, T, 1.2 * T):
@@ -183,15 +180,13 @@ def weights_audit_checks() -> list:
     # Stirling leading-term convergence, halving from T=100 to T=200
     s0 = 0.3 + 0.2j
     devs = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for TT in (100.0, 200.0):
-            bT = weights.Bump(B=2.0, alpha=0.009, T=TT)
-            lead = weights.leading_terms(s0, TT, TT, bT)
-            hp, hm = weights.weight_Hcal_pm(s0, TT, TT, bT)
-            hc = weights.weight_Hcal(TT, TT)
-            devs[TT] = np.max(np.abs([hc * hp / lead.hh_plus - 1.0,
-                                      hc * hm * lead.v_minus_phase / lead.hh_minus - 1.0]))
+    for TT in (100.0, 200.0):
+        bT = weights.Bump(B=2.0, alpha=0.009, T=TT)
+        lead = weights.leading_terms(s0, TT, TT, bT)
+        hp, hm = weights.weight_Hcal_pm(s0, TT, TT, bT)
+        hc = weights.weight_Hcal(TT, TT)
+        devs[TT] = np.max(np.abs([hc * hp / lead.hh_plus - 1.0,
+                                  hc * hm * lead.v_minus_phase / lead.hh_minus - 1.0]))
     checks.append(Check("Stirling ratio at T=200", devs[200.0], devs[100.0] * 0.75))
     return checks
 

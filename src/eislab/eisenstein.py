@@ -10,7 +10,8 @@ with constant term e(y) = y^(1/2+iT) + c y^(1/2-iT), c = Xi_bar / Xi,
 Xi = xi(1 + 2iT).  The Bessel factor is computed in the e^(pi T/2)-scaled
 form and recombined with 1/Xi in log space, so no intermediate value under-
 or overflows at any desk-scale T.  The rows are those of E itself at every
-height; the truncation at A is a row weight of ``moments``.
+height, with the modes 2 pi n y <= ``cutoff_margin``, a bound in T alone; the
+truncation at A is a row weight of ``moments``.
 
 A second coefficient path handles real s in (1, 4]:
 
@@ -50,12 +51,6 @@ class SpectralSetup:
 _FLOOR_Y = math.sqrt(3.0) / 2.0
 
 
-def moment_y_max(setup: SpectralSetup) -> float:
-    """Top of the moment grid: the modes of E_A are negligible above it."""
-    T = setup.T
-    return setup.A + (T + 20.0 * T ** (1.0 / 3.0)) / (2.0 * math.pi) + 5.0
-
-
 def _k_table_edges(T: float, lo: float, hi: float) -> list:
     """Seed partition of [lo, hi] for a table of e^(pi T/2) K_{iT}.
 
@@ -86,15 +81,14 @@ def cosine_series(c, xs) -> np.ndarray:
 
 
 class EisensteinEvaluator:
-    """E(z, 1/2 + iT) at T = setup.T; setup.A only places the moment grid's top.
+    """E(z, 1/2 + iT) at T = setup.T, the same for every setup.A.
 
-    Rows on the moment grid, sqrt(3)/2 <= y <= ``moment_y_max(setup)``, take
-    their modes from one ``ChebyshevTable`` of ``bessel_k_scaled(T, .)``,
-    accurate to about 1e-14 of the peak |K| and built on the first such row
-    from the WKB seed ``_k_table_edges``; rows at other heights take theirs
-    from one array call of ``bessel_k_scaled``.  Evaluation mutates the object
-    (the table, and ``_tau`` grows when a row needs more modes), so concurrent
-    callers must not share one evaluator unlocked.
+    Rows of F, y >= sqrt(3)/2, take their modes from one ``ChebyshevTable``
+    of ``bessel_k_scaled(T, .)`` on [2 pi sqrt(3)/2, cutoff_margin], accurate
+    to about 1e-14 of the peak |K| and built on the first such row from the
+    WKB seed ``_k_table_edges``; rows below F take theirs from one array call
+    of ``bessel_k_scaled``.  Evaluation builds the table in place, so
+    concurrent callers must not share one evaluator unlocked.
     """
 
     def __init__(self, setup: SpectralSetup):
@@ -105,15 +99,13 @@ class EisensteinEvaluator:
         # 2 e^{-pi T/2} / xi(1+2iT), the O(1) prefactor of the scaled modes
         self.mode_prefactor = complex(2.0 * np.exp(-np.pi * T / 2 - self.log_xi_norm))
         self.cutoff_margin = T + 10.0 * T ** (1.0 / 3.0) + 40.0
-        n_top = self.n_max(_FLOOR_Y)
-        self._tau = tau_gen_many(max(n_top, 1), T)
-        self._y_top = moment_y_max(setup)
+        self._tau = tau_gen_many(self.n_max(_FLOOR_Y), T)
         self._k_table: ChebyshevTable | None = None
 
     def n_max(self, y):
-        """Fourier cutoff: K_{iT}(2 pi n y) is negligible past this index;
-        an int for a scalar y, an int array for an array of y."""
-        n = np.maximum(1, np.ceil(self.cutoff_margin / (2.0 * np.pi * np.asarray(y, float))))
+        """Fourier cutoff, the largest n with 2 pi n y <= cutoff_margin; an int
+        for a scalar y, an int array for an array of y."""
+        n = np.floor(self.cutoff_margin / (2.0 * np.pi * np.asarray(y, float)))
         return int(n) if n.ndim == 0 else n.astype(int)
 
     def constant_term(self, y):
@@ -132,33 +124,30 @@ class EisensteinEvaluator:
         an array of y the rows form an (n_y, 2K+1) matrix with K the largest
         cutoff; each row's modes past its own cutoff are zero.  All modes of
         a call come from one table call, plus one ``bessel_k_scaled`` call
-        for the rows off the moment grid.
+        for the rows below F.
         """
+        T = self.setup.T
         ys = np.atleast_1d(np.asarray(y, float))
         nms = self.n_max(ys)
         K = int(nms.max())
-        if K >= len(self._tau):
-            self._tau = tau_gen_many(K, self.setup.T)
+        tau = self._tau if K < len(self._tau) else tau_gen_many(K, T)
         ns = np.arange(1, K + 1)
         live = ns <= nms[:, None]
         args = (2.0 * np.pi * ns) * ys[:, None]
-        on_grid = (_FLOOR_Y <= ys) & (ys <= self._y_top)
+        on_F = (ys >= _FLOOR_Y)[:, None]
         ks = np.zeros(args.shape)
-        # 2 pi n_max(y) y < cutoff_margin + 2 pi y, so every live mode of a
-        # moment-grid row lies in the table
-        table = live & on_grid[:, None]
+        # every live mode has 2 pi n y <= cutoff_margin, the table's end
+        table = live & on_F
         if table.any():
             if self._k_table is None:
-                T = self.setup.T
                 self._k_table = ChebyshevTable(
                     lambda u: bessel_k_scaled(T, u),
-                    _k_table_edges(T, 2.0 * math.pi * _FLOOR_Y,
-                                   self.cutoff_margin + 2.0 * math.pi * self._y_top))
+                    _k_table_edges(T, 2.0 * math.pi * _FLOOR_Y, self.cutoff_margin))
             ks[table] = self._k_table(args[table])
-        off = live & ~on_grid[:, None]
-        if off.any():
-            ks[off] = bessel_k_scaled(self.setup.T, args[off])
-        modes = self.mode_prefactor * np.sqrt(ys)[:, None] * self._tau[1:K + 1] * ks
+        below = live & ~on_F
+        if below.any():
+            ks[below] = bessel_k_scaled(T, args[below])
+        modes = self.mode_prefactor * np.sqrt(ys)[:, None] * tau[1:K + 1] * ks
         rows = np.concatenate([modes[:, ::-1], self.constant_term(ys)[:, None], modes], axis=1)
         return rows[0] if np.ndim(y) == 0 else rows
 

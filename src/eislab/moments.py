@@ -12,9 +12,10 @@ powers (d = 4 for |E|^4), samples E at L points, forms the powers pointwise
 and transforms back, exactly.  The y direction uses Gauss-Legendre panels
 (split at y = 1, at the truncation height A, and at any caller-supplied
 breakpoints) whose density follows the Bessel oscillation scale ~ T/y per
-factor; ``math.fsum`` adds the panel sums.  Error estimates are
-Richardson-style: the whole integral is redone with doubled y node density
-and the difference is reported; no asymptotic error model is assumed.
+factor, up to max(A, cutoff_margin / (2 pi)), above which E_A is zero;
+``math.fsum`` adds the panel sums.  Error estimates are Richardson-style:
+the whole integral is redone with doubled y node density and the
+difference is reported; no asymptotic error model is assumed.
 
 E_A, E without its constant term e(y) above height A, lives on F only (its
 group translates are *not* automorphic) and jumps at y = A.  The evaluators
@@ -46,13 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eislab.eisenstein import (
-    _FLOOR_Y,
-    EisensteinEvaluator,
-    RealSEvaluator,
-    SpectralSetup,
-    moment_y_max,
-)
+from eislab.eisenstein import _FLOOR_Y, EisensteinEvaluator, RealSEvaluator, SpectralSetup
 from eislab.errors import DegenerateParameterError, DomainError, ToleranceError
 from eislab.quadrature import _GL_ORDER, OVERSAMPLE, edge_nodes, panel_edges
 from eislab.specfun import phi_log, phi_log_deriv_critical, scattering
@@ -300,11 +295,14 @@ def _p4_p2(g):
 def _integrate_moment(ev: EisensteinEvaluator, mass, total: float, splits):
     """``integrate_rows`` of the weighted |E|^4, E^2 rows on ev's moment grid.
 
-    The y density follows the Bessel oscillation scale of four factors, 4T/y.
+    The mass is m = 0 above the highest split, and E's rows hold e alone above
+    cutoff_margin / (2 pi), so the grid ends at the higher of the two.  The
+    y density follows the Bessel oscillation scale of four factors, 4T/y.
     """
     T = ev.setup.T
     return integrate_rows(
-        _weighted_rows((ev,), _p4_p2, 4, mass, total), moment_y_max(ev.setup),
+        _weighted_rows((ev,), _p4_p2, 4, mass, total),
+        max(*splits, ev.cutoff_margin / (2.0 * math.pi)),
         y_bandwidth=lambda y: 4.0 * T / y + 8.0, splits=splits)
 
 
@@ -389,7 +387,7 @@ class SmoothedMomentResult:
 def smoothed_fourth_moment(bump: Bump) -> SmoothedMomentResult:
     """int h(A) int_F |E_A|^4 and E_A^2 dmu dA at the bump's T, in one sweep,
     exact in A: the rows weighted by m = ``bump.mass_above(y)``, on the
-    moment grid of A = B + d.
+    moment grid of A = B + d, above which m is 0.
     """
     if not isinstance(bump, Bump):
         raise TypeError("smoothed_fourth_moment needs a weights.Bump")

@@ -57,8 +57,8 @@ class MaassForm:
     sym2_L1: float | None = None
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValidationError("spectral parameter must be positive")
+        if not 0.0 < self.t < math.inf:
+            raise ValidationError(f"spectral parameter must be positive and finite, got {self.t}")
         if self.parity not in ("even", "odd"):
             raise ValidationError(f"parity must be even/odd, got {self.parity}")
 

@@ -23,7 +23,6 @@ exponential decay of the gamma ratios, never by T^alpha literally.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -189,20 +188,15 @@ def _log_gamma_quad(z, T: float, t: float):
     return np.sum(log_gamma((np.asarray(z, dtype=complex)[..., None] + shifts) / 2.0), axis=-1)
 
 
-_BULK_ALPHA = 0.009  # the bulk is T^(1 - alpha) < |t| < 2T - T^(1 - alpha)
-
-
-def _in_bulk(t: float, T: float) -> bool:
-    edge = T ** (1.0 - _BULK_ALPHA)
-    return edge < abs(t) < 2.0 * T - edge
+def _check_heights(name: str, t: float, T: float):
+    """DomainError unless the spectral parameter t and the height T are finite."""
+    if not (math.isfinite(t) and math.isfinite(T)):
+        raise DomainError(f"{name} needs a finite t and T, got t={t}, T={T}")
 
 
 def weight_Hcal(t: float, T: float) -> complex:
-    """Spectral gamma-ratio weight at spectral parameter t, height T; warns
-    outside the bulk."""
-    if not _in_bulk(t, T):
-        warnings.warn(f"weight_Hcal: t={t} outside the bulk range for T={T}",
-                      stacklevel=2)
+    """Spectral gamma-ratio weight at spectral parameter t, height T."""
+    _check_heights("weight_Hcal", t, T)
     z = 0.5 - 1j * T
     return complex(np.exp(_log_gamma_quad(z, T, t) - 2.0 * log_gamma(z) - log_gamma(0.5 - 1j * t)))
 
@@ -216,6 +210,7 @@ def weight_Hcal_pm(s, t: float, T: float, bump: Bump):
     variant mirrors the sign of T.  Both include the bump-transform factor
     h-tilde(1 - s).
     """
+    _check_heights("weight_Hcal_pm", t, T)
     s = np.asarray(s, dtype=complex)
     if np.any(s.real <= -0.5):
         raise DomainError("weight_Hcal_pm needs Re(s) > -1/2")
@@ -274,6 +269,7 @@ def weight_V_pm(x, t: float, T: float, parity: str = "even", sigma: float = 1.0)
     a = 1/2 for even parity and 3/2 for odd, truncated as in
     ``contour_weights``; V_minus = C conj V_plus (``_mirror_phase``).
     """
+    _check_heights("weight_V_pm", t, T)
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
     if sigma <= 0:
@@ -303,6 +299,7 @@ def weight_Vcal_pm(x, t: float, T: float, bump: Bump, sigma: float = 0.75) -> Vc
     where the gamma ratio's own e^(-pi(|Im s|-t)/2) decay has taken over); the
     estimated tail is recorded in the result.
     """
+    _check_heights("weight_Vcal_pm", t, T)
     xv = np.asarray(x, dtype=float)
     if not np.all((xv >= 1.0) & (xv < np.inf)):
         raise DomainError("weight_Vcal_pm is defined for finite x >= 1")

@@ -7,13 +7,8 @@ import pytest
 from scipy.special import jv
 
 from eislab import eisenstein, moments, quadrature
-from eislab.eisenstein import (
-    EisensteinEvaluator,
-    RealSEvaluator,
-    SpectralSetup,
-    cosine_series,
-    moment_y_max,
-)
+from eislab.arith import tau_gen_many
+from eislab.eisenstein import EisensteinEvaluator, RealSEvaluator, SpectralSetup, cosine_series
 from eislab.errors import ConvergenceError, DomainError
 from eislab.quadrature import ChebyshevTable
 from eislab.specfun import DEFAULT_POLICY, bessel_k_scaled, xi_log
@@ -110,7 +105,7 @@ class TestBesselTable:
         table = ev._k_table
         lo, hi = table.edges[0], table.edges[-1]
         assert lo == pytest.approx(math.pi * math.sqrt(3), rel=1e-15)
-        assert hi == ev.cutoff_margin + 2 * math.pi * moment_y_max(ev.setup)
+        assert hi == ev.cutoff_margin
         us = np.random.default_rng(int(T)).uniform(lo, hi, 1000)
         ref = np.array([bessel_k_scaled(T, u) for u in us])
         assert np.max(np.abs(table(us) - ref)) <= 1e-13 * table.peak
@@ -143,15 +138,27 @@ class TestBesselTable:
         with pytest.raises(ConvergenceError):
             ChebyshevTable(lambda u: (u > 1.3).astype(float), [1.0, 2.0])
 
-    @pytest.mark.parametrize("y", [0.8, 20.0])
+    @pytest.mark.parametrize("y", [0.8, 0.3])
     def test_rows_off_the_moment_grid_use_the_scalar_kernel(self, y):
-        # sqrt(3)/2 = 0.866 and moment_y_max = 15.4 bound the table's rows
+        # rows below F, y < sqrt(3)/2 = 0.866, need no table; from
+        # sqrt(3)/2 up every row reads from it
         ev = EisensteinEvaluator(SpectralSetup(T=10.0, A=2.0))
         got = ev.row_coefficients(y)[ev.n_max(y) + 1:]
         assert ev._k_table is None
         ns = np.arange(1, ev.n_max(y) + 1)
         ks = np.array([bessel_k_scaled(10.0, 2.0 * math.pi * n * y) for n in ns])
-        assert np.array_equal(got, ev.mode_prefactor * math.sqrt(y) * ev._tau[1:len(ns) + 1] * ks)
+        tau = tau_gen_many(len(ns), 10.0)[1:]
+        assert np.array_equal(got, ev.mode_prefactor * math.sqrt(y) * tau * ks)
+
+    def test_evaluator_does_not_depend_on_A(self):
+        # one evaluator serves every truncation height: the same table and
+        # the same rows, bit for bit, below F, on it and above every mode
+        ys = np.array([0.3, 0.8, 0.87, 1.0, 2.0, 5.0, 11.0, 13.0, 20.0])
+        evs = [EisensteinEvaluator(SpectralSetup(T=10.0, A=A)) for A in (1.5, 12.0)]
+        rows = [ev.row_coefficients(ys) for ev in evs]
+        assert np.array_equal(rows[0], rows[1])
+        assert np.array_equal(evs[0]._k_table.edges, evs[1]._k_table.edges)
+        assert np.array_equal(evs[0]._k_table.coefs, evs[1]._k_table.coefs)
 
 
     def test_batched_rows_are_the_scalar_rows_zero_padded(self):

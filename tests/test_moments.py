@@ -11,15 +11,10 @@ import numpy as np
 import pytest
 
 from eislab import moments, quadrature
-from eislab.eisenstein import (
-    EisensteinEvaluator,
-    RealSEvaluator,
-    SpectralSetup,
-    cosine_series,
-    moment_y_max,
-)
+from eislab.arith import tau_gen_many
+from eislab.eisenstein import EisensteinEvaluator, RealSEvaluator, SpectralSetup, cosine_series
 from eislab.errors import DegenerateParameterError, ToleranceError
-from eislab.specfun import phi_log, scattering
+from eislab.specfun import bessel_k_scaled, phi_log, scattering
 from eislab.quadrature import panel_nodes
 from eislab.weights import Bump, bump_h
 
@@ -286,14 +281,53 @@ class TestFourthMoment:
         res = moments.fourth_moment(SpectralSetup(T=T, A=2.0), tol=math.inf)
         assert moments.second_moment_error(res)[1] <= 1e-13
 
+    def test_p2_error_with_the_grid_top_at_A(self):
+        # at T = 10 E has no modes above cutoff_margin / (2 pi) = 11.4, so the
+        # grid ends at A = 12 and its top rows are the constant term alone;
+        # measured 1.8e-15
+        setup = SpectralSetup(T=10.0, A=12.0)
+        assert EisensteinEvaluator(setup).n_max(setup.A) == 0
+        res = moments.fourth_moment(setup, tol=math.inf)
+        assert moments.second_moment_error(res)[1] <= 1e-13
+
+    @staticmethod
+    def _worst_dropped_mode(T, monkeypatch, margin=None):
+        """Largest |c_(n_max(y) + 1)| / max_k |c_k| over the y nodes of
+        fourth_moment's two grids at A = 2, c E's row with its constant term,
+        the dropped mode from ``bessel_k_scaled`` itself; ``margin``, if
+        given, replaces the evaluator's cutoff_margin."""
+        ev = EisensteinEvaluator(SpectralSetup(T=T, A=2.0))
+        if margin is not None:
+            ev.cutoff_margin = margin
+        seen = []
+
+        def record(ys):
+            seen.append(ys)
+            return np.zeros((len(ys), 2))
+
+        monkeypatch.setattr(moments, "_weighted_rows", lambda *args: record)
+        moments._integrate_moment(ev, moments._sharp_cut(2.0), 1.0, (2.0,))
+        ys = np.concatenate(seen)
+        n = ev.n_max(ys) + 1
+        dropped = np.abs(ev.mode_prefactor * np.sqrt(ys) * tau_gen_many(n.max(), T)[n]
+                         * bessel_k_scaled(T, 2.0 * np.pi * n * ys))
+        return np.max(dropped / np.max(np.abs(ev.row_coefficients(ys)), axis=1))
+
+    @pytest.mark.parametrize("T", [10.0, 50.0, 200.0])
+    def test_first_dropped_mode_is_negligible_on_the_moment_grid(self, T, monkeypatch):
+        # measured 1.6e-25, 8.6e-26 and 2.7e-24 of the row's largest
+        # coefficient; with the margin cut to T + 10, 5.0e-4, 8.6e-3 and 0.31
+        assert self._worst_dropped_mode(T, monkeypatch) <= 1e-16
+        assert self._worst_dropped_mode(T, monkeypatch, margin=T + 10.0) > 1e-16
+
     @staticmethod
     def _p4_at_density(setup, factor):
         """fourth_moment's p = 4 value with its y bandwidth scaled by factor(y)."""
         T = setup.T
-        rows = moments._weighted_rows((EisensteinEvaluator(setup),), moments._p4_p2, 4,
-                                      moments._sharp_cut(setup.A))
+        ev = EisensteinEvaluator(setup)
+        rows = moments._weighted_rows((ev,), moments._p4_p2, 4, moments._sharp_cut(setup.A))
         val, _ = moments.integrate_rows(
-            rows, moment_y_max(setup), splits=(setup.A,),
+            rows, max(setup.A, ev.cutoff_margin / (2 * math.pi)), splits=(setup.A,),
             y_bandwidth=lambda y: (4.0 * T / y + 8.0) * factor(y))
         return val[0].real
 
@@ -371,8 +405,8 @@ class TestSmoothedMoment:
         assert float(val[0].real) == pytest.approx(direct, rel=1e-8)
 
     def test_rows_with_all_or_no_mass_take_one_fft_pass(self, monkeypatch):
-        # of the 1,280 heights on the two grids at T = 10, the 334 with
-        # 0 < m < hhat0 sample both E and E - e; 2,560 rows when each took two.
+        # of the 1,040 heights on the two grids at T = 10, the 334 with
+        # 0 < m < hhat0 sample both E and E - e; 2,080 rows when each took two.
         # Two of the 336 heights inside the support (B - d, B + d) lie past
         # B + d tanh(3), where m is 0.0 exactly
         sampled = []
@@ -384,7 +418,7 @@ class TestSmoothedMoment:
 
         monkeypatch.setattr(moments, "_samples", counted)
         moments.smoothed_fourth_moment(Bump(B=2.0, alpha=0.009, T=10.0))
-        assert sum(sampled) == 1614
+        assert sum(sampled) == 1374
 
     def test_large_estimate_raises(self, monkeypatch):
         # the gate of fourth_moment: est_error above 1e-4 max(1, |value|)

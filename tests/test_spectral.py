@@ -53,6 +53,13 @@ class TestIngest:
         # relation residual is identically zero on multiplicative data
         assert arith.hecke_relation_check(forms[0].hecke, 2, 3) < 1e-12
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_spectral_parameter_rejected(self, tmp_path, t):
+        # a one-row form at t = inf entered the Kuznetsov spectral side with
+        # h(inf) = 0; at t = nan it passed as well
+        with pytest.raises(ValidationError, match="positive and finite"):
+            _ingest_rows(tmp_path, [(t, "odd", 1, 1.0), (t, "odd", 0, 1.5)])
+
     def test_lambda_one_required(self, tmp_path):
         with pytest.raises(ValidationError):
             _ingest_rows(tmp_path, [(5.0, "even", 1, 0.9)])

@@ -95,7 +95,31 @@ class TestBump:
         assert bump50.mass_above(b - 2.0 * d) == bump50.hhat0
 
 
+# each weight at (t, T) through one call; the heights are all it varies
+WEIGHT_CALLS = {
+    "weight_V_pm": lambda t, T, bump: weights.weight_V_pm(2.0, t, T),
+    "weight_Vcal_pm": lambda t, T, bump: weights.weight_Vcal_pm(2.0, t, T, bump),
+    "weight_Hcal_pm": lambda t, T, bump: weights.weight_Hcal_pm(0.5 + 0j, t, T, bump),
+    "weight_Hcal": lambda t, T, bump: weights.weight_Hcal(t, T),
+}
+
+
 class TestGammaRatioWeights:
+    @pytest.mark.parametrize("t, T", [(math.nan, 50.0), (math.inf, 50.0),
+                                      (60.0, math.nan), (60.0, -math.inf)])
+    @pytest.mark.parametrize("name", list(WEIGHT_CALLS))
+    def test_non_finite_heights_rejected(self, bump50, name, t, T):
+        # these returned NaN after RuntimeWarnings
+        with pytest.raises(DomainError, match=f"{name} needs a finite t and T"):
+            WEIGHT_CALLS[name](t, T, bump50)
+
+    def test_hcal_out_of_bulk_is_quiet(self):
+        # the window T^(1 - alpha) < |t| < 2T - T^(1 - alpha) is asymptotic
+        # bookkeeping; t = 14 at T = 10 is a weight like any other
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(abs(weights.weight_Hcal(14.0, 10.0)))
+
     def test_hcal_envelope(self):
         # |Hcal(t)|^2 * |t| sqrt(4T^2-t^2) stays near 8 pi
         for T in (20.0, 50.0, 100.0):
